@@ -8,33 +8,28 @@ boundedness functionals of the underlying theory.
 """
 
 from .constitutive import (
-    DerivedFields,
     MaterialParams,
     branch_weight,
     conductivity,
-    derived_fields,
     pressure,
     sound_speed,
     stress,
     viscosity,
 )
-from .driver import CheckResult, RunResult, initial_state, run, verification_table
+from .driver import run, verification_table
 from .grid import (
     Grid,
     State,
     cell_integral,
     cumulative_u_integral,
     du_dx_cells,
-    field_min,
     grad_l2_sq,
     node_weights,
     total_energy,
 )
-from .mms import MmsCase, build_case, manufactured_case, mms_sources
+from .mms import build_case, manufactured_case, mms_sources
 from .scenario import (
     ConfigError,
-    ConvergenceLevel,
-    ConvergenceReport,
     DiagnosticsReport,
     DiagnosticsRow,
     ProfileSpec,
@@ -63,8 +58,6 @@ from .scheme import (
     tridiagonal_solve,
 )
 from .verify import (
-    BoundTracker,
-    RepresentationAccumulator,
     boundary_stress_residual,
     energy_drift,
     initial_volume_factor,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +21,6 @@ from .scenario import (
     ConfigError,
     ConvergenceLevel,
     ConvergenceReport,
-    Scenario,
     emit_snapshot,
     emit_timeseries,
     load_config,
@@ -44,14 +42,10 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _load(config_path: str) -> Scenario:
-    return load_config(config_path)
-
-
 def cmd_run(config_path: str, out_dir: str) -> int:
     """Run one scenario; write timeseries.csv and snapshot.csv to out_dir."""
     try:
-        scenario = _load(config_path)
+        scenario = load_config(config_path)
     except (ConfigError, OSError) as exc:
         return _fail_usage(str(exc))
     result = run(scenario)
@@ -76,7 +70,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
 def cmd_verify(config_path: str) -> int:
     """Run the scenario and print the PASS/FAIL table of invariant checks."""
     try:
-        scenario = _load(config_path)
+        scenario = load_config(config_path)
     except (ConfigError, OSError) as exc:
         return _fail_usage(str(exc))
     if scenario.mms is not None:
@@ -110,7 +104,7 @@ def _observed_orders(errors: list[float]) -> tuple[float, ...]:
 def cmd_convergence(config_path: str, levels: int) -> int:
     """Nested-refinement study against the manufactured solution."""
     try:
-        scenario = _load(config_path)
+        scenario = load_config(config_path)
     except (ConfigError, OSError) as exc:
         return _fail_usage(str(exc))
     if scenario.mms is None:
@@ -190,33 +184,41 @@ def _parse_float_list(text: str, label: str) -> list[float]:
     return values
 
 
+def _file_tag(value: float) -> str:
+    """A sweep value as written in a file name: its :g form where that reads
+    back as the same float, else its shortest round-trip repr, so distinct
+    values never share a file."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def cmd_sweep(config_path: str, alphas: str, betas: str, out_dir: str) -> int:
-    """Run the alpha x beta grid concurrently; one timeseries per pair."""
+    """Run the alpha x beta grid one pair after another; one timeseries each."""
     try:
-        scenario = _load(config_path)
+        scenario = load_config(config_path)
         alpha_list = _parse_float_list(alphas, "alpha")
         beta_list = _parse_float_list(betas, "beta")
     except (ConfigError, OSError) as exc:
         return _fail_usage(str(exc))
-    if any(a < 0.0 for a in alpha_list) or any(b <= 0.0 for b in beta_list):
-        return _fail_usage(
-            "sweep lists violate the admissible regime (alpha >= 0 and beta > 0)"
-        )
 
     pairs = [(a, b) for a in alpha_list for b in beta_list]
-    scenarios = [
-        replace(scenario, params=replace(scenario.params, alpha=a, beta=b))
-        for a, b in pairs
-    ]
+    try:
+        scenarios = [
+            replace(scenario, params=replace(scenario.params, alpha=a, beta=b))
+            for a, b in pairs
+        ]
+    except ValueError as exc:
+        return _fail_usage(f"sweep lists: {exc}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=min(len(pairs), 8)) as pool:
-        results = list(pool.map(run, scenarios))
 
     summary = ["alpha,beta,status,min_v,min_theta,repr_residual"]
     aborted = 0
-    for (a, b), result in zip(pairs, results):
-        emit_timeseries(result.report, out / f"run_alpha{a:g}_beta{b:g}.csv")
+    for (a, b), member in zip(pairs, scenarios):
+        result = run(member)
+        emit_timeseries(
+            result.report, out / f"run_alpha{_file_tag(a)}_beta{_file_tag(b)}.csv"
+        )
         if result.report.status == "aborted":
             aborted += 1
         residual = representation_residual(

@@ -13,14 +13,12 @@ import numpy as np
 
 __all__ = [
     "MaterialParams",
-    "DerivedFields",
     "viscosity",
     "conductivity",
     "pressure",
     "stress",
     "sound_speed",
     "branch_weight",
-    "derived_fields",
 ]
 
 
@@ -45,27 +43,16 @@ class MaterialParams:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not np.isfinite(self.alpha) or self.alpha < 0.0:
-            raise ValueError(f"alpha must satisfy alpha >= 0, got {self.alpha}")
-        if not np.isfinite(self.beta) or self.beta <= 0.0:
-            raise ValueError(f"beta must satisfy beta > 0, got {self.beta}")
+        if not (0.0 <= self.alpha < np.inf and 0.0 < self.beta < np.inf):
+            raise ValueError(
+                f"exponents alpha = {self.alpha}, beta = {self.beta} violate the "
+                "admissible regime (alpha >= 0 and beta > 0)"
+            )
 
     @property
     def gamma(self) -> float:
         """Adiabatic index 1 + R/c_v of the ideal gas."""
         return 1.0 + self.R / self.c_v
-
-
-@dataclass(frozen=True)
-class DerivedFields:
-    """Pointwise thermodynamic and transport fields evaluated on cells."""
-
-    pressure: np.ndarray
-    internal_energy: np.ndarray
-    viscosity: np.ndarray
-    conductivity: np.ndarray
-    stress: np.ndarray
-    sound_speed: np.ndarray
 
 
 def _require_positive(name: str, field: np.ndarray) -> np.ndarray:
@@ -125,22 +112,3 @@ def branch_weight(alpha: float) -> float:
     if alpha < 0.0:
         raise ValueError(f"alpha must satisfy alpha >= 0, got {alpha}")
     return 1.0 if alpha > 0.0 else 0.5
-
-
-def derived_fields(
-    v: np.ndarray,
-    theta: np.ndarray,
-    du_dx: np.ndarray,
-    params: MaterialParams,
-) -> DerivedFields:
-    """Evaluate all pointwise constitutive fields on one cell-centered state."""
-    mu = viscosity(v, params)
-    p = pressure(v, theta, params)
-    return DerivedFields(
-        pressure=p,
-        internal_energy=params.c_v * np.asarray(theta, dtype=float),
-        viscosity=mu,
-        conductivity=conductivity(theta, params),
-        stress=mu * np.asarray(du_dx, dtype=float) / np.asarray(v, dtype=float) - p,
-        sound_speed=sound_speed(v, theta, params),
-    )

@@ -23,7 +23,6 @@ from .scenario import (
 from .scheme import (
     BoundaryKind,
     SolverAbort,
-    StepControls,
     StepRejected,
     compatible_initial_data,
     compatibility_residual,
@@ -93,9 +92,14 @@ def initial_state(scenario: Scenario, grid: Grid) -> State:
     )
 
 
-def _wall_stress(case: MmsCase, t: float) -> tuple[float, float]:
-    ends = np.array([0.0, 1.0])
-    values = case.stress(ends, t)
+def _imposed_wall_stress(
+    case: MmsCase | None, bc: BoundaryKind, t: float
+) -> tuple[float, float]:
+    """Wall stress imposed at time t: the manufactured value on stress-free
+    walls of a forced run, zero otherwise."""
+    if case is None or bc is not BoundaryKind.STRESS_FREE:
+        return 0.0, 0.0
+    values = case.stress(np.array([0.0, 1.0]), t)
     return float(values[0]), float(values[1])
 
 
@@ -104,9 +108,7 @@ def run(scenario: Scenario) -> RunResult:
     grid = Grid(scenario.n_cells)
     params = scenario.params
     bc = scenario.bc
-    controls = StepControls(
-        cfl=scenario.cfl, dt_min=scenario.dt_min, dt_max=scenario.dt_max
-    )
+    controls = scenario.controls
     case = (
         manufactured_case(scenario.mms, params) if scenario.mms is not None else None
     )
@@ -138,11 +140,7 @@ def run(scenario: Scenario) -> RunResult:
                 sources = (
                     mms_sources(case, grid, state.t + dt) if case is not None else None
                 )
-                stress_bc = (
-                    _wall_stress(case, state.t + dt)
-                    if case is not None and bc is BoundaryKind.STRESS_FREE
-                    else (0.0, 0.0)
-                )
+                stress_bc = _imposed_wall_stress(case, bc, state.t + dt)
                 new_state = step(
                     state, dt, params, bc, grid, controls, sources, stress_bc
                 )
@@ -165,12 +163,9 @@ def run(scenario: Scenario) -> RunResult:
         state = new_state
 
         if state.t >= out_index * scenario.output_every - eps:
-            stress_bc_row = (
-                _wall_stress(case, state.t)
-                if case is not None and bc is BoundaryKind.STRESS_FREE
-                else (0.0, 0.0)
+            resid = boundary_stress_residual(
+                state, params, grid, bc, _imposed_wall_stress(case, bc, state.t)
             )
-            resid = boundary_stress_residual(state, params, grid, bc, stress_bc_row)
             rows.append(
                 DiagnosticsRow(
                     t=state.t,

@@ -24,7 +24,7 @@ __all__ = [
     "grad_l2_sq",
     "total_energy",
     "cumulative_u_integral",
-    "field_min",
+    "wall_values",
 ]
 
 
@@ -146,9 +146,9 @@ def cumulative_u_integral(u: np.ndarray, u0: np.ndarray, grid: Grid) -> np.ndarr
     return out
 
 
-def field_min(f: np.ndarray) -> float:
-    """Minimum of a field; rejects empty input."""
-    f = np.asarray(f, dtype=float)
-    if f.size == 0:
-        raise ValueError("field_min of an empty field")
-    return float(f.min())
+def wall_values(f: np.ndarray) -> tuple[float, float]:
+    """Two-cell linear extrapolation of a cell-centered field to both walls.
+
+    1.5*f[0] - 0.5*f[1] at x = 0 and its mirror at x = 1; second-order in dx.
+    """
+    return 1.5 * f[0] - 0.5 * f[1], 1.5 * f[-1] - 0.5 * f[-2]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constitutive import MaterialParams
 from .grid import Grid, State
-from .scheme import BoundaryKind, InitialProfile
+from .scheme import BoundaryKind, InitialProfile, StepControls
 
 __all__ = [
     "ConfigError",
@@ -94,7 +94,8 @@ class Scenario:
     """One deterministic run: material, boundaries, initial data, stepping.
 
     dt_max is a library-level cap used by refinement studies; it is not a
-    config key and defaults to the acoustic limit alone.
+    config key and defaults to the acoustic limit alone. n_cells >= 8 is the
+    floor for a run; cfl, dt_min and dt_max are range-checked by StepControls.
     """
 
     params: MaterialParams = MaterialParams()
@@ -109,18 +110,23 @@ class Scenario:
     dt_max: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_cells < 2:
-            raise ConfigError(f"n_cells must be >= 2, got {self.n_cells}")
+        if self.n_cells < 8:
+            raise ConfigError(f"n_cells must be >= 8, got {self.n_cells}")
         if self.t_end <= 0.0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.output_every <= 0.0:
             raise ConfigError(
                 f"output_every must be positive, got {self.output_every}"
             )
-        if not 0.0 < self.cfl <= 1.0:
-            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.dt_min <= 0.0:
-            raise ConfigError(f"dt_min must be positive, got {self.dt_min}")
+        self.controls  # built here so bad cfl, dt_min or dt_max fail early
+
+    @property
+    def controls(self) -> StepControls:
+        """The step controls of this scenario, range-checked by StepControls."""
+        try:
+            return StepControls(cfl=self.cfl, dt_min=self.dt_min, dt_max=self.dt_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -243,13 +249,6 @@ def parse_config(text: str) -> Scenario:
     mat_kwargs = {
         key: _number(material, key, "material.") for key in material
     }
-    alpha = mat_kwargs.get("alpha", 1.0)
-    beta = mat_kwargs.get("beta", 1.0)
-    if alpha < 0.0 or beta <= 0.0:
-        raise ConfigError(
-            f"material exponents alpha = {alpha}, beta = {beta} violate the "
-            "admissible regime (alpha >= 0 and beta > 0)"
-        )
     try:
         params = MaterialParams(**mat_kwargs)
     except ValueError as exc:
@@ -302,8 +301,6 @@ def parse_config(text: str) -> Scenario:
         n_cells = raw["n_cells"]
         if isinstance(n_cells, bool) or not isinstance(n_cells, int):
             raise ConfigError(f"n_cells must be an integer, got {n_cells!r}")
-        if n_cells < 8:
-            raise ConfigError(f"n_cells must be >= 8, got {n_cells}")
         scalars["n_cells"] = n_cells
 
     return Scenario(params=params, bc=bc, profile=profile, mms=mms, **scalars)

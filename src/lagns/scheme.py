@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .constitutive import MaterialParams, sound_speed, stress, viscosity, conductivity
-from .grid import Grid, State, du_dx_cells
+from .grid import Grid, State, du_dx_cells, wall_values
 
 __all__ = [
     "BoundaryKind",
@@ -72,13 +72,13 @@ class StepControls:
     def __post_init__(self) -> None:
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.dt_min <= 0.0:
+        if not self.dt_min > 0.0:
             raise ValueError(f"dt_min must be positive, got {self.dt_min}")
         if self.max_picard < 1:
             raise ValueError(f"max_picard must be >= 1, got {self.max_picard}")
         if self.picard_tol <= 0.0:
             raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
-        if self.dt_max is not None and self.dt_max <= 0.0:
+        if self.dt_max is not None and not self.dt_max > 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
 
@@ -216,8 +216,8 @@ def compatibility_residual(
     """
     if bc is BoundaryKind.STRESS_FREE:
         sigma = stress(state.v, state.theta, du_dx_cells(state.u, grid), params)
-        first = abs(1.5 * sigma[0] - 0.5 * sigma[1])
-        second = abs(1.5 * sigma[-1] - 0.5 * sigma[-2])
+        left, right = wall_values(sigma)
+        first, second = abs(left), abs(right)
     else:
         first = abs(float(state.u[0]))
         second = abs(float(state.u[-1]))
@@ -311,7 +311,7 @@ def continuity_step(
     new_v = state.v + dt * du_dx_cells(new_u, grid)
     if source is not None:
         new_v = new_v + dt * source
-    if np.any(new_v <= 0.0):
+    if not np.all(new_v > 0.0):  # also catches NaN
         raise StepRejected("non-positive volume")
     return new_v
 
@@ -354,7 +354,7 @@ def temperature_step(
         diag[1:] += s * interface
         band = -s * interface
         theta_new = tridiagonal_solve(band, diag, band, rhs)
-        if np.min(theta_new) <= 0.0:
+        if not np.min(theta_new) > 0.0:  # also catches NaN
             raise StepRejected("non-positive temperature")
         if np.max(np.abs(theta_new - theta)) <= controls.picard_tol * np.max(
             np.abs(theta_new)

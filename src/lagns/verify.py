@@ -28,6 +28,7 @@ from .grid import (
     grad_l2_sq,
     node_weights,
     total_energy,
+    wall_values,
 )
 from .scheme import BoundaryKind
 
@@ -105,7 +106,7 @@ class RepresentationAccumulator:
 def _integrand(acc: RepresentationAccumulator, state: State, grid: Grid, alpha: float):
     d1 = velocity_integral_factor(state.u, acc.u0_nodes, grid, acc.k)
     d2 = viscosity_volume_factor(state.v, alpha)
-    return state.theta / (d1 * d2), d1
+    return state.theta / (d1 * d2)
 
 
 def make_accumulator(
@@ -121,7 +122,7 @@ def make_accumulator(
         t=state.t,
         e0=total_energy(state, grid, params.c_v),
     )
-    acc.last_integrand, _ = _integrand(acc, state, grid, params.alpha)
+    acc.last_integrand = _integrand(acc, state, grid, params.alpha)
     return acc
 
 
@@ -129,7 +130,7 @@ def update_accumulator(
     acc: RepresentationAccumulator, state: State, dt: float, alpha: float, grid: Grid
 ) -> RepresentationAccumulator:
     """Advance the time integral one accepted step by the trapezoid rule."""
-    integrand, _ = _integrand(acc, state, grid, alpha)
+    integrand = _integrand(acc, state, grid, alpha)
     increment = 0.5 * dt * (acc.last_integrand + integrand)
     if not np.all(increment >= 0.0):
         acc.monotone_ok = False
@@ -295,6 +296,5 @@ def boundary_stress_residual(
     if bc is BoundaryKind.NO_SLIP:
         return abs(float(state.u[0])), abs(float(state.u[-1]))
     sigma = stress(state.v, state.theta, du_dx_cells(state.u, grid), params)
-    left = 1.5 * sigma[0] - 0.5 * sigma[1]
-    right = 1.5 * sigma[-1] - 0.5 * sigma[-2]
+    left, right = wall_values(sigma)
     return abs(left - stress_bc[0]), abs(right - stress_bc[1])

@@ -63,8 +63,17 @@ class TestCmdRun:
 
 
 class TestCmdVerify:
-    def test_default_config_all_pass(self, capsys):
-        assert cli.cmd_verify(str(CONFIGS / "default.json")) == 0
+    @pytest.mark.parametrize("name", [
+        "default",
+        "alpha0",
+        # known defect: the volume representation is derived for stress-free
+        # walls; a no-slip gas at rest leaves a residual that grows as t
+        pytest.param("noslip_steady", marks=pytest.mark.xfail(
+            strict=True, reason="representation check assumes stress-free walls",
+        )),
+    ])
+    def test_default_config_all_pass(self, name, capsys):
+        assert cli.cmd_verify(str(CONFIGS / f"{name}.json")) == 0
         out = capsys.readouterr().out
         assert "8/8 checks passed" in out
         assert "FAIL" not in out
@@ -139,10 +148,21 @@ class TestCmdSweep:
         assert cli.cmd_sweep(config, "1", "1", str(out)) == 0
         assert (out / "run_alpha1_beta1.csv").exists()
 
+    def test_close_values_get_distinct_files(self, tmp_path):
+        config = small_run_config(tmp_path)
+        out = tmp_path / "close"
+        assert cli.cmd_sweep(config, "0.1,0.10000001", "1", str(out)) == 0
+        files = sorted(p.name for p in out.glob("run_*.csv"))
+        assert files == ["run_alpha0.10000001_beta1.csv", "run_alpha0.1_beta1.csv"]
+
     def test_out_of_regime_beta_exits_two(self, tmp_path, capsys):
         config = small_run_config(tmp_path)
-        assert cli.cmd_sweep(config, "0,1", "0,1", str(tmp_path / "s")) == 2
+        out = tmp_path / "s"
+        assert cli.cmd_sweep(config, "0,1", "0,1", str(out)) == 2
         assert "regime" in capsys.readouterr().err
+        assert cli.cmd_sweep(config, "nan", "1", str(out)) == 2
+        assert "regime" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_garbled_list_exits_two(self, tmp_path, capsys):
         config = small_run_config(tmp_path)

@@ -7,7 +7,6 @@ from lagns import (
     MaterialParams,
     branch_weight,
     conductivity,
-    derived_fields,
     pressure,
     sound_speed,
     stress,
@@ -35,6 +34,8 @@ class TestMaterialParams:
         {"c_v": -1.0},
         {"mu_tilde": 0.0},
         {"kappa_tilde": -2.0},
+        {"alpha": float("nan")},
+        {"beta": float("inf")},
     ])
     def test_out_of_regime_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -121,8 +122,9 @@ class TestStress:
         # strain rate R*theta/mu(v) balances the pressure exactly
         p = MaterialParams()
         g = p.R * theta / viscosity(np.array([v]), p)[0]
+        # the two terms cancel, so rounding leaves a few ulps of R*theta/v
         assert stress(np.array([v]), np.array([theta]), np.array([g]), p)[0] == pytest.approx(
-            0.0, abs=1e-12
+            0.0, abs=4 * np.spacing(p.R * theta / v)
         )
 
     @given(v=positive, theta=positive, g1=st.floats(-10, 10), g2=st.floats(-10, 10))
@@ -132,7 +134,10 @@ class TestStress:
         s1 = stress(va, ta, np.array([g1]), p)[0]
         s2 = stress(va, ta, np.array([g2]), p)[0]
         slope = viscosity(va, p)[0] / v
-        assert s2 - s1 == pytest.approx(slope * (g2 - g1), rel=1e-9, abs=1e-12)
+        # the viscous and pressure terms cancel in s2 - s1, so rounding leaves
+        # a few ulps of the largest of them
+        tol = 8 * np.spacing(max(abs(slope * g1), abs(slope * g2), p.R * theta / v))
+        assert s2 - s1 == pytest.approx(slope * (g2 - g1), rel=1e-9, abs=tol)
 
 
 class TestBranchWeight:
@@ -163,20 +168,3 @@ class TestSoundSpeed:
         p = MaterialParams()
         tiny = sound_speed(np.array([1.0]), np.array([1e-30]), p)[0]
         assert tiny == pytest.approx(0.0, abs=1e-14)
-
-
-class TestDerivedFields:
-    def test_consistent_with_pointwise_ops(self):
-        p = MaterialParams(alpha=0.5, beta=2.0, c_v=1.3)
-        v = np.array([0.8, 1.0, 1.7])
-        theta = np.array([0.9, 1.1, 2.0])
-        g = np.array([-0.3, 0.0, 0.4])
-        d = derived_fields(v, theta, g, p)
-        np.testing.assert_allclose(d.pressure, pressure(v, theta, p))
-        np.testing.assert_allclose(d.internal_energy, p.c_v * theta)
-        np.testing.assert_allclose(d.viscosity, viscosity(v, p))
-        np.testing.assert_allclose(d.conductivity, conductivity(theta, p))
-        np.testing.assert_allclose(d.stress, stress(v, theta, g, p))
-        np.testing.assert_allclose(d.sound_speed, sound_speed(v, theta, p))
-        assert np.all(d.viscosity > p.mu_tilde)
-        assert np.all(d.conductivity > 0.0)

@@ -9,11 +9,11 @@ from lagns import (
     cell_integral,
     cumulative_u_integral,
     du_dx_cells,
-    field_min,
     grad_l2_sq,
     node_weights,
     total_energy,
 )
+from lagns.grid import wall_values
 
 
 class TestGrid:
@@ -166,12 +166,8 @@ class TestCumulativeUIntegral:
             cumulative_u_integral(np.zeros(3), np.zeros(3), grid)
 
 
-class TestFieldMin:
-    def test_values(self):
-        assert field_min(np.array([1.0, 2.0, 3.0])) == 1.0
-        assert field_min(np.full(4, 0.6)) == 0.6
-        assert field_min(np.array([0.3, 0.2, 0.9])) == 0.2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            field_min(np.array([]))
+class TestWallValues:
+    def test_linear_field_extrapolates_exactly(self, grid):
+        left, right = wall_values(3.0 - 2.0 * grid.centers)
+        assert left == pytest.approx(3.0, abs=1e-14)
+        assert right == pytest.approx(1.0, abs=1e-14)

@@ -128,6 +128,12 @@ class TestParseConfig:
             Scenario(t_end=-1.0)
         with pytest.raises(ConfigError):
             Scenario(output_every=0.0)
+        with pytest.raises(ConfigError, match=">= 8"):
+            Scenario(n_cells=2)
+        with pytest.raises(ConfigError, match=">= 8"):
+            Scenario(n_cells=7)
+        with pytest.raises(ConfigError, match="dt_max"):
+            Scenario(dt_max=-1.0)
 
 
 class TestDiagnosticsReport:

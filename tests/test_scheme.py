@@ -251,6 +251,15 @@ class TestTemperatureStep:
         with pytest.raises(StepRejected, match="temperature"):
             temperature_step(crushed, crushed.u, crushed.v, 0.5, params, grid, StepControls())
 
+    def test_nan_velocity_rejected(self, grid, params, uniform_state):
+        new_u = uniform_state.u.copy()
+        new_u[grid.n_nodes // 2] = np.nan
+        with pytest.raises(StepRejected, match="temperature"):
+            temperature_step(
+                uniform_state, new_u, uniform_state.v, 1e-3, params, grid,
+                StepControls(),
+            )
+
     def test_iteration_cap_rejects(self, params, cosine_profile):
         grid = Grid(64)
         state = compatible_initial_data(cosine_profile, params, SF, grid)
@@ -268,6 +277,13 @@ class TestStep:
         np.testing.assert_allclose(current.v, state.v, rtol=1e-12)
         np.testing.assert_allclose(current.u, state.u, atol=1e-12)
         np.testing.assert_allclose(current.theta, state.theta, rtol=1e-12)
+
+    def test_nan_velocity_rejected_not_crashed(self, grid, params, uniform_state):
+        # a NaN in the momentum result must reach the driver as a rejection
+        # (so dt is halved), not as a ValueError from the viscosity
+        uniform_state.u[grid.n_nodes // 2] = np.nan
+        with pytest.raises(StepRejected, match="volume"):
+            step(uniform_state, 1e-3, params, NS, grid, StepControls())
 
     def test_continuity_identity_exact(self, grid, params, cosine_profile):
         state = compatible_initial_data(cosine_profile, params, SF, grid)
