@@ -57,7 +57,7 @@ class MaterialParams:
 
 def _require_positive(name: str, field: np.ndarray) -> np.ndarray:
     field = np.asarray(field, dtype=float)
-    if field.size and not np.all(field > 0.0):
+    if field.size and not field.min() > 0.0:  # also catches NaN
         raise ValueError(f"{name} must be strictly positive everywhere")
     return field
 

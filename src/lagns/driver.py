@@ -155,9 +155,10 @@ def run(scenario: Scenario) -> RunResult:
         if status == "aborted":
             break
 
-        update_accumulator(acc, new_state, dt, params.alpha, grid)
+        velocity_factor = acc.velocity_factor(new_state, grid)
+        update_accumulator(acc, new_state, dt, params.alpha, velocity_factor)
         update_bounds(tracker, state, new_state, dt, grid)
-        ok, margin = velocity_band_check(acc, new_state, grid, params)
+        ok, margin = velocity_band_check(acc, velocity_factor)
         band_ok = band_ok and ok
         worst_margin = min(worst_margin, margin)
         state = new_state

@@ -44,7 +44,10 @@ class MmsCase:
 
 
 def _compile(expr: sp.Expr) -> FieldFn:
-    fn = sp.lambdify((X, T), expr, "numpy")
+    # sp.N folds the exact coefficients into Floats first; left exact, the
+    # order in which the printed source adds its terms followed string
+    # hashing, so the float sums differed between processes
+    fn = sp.lambdify((X, T), sp.N(expr), "numpy")
 
     def evaluate(x: np.ndarray, t: float) -> np.ndarray:
         out = np.asarray(fn(x, t), dtype=float)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .constitutive import MaterialParams, sound_speed, stress, viscosity, conductivity
 from .grid import Grid, State, du_dx_cells, wall_values
@@ -119,7 +119,8 @@ def tridiagonal_solve(
     """Solve a tridiagonal system given its three bands.
 
     lower[i] couples row i+1 to column i; upper[i] couples row i to column
-    i+1. Solved by banded LU elimination.
+    i+1. Solved by LAPACK gtsv (LU with partial pivoting), which copies its
+    inputs, so one array may be passed as both lower and upper.
     """
     diag = np.asarray(diag, dtype=float)
     n = diag.shape[0]
@@ -131,14 +132,15 @@ def tridiagonal_solve(
             f"band shapes {lower.shape}/{diag.shape}/{upper.shape} and rhs "
             f"{rhs.shape} are inconsistent"
         )
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    try:
-        return solve_banded((1, 1), ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"singular tridiagonal system: {exc}") from exc
+    if n < 2:
+        # gtsv needs at least one off-diagonal entry
+        return rhs / diag
+    x, info = dgtsv(lower, diag, upper, rhs)[3:]
+    if info > 0:
+        raise RuntimeError(f"singular tridiagonal system: zero pivot in row {info}")
+    if info < 0:
+        raise ValueError(f"gtsv rejected argument {-info}")
+    return x
 
 
 def _wall_gradient(f: np.ndarray, dx: float) -> tuple[float, float]:
@@ -232,14 +234,10 @@ def dt_control(
 
     Diffusion is implicit, so only the sound-crossing scale restricts dt.
     """
-    if (
-        not np.all(np.isfinite(state.v))
-        or not np.all(np.isfinite(state.u))
-        or not np.all(np.isfinite(state.theta))
-    ):
+    if not np.isfinite(np.concatenate((state.v, state.u, state.theta))).all():
         raise SolverAbort("non-finite state in step-size control", state.t)
     c = sound_speed(state.v, state.theta, params)
-    dt = controls.cfl * grid.dx * float(np.min(state.v / c))
+    dt = controls.cfl * grid.dx * float((state.v / c).min())
     if controls.dt_max is not None:
         dt = min(dt, controls.dt_max)
     return max(dt, controls.dt_min)
@@ -311,7 +309,7 @@ def continuity_step(
     new_v = state.v + dt * du_dx_cells(new_u, grid)
     if source is not None:
         new_v = new_v + dt * source
-    if not np.all(new_v > 0.0):  # also catches NaN
+    if not new_v.min() > 0.0:  # also catches NaN
         raise StepRejected("non-positive volume")
     return new_v
 
@@ -349,16 +347,16 @@ def temperature_step(
     for _ in range(controls.max_picard):
         kv = conductivity(theta, params) / new_v
         interface = 0.5 * (kv[:-1] + kv[1:])
+        flux = s * interface
         diag = base_diag.copy()
-        diag[:-1] += s * interface
-        diag[1:] += s * interface
-        band = -s * interface
+        diag[:-1] += flux
+        diag[1:] += flux
+        band = -flux
         theta_new = tridiagonal_solve(band, diag, band, rhs)
-        if not np.min(theta_new) > 0.0:  # also catches NaN
+        if not theta_new.min() > 0.0:  # also catches NaN
             raise StepRejected("non-positive temperature")
-        if np.max(np.abs(theta_new - theta)) <= controls.picard_tol * np.max(
-            np.abs(theta_new)
-        ):
+        # theta_new > 0 here, so its max is its max-norm
+        if abs(theta_new - theta).max() <= controls.picard_tol * theta_new.max():
             return theta_new
         theta = theta_new
     raise StepRejected("conductivity iteration stalled")

@@ -14,6 +14,7 @@ of the acceleration and second velocity differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ def initial_volume_factor(v0: np.ndarray, alpha: float) -> np.ndarray:
     """Frozen initial-data factor: exp(ln v0 - 1/(alpha*v0**alpha)), or v0 itself
     when alpha = 0."""
     v0 = np.asarray(v0, dtype=float)
-    if np.any(v0 <= 0.0):
+    if (v0 <= 0.0).any():
         raise ValueError("v0 must be strictly positive")
     if alpha == 0.0:
         return v0.copy()
@@ -77,7 +78,7 @@ def viscosity_volume_factor(v: np.ndarray, alpha: float) -> np.ndarray:
     """exp(1/(alpha*v**alpha)) from the volume term of the viscosity; ones
     when alpha = 0."""
     v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0):
+    if (v <= 0.0).any():
         raise ValueError("v must be strictly positive")
     if alpha == 0.0:
         return np.ones_like(v)
@@ -102,11 +103,13 @@ class RepresentationAccumulator:
     e0: float
     monotone_ok: bool = True
 
+    def velocity_factor(self, state: State, grid: Grid) -> np.ndarray:
+        """The velocity-integral factor of state against the frozen u0."""
+        return velocity_integral_factor(state.u, self.u0_nodes, grid, self.k)
 
-def _integrand(acc: RepresentationAccumulator, state: State, grid: Grid, alpha: float):
-    d1 = velocity_integral_factor(state.u, acc.u0_nodes, grid, acc.k)
-    d2 = viscosity_volume_factor(state.v, alpha)
-    return state.theta / (d1 * d2)
+
+def _integrand(state: State, alpha: float, d1: np.ndarray) -> np.ndarray:
+    return state.theta / (d1 * viscosity_volume_factor(state.v, alpha))
 
 
 def make_accumulator(
@@ -122,17 +125,27 @@ def make_accumulator(
         t=state.t,
         e0=total_energy(state, grid, params.c_v),
     )
-    acc.last_integrand = _integrand(acc, state, grid, params.alpha)
+    acc.last_integrand = _integrand(
+        state, params.alpha, acc.velocity_factor(state, grid)
+    )
     return acc
 
 
 def update_accumulator(
-    acc: RepresentationAccumulator, state: State, dt: float, alpha: float, grid: Grid
+    acc: RepresentationAccumulator,
+    state: State,
+    dt: float,
+    alpha: float,
+    velocity_factor: np.ndarray,
 ) -> RepresentationAccumulator:
-    """Advance the time integral one accepted step by the trapezoid rule."""
-    integrand = _integrand(acc, state, grid, alpha)
+    """Advance the time integral one accepted step by the trapezoid rule.
+
+    velocity_factor is acc.velocity_factor(state, grid), computed once per
+    step by the caller and shared with velocity_band_check.
+    """
+    integrand = _integrand(state, alpha, velocity_factor)
     increment = 0.5 * dt * (acc.last_integrand + integrand)
-    if not np.all(increment >= 0.0):
+    if not increment.min() >= 0.0:  # also catches NaN
         acc.monotone_ok = False
     acc.time_integral += increment
     acc.last_integrand = integrand
@@ -152,38 +165,38 @@ def representation_residual(
         raise ValueError(
             f"accumulator at t = {acc.t} is out of sync with state at t = {state.t}"
         )
-    d1 = velocity_integral_factor(state.u, acc.u0_nodes, grid, acc.k)
+    d1 = acc.velocity_factor(state, grid)
     d2 = viscosity_volume_factor(state.v, alpha)
     predicted = d1 * d2 * (acc.b0 + acc.k * acc.time_integral)
     return float(np.max(np.abs(state.v - predicted)) / np.max(state.v))
 
 
 def velocity_band_check(
-    acc: RepresentationAccumulator,
-    state: State,
-    grid: Grid,
-    params: MaterialParams,
+    acc: RepresentationAccumulator, velocity_factor: np.ndarray
 ) -> tuple[bool, float]:
-    """Energy band on the velocity-integral factor.
+    """Energy band on the velocity-integral factor of a state.
 
     The cumulative velocity change is bounded through the conserved energy,
-    so the factor must stay inside [exp(-k*s), exp(k*s)] with s =
-    sqrt(2*e0). Returns membership and the worst absolute margin to either
-    edge (negative when outside).
+    so the factor acc.velocity_factor(state, grid) must stay inside
+    [exp(-k*s), exp(k*s)] with s = sqrt(2*e0). Returns membership and the
+    worst absolute margin to either edge (negative when outside).
     """
-    d1 = velocity_integral_factor(state.u, acc.u0_nodes, grid, acc.k)
     s = np.sqrt(2.0 * acc.e0)
     lo = np.exp(-acc.k * s)
     hi = np.exp(acc.k * s)
-    margin = float(min(np.min(d1 - lo), np.min(hi - d1)))
+    margin = float(min((velocity_factor - lo).min(), (hi - velocity_factor).min()))
     return margin >= 0.0, margin
 
 
 @dataclass
 class BoundTracker:
-    """Running extrema and space-time integrals of the bounded functionals."""
+    """Running extrema and space-time integrals of the bounded functionals.
+
+    weights holds the trapezoid node weights of the grid, built once.
+    """
 
     params: MaterialParams
+    weights: np.ndarray
     e0: float
     min_v: float
     min_theta: float
@@ -198,6 +211,13 @@ class BoundTracker:
     monotone_ok: bool = True
 
 
+def _stress_scale(
+    v: np.ndarray, theta: np.ndarray, g: np.ndarray, params: MaterialParams
+) -> float:
+    scale = viscosity(v, params) * np.abs(g) / v + pressure(v, theta, params)
+    return float(scale.max())
+
+
 def stress_magnitude_scale(state: State, params: MaterialParams, grid: Grid) -> float:
     """Largest cellwise magnitude of the stress ingredients mu|u_x|/v + P.
 
@@ -205,17 +225,14 @@ def stress_magnitude_scale(state: State, params: MaterialParams, grid: Grid) -> 
     stress nearly cancels, which it does throughout a stress-free run; it
     normalizes the boundary-residual bound.
     """
-    g = du_dx_cells(state.u, grid)
-    mu = viscosity(state.v, params)
-    return float(
-        np.max(mu * np.abs(g) / state.v + pressure(state.v, state.theta, params))
-    )
+    return _stress_scale(state.v, state.theta, du_dx_cells(state.u, grid), params)
 
 
 def make_tracker(state: State, grid: Grid, params: MaterialParams) -> BoundTracker:
     g = du_dx_cells(state.u, grid)
     return BoundTracker(
         params=params,
+        weights=node_weights(grid),
         e0=total_energy(state, grid, params.c_v),
         min_v=float(np.min(state.v)),
         min_theta=float(np.min(state.theta)),
@@ -237,47 +254,57 @@ def update_bounds(
 
     Sup trackers take the new state; time integrals use the left-rectangle
     rule (previous state), with the acceleration integral built from the
-    difference quotient over the step.
+    difference quotient over the step. Every value is the grid helper's
+    (grad_l2_sq, cell_integral, total_energy), written out with the same
+    operand order so the results are bit-identical.
     """
     dx = grid.dx
-    g = du_dx_cells(state.u, grid)
+    w = tracker.weights
+    params = tracker.params
+    v, u, theta = state.v, state.u, state.theta
+    u_prev = state_prev.u
+    g = np.diff(u) / dx
+    dv = np.diff(v)
+    dtheta = np.diff(theta)
 
     before = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
-    tracker.min_v = min(tracker.min_v, float(np.min(state.v)))
-    tracker.min_theta = min(tracker.min_theta, float(np.min(state.theta)))
-    tracker.sup_grad_v_sq = max(tracker.sup_grad_v_sq, grad_l2_sq(state.v, grid))
+    tracker.min_v = min(tracker.min_v, float(v.min()))
+    tracker.min_theta = min(tracker.min_theta, float(theta.min()))
+    tracker.sup_grad_v_sq = max(tracker.sup_grad_v_sq, float(dv @ dv / dx))
     tracker.sup_grad_theta_sq = max(
-        tracker.sup_grad_theta_sq, grad_l2_sq(state.theta, grid)
+        tracker.sup_grad_theta_sq, float(dtheta @ dtheta / dx)
     )
-    tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, cell_integral(g * g, grid))
+    tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, float(dx * (g * g).sum()))
     tracker.sup_stress_scale = max(
-        tracker.sup_stress_scale, stress_magnitude_scale(state, tracker.params, grid)
+        tracker.sup_stress_scale, _stress_scale(v, theta, g, params)
     )
 
-    tracker.int_max_theta += dt * float(np.max(state_prev.theta))
-    uxx = (state_prev.u[2:] - 2.0 * state_prev.u[1:-1] + state_prev.u[:-2]) / dx**2
+    tracker.int_max_theta += dt * float(state_prev.theta.max())
+    uxx = (u_prev[2:] - 2.0 * u_prev[1:-1] + u_prev[:-2]) / dx**2
     tracker.int_uxx_sq += dt * dx * float(uxx @ uxx)
-    du_dt = (state.u - state_prev.u) / dt
-    tracker.int_ut_sq += dt * float(node_weights(grid) @ (du_dt * du_dt))
+    du_dt = (u - u_prev) / dt
+    tracker.int_ut_sq += dt * float(w @ (du_dt * du_dt))
 
+    energy = params.c_v * float(dx * theta.sum()) + 0.5 * float(w @ (u * u))
     tracker.max_energy_drift = max(
-        tracker.max_energy_drift, energy_drift(tracker, state, grid, tracker.params)
+        tracker.max_energy_drift, _relative_drift(energy, tracker.e0)
     )
 
     after = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
-    if not all(np.isfinite(after)) or any(a < b for a, b in zip(after, before)):
+    if not all(map(math.isfinite, after)) or any(a < b for a, b in zip(after, before)):
         tracker.monotone_ok = False
     return tracker
+
+
+def _relative_drift(e: float, e0: float) -> float:
+    return abs(e) if e0 == 0.0 else abs(e - e0) / abs(e0)
 
 
 def energy_drift(
     tracker: BoundTracker, state: State, grid: Grid, params: MaterialParams
 ) -> float:
     """Relative drift |E(t) - E0| / E0; absolute drift if E0 = 0."""
-    e = total_energy(state, grid, params.c_v)
-    if tracker.e0 == 0.0:
-        return abs(e)
-    return abs(e - tracker.e0) / abs(tracker.e0)
+    return _relative_drift(total_energy(state, grid, params.c_v), tracker.e0)
 
 
 def boundary_stress_residual(

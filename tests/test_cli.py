@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lagns
 import lagns.cli as cli
 import lagns.driver as driver
 from lagns import parse_timeseries
@@ -60,6 +64,28 @@ class TestCmdRun:
         a_snap = (tmp_path / "a" / "snapshot.csv").read_bytes()
         b_snap = (tmp_path / "b" / "snapshot.csv").read_bytes()
         assert a_snap == b_snap
+
+    def test_mms_run_byte_identical_across_hash_seeds(self, tmp_path):
+        # the manufactured sources are compiled from sympy expressions; their
+        # generated code must not depend on the interpreter's string hashing
+        src = str(Path(lagns.__file__).resolve().parents[1])
+        config = str(CONFIGS / "mms_default.json")
+        runs = {}
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            runs[out] = subprocess.Popen(
+                [sys.executable, "-m", "lagns", "run", "--config", config,
+                 "--out", str(out)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            )
+        outputs = []
+        for out, proc in runs.items():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            names = ("timeseries.csv", "snapshot.csv")
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
 
 
 class TestCmdVerify:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from lagns import tridiagonal_solve
 
@@ -52,11 +53,45 @@ def test_dominant_systems_match_dense_oracle(seed, n):
     np.testing.assert_allclose(residual, rhs, atol=1e-10)
 
 
+@settings(deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(2, 600))
+def test_bit_identical_to_solve_banded(seed, n):
+    # same LAPACK gtsv as solve_banded's (1, 1) path, so the same bits
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-1.0, 1.0, n - 1)
+    upper = rng.uniform(-1.0, 1.0, n - 1)
+    diag = 2.5 + rng.uniform(0.0, 1.0, n)
+    rhs = rng.uniform(-5.0, 5.0, n)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = upper
+    ab[1, :] = diag
+    ab[2, :-1] = lower
+    inputs = [a.copy() for a in (lower, diag, upper, rhs)]
+    out = tridiagonal_solve(lower, diag, upper, rhs)
+    assert np.array_equal(out, solve_banded((1, 1), ab, rhs))
+    for before, after in zip(inputs, (lower, diag, upper, rhs)):
+        assert np.array_equal(before, after)
+
+    # temperature_step passes one band array as both off-diagonals; the
+    # solve must not overwrite it in place
+    band = lower.copy()
+    ab[0, 1:] = band
+    ab[2, :-1] = band
+    out = tridiagonal_solve(band, diag, band, rhs)
+    assert np.array_equal(out, solve_banded((1, 1), ab, rhs))
+    assert np.array_equal(band, lower)
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         tridiagonal_solve(np.zeros(3), np.ones(4), np.zeros(2), np.ones(4))
     with pytest.raises(ValueError):
         tridiagonal_solve(np.zeros(3), np.ones(4), np.zeros(3), np.ones(5))
+
+
+def test_one_by_one_system_divides():
+    out = tridiagonal_solve(np.empty(0), np.array([4.0]), np.empty(0), np.array([2.0]))
+    np.testing.assert_array_equal(out, [0.5])
 
 
 def test_singular_system_is_an_error():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,9 @@ from lagns import (
     velocity_integral_factor,
     viscosity_volume_factor,
 )
+from lagns.grid import cell_integral, du_dx_cells, grad_l2_sq, node_weights
 from lagns.scenario import ProfileSpec
+from lagns.verify import BoundTracker
 
 SF = BoundaryKind.STRESS_FREE
 NS = BoundaryKind.NO_SLIP
@@ -102,11 +106,15 @@ class TestRepresentationAccumulator:
         c = acc.last_integrand.copy()
         later = state.copy()
         later.t = 0.1
-        update_accumulator(acc, later, 0.1, params.alpha, grid)
+        update_accumulator(
+            acc, later, 0.1, params.alpha, acc.velocity_factor(later, grid)
+        )
         np.testing.assert_allclose(acc.time_integral, 0.1 * c, rtol=1e-14)
         later2 = later.copy()
         later2.t = 0.2
-        update_accumulator(acc, later2, 0.1, params.alpha, grid)
+        update_accumulator(
+            acc, later2, 0.1, params.alpha, acc.velocity_factor(later2, grid)
+        )
         np.testing.assert_allclose(acc.time_integral, 0.2 * c, rtol=1e-14)
         assert acc.monotone_ok
 
@@ -115,7 +123,9 @@ class TestRepresentationAccumulator:
         acc = make_accumulator(state, grid, params)
         chilled = state.copy()
         chilled.theta = np.full(grid.n_cells, -3.0)  # unphysical, forced by hand
-        update_accumulator(acc, chilled, 0.1, params.alpha, grid)
+        update_accumulator(
+            acc, chilled, 0.1, params.alpha, acc.velocity_factor(chilled, grid)
+        )
         assert not acc.monotone_ok
 
     def test_out_of_sync_time_raises(self, grid, params, uniform_state):
@@ -148,7 +158,7 @@ class TestVelocityBand:
         profile = ProfileSpec(name="cosine").build()
         state = compatible_initial_data(profile, params, SF, grid)
         acc = make_accumulator(state, grid, params)
-        inside, margin = velocity_band_check(acc, state, grid, params)
+        inside, margin = velocity_band_check(acc, acc.velocity_factor(state, grid))
         assert inside
         # u = u0 makes the factor exactly one; margin is distance to the
         # nearer band edge
@@ -156,11 +166,28 @@ class TestVelocityBand:
         expected = min(1.0 - np.exp(-acc.k * s), np.exp(acc.k * s) - 1.0)
         assert margin == pytest.approx(expected, rel=1e-12)
 
+    def test_unfed_excursion_is_flagged(self, grid, params, cosine_profile):
+        # the factor belongs to the state passed in, not to the last state
+        # the accumulator was advanced with
+        state = compatible_initial_data(cosine_profile, params, SF, grid)
+        acc = make_accumulator(state, grid, params)
+        later = state.copy()
+        later.t = 0.1
+        update_accumulator(
+            acc, later, 0.1, params.alpha, acc.velocity_factor(later, grid)
+        )
+        wild = later.copy()
+        wild.u = np.full(grid.n_nodes, 50.0)
+        inside, margin = velocity_band_check(acc, acc.velocity_factor(wild, grid))
+        assert not inside
+        assert margin < 0.0
+        assert velocity_band_check(acc, acc.velocity_factor(later, grid))[0]
+
     def test_excursion_outside_is_flagged(self, grid, params, uniform_state):
         acc = make_accumulator(uniform_state, grid, params)
         wild = uniform_state.copy()
         wild.u = np.full(grid.n_nodes, 50.0)
-        inside, margin = velocity_band_check(acc, wild, grid, params)
+        inside, margin = velocity_band_check(acc, acc.velocity_factor(wild, grid))
         assert not inside
         assert margin < 0.0
 
@@ -211,6 +238,75 @@ class TestBoundTracker:
     def test_stress_scale_positive_at_rest(self, grid, params, uniform_state):
         # pure pressure: R*theta/v = 1 everywhere
         assert stress_magnitude_scale(uniform_state, params, grid) == pytest.approx(1.0)
+
+
+def reference_update_bounds(tracker, state_prev, state, dt, grid):
+    """update_bounds written with the grid helpers, as the oracle."""
+    params = tracker.params
+    dx = grid.dx
+    g = du_dx_cells(state.u, grid)
+    before = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
+    tracker.min_v = min(tracker.min_v, float(np.min(state.v)))
+    tracker.min_theta = min(tracker.min_theta, float(np.min(state.theta)))
+    tracker.sup_grad_v_sq = max(tracker.sup_grad_v_sq, grad_l2_sq(state.v, grid))
+    tracker.sup_grad_theta_sq = max(
+        tracker.sup_grad_theta_sq, grad_l2_sq(state.theta, grid)
+    )
+    tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, cell_integral(g * g, grid))
+    tracker.sup_stress_scale = max(
+        tracker.sup_stress_scale, stress_magnitude_scale(state, params, grid)
+    )
+    tracker.int_max_theta += dt * float(np.max(state_prev.theta))
+    uxx = (state_prev.u[2:] - 2.0 * state_prev.u[1:-1] + state_prev.u[:-2]) / dx**2
+    tracker.int_uxx_sq += dt * dx * float(uxx @ uxx)
+    du_dt = (state.u - state_prev.u) / dt
+    tracker.int_ut_sq += dt * float(node_weights(grid) @ (du_dt * du_dt))
+    tracker.max_energy_drift = max(
+        tracker.max_energy_drift, energy_drift(tracker, state, grid, params)
+    )
+    after = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
+    if not all(np.isfinite(after)) or any(a < b for a, b in zip(after, before)):
+        tracker.monotone_ok = False
+
+
+ORACLE_CELLS = 12
+positive_cells = hnp.arrays(
+    np.float64, ORACLE_CELLS, elements=st.floats(0.05, 20.0, allow_nan=False)
+)
+velocities = hnp.arrays(
+    np.float64, ORACLE_CELLS + 1, elements=st.floats(-5.0, 5.0, allow_nan=False)
+)
+oracle_states = st.builds(
+    lambda v, u, theta: State(0.0, v, u, theta),
+    positive_cells,
+    velocities,
+    positive_cells,
+)
+
+
+class TestUpdateBoundsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        states=st.lists(oracle_states, min_size=2, max_size=4),
+        dt=st.floats(1e-6, 0.5),
+        alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        c_v=st.floats(0.2, 5.0),
+    )
+    def test_bit_identical_to_grid_helpers(self, states, dt, alpha, c_v):
+        grid = Grid(ORACLE_CELLS)
+        params = MaterialParams(alpha=alpha, c_v=c_v)
+        tracker = make_tracker(states[0], grid, params)
+        reference = dataclasses.replace(tracker)
+        for prev, state in zip(states, states[1:]):
+            update_bounds(tracker, prev, state, dt, grid)
+            reference_update_bounds(reference, prev, state, dt, grid)
+            for field in dataclasses.fields(BoundTracker):
+                if field.name in ("params", "weights"):
+                    continue
+                # repr round-trips a float exactly, so equal reprs are equal bits
+                got = repr(getattr(tracker, field.name))
+                want = repr(getattr(reference, field.name))
+                assert got == want, field.name
 
 
 class TestEnergyDrift:
