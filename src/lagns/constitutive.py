@@ -1,8 +1,13 @@
 """Material laws for a viscous heat-conducting ideal gas in mass coordinates.
 
 The gas carries a density-dependent shear viscosity mu(v) = mu_tilde*(1 + v**-alpha)
-and a temperature-power conductivity kappa(theta) = kappa_tilde*theta**beta,
-with specific volume v and temperature theta both strictly positive.
+and a temperature-power conductivity kappa(theta) = kappa_tilde*theta**beta.
+
+The laws are plain formulas: they assume specific volume v and temperature
+theta are strictly positive and do not check it. States guarantee it where
+they are made: State.validate checks initial data, and the gates of
+scheme.continuity_step (v) and of the Picard loop of scheme.temperature_step
+(theta) check every stepped state.
 """
 
 from __future__ import annotations
@@ -55,16 +60,8 @@ class MaterialParams:
         return 1.0 + self.R / self.c_v
 
 
-def _require_positive(name: str, field: np.ndarray) -> np.ndarray:
-    field = np.asarray(field, dtype=float)
-    if field.size and not field.min() > 0.0:  # also catches NaN
-        raise ValueError(f"{name} must be strictly positive everywhere")
-    return field
-
-
 def viscosity(v: np.ndarray, params: MaterialParams) -> np.ndarray:
     """Viscosity mu_tilde*(1 + v**-alpha); exactly 2*mu_tilde when alpha = 0."""
-    v = _require_positive("v", v)
     if params.alpha == 0.0:
         return np.full_like(v, 2.0 * params.mu_tilde)
     # exp/log form keeps fractional alpha well-defined for all v > 0
@@ -73,14 +70,11 @@ def viscosity(v: np.ndarray, params: MaterialParams) -> np.ndarray:
 
 def conductivity(theta: np.ndarray, params: MaterialParams) -> np.ndarray:
     """Conductivity kappa_tilde*theta**beta."""
-    theta = _require_positive("theta", theta)
     return params.kappa_tilde * np.exp(params.beta * np.log(theta))
 
 
 def pressure(v: np.ndarray, theta: np.ndarray, params: MaterialParams) -> np.ndarray:
     """Ideal-gas pressure R*theta/v."""
-    v = _require_positive("v", v)
-    theta = _require_positive("theta", theta)
     return params.R * theta / v
 
 
@@ -91,15 +85,11 @@ def stress(
     params: MaterialParams,
 ) -> np.ndarray:
     """Total stress mu(v)*u_x/v - p(v, theta); affine in the strain rate."""
-    return viscosity(v, params) * np.asarray(du_dx, dtype=float) / np.asarray(
-        v, dtype=float
-    ) - pressure(v, theta, params)
+    return viscosity(v, params) * du_dx / v - pressure(v, theta, params)
 
 
-def sound_speed(v: np.ndarray, theta: np.ndarray, params: MaterialParams) -> np.ndarray:
+def sound_speed(theta: np.ndarray, params: MaterialParams) -> np.ndarray:
     """Adiabatic sound speed sqrt(gamma*R*theta) per cell."""
-    theta = _require_positive("theta", theta)
-    _require_positive("v", v)
     return np.sqrt(params.gamma * params.R * theta)
 
 

@@ -135,8 +135,13 @@ def total_energy(state: State, grid: Grid, c_v: float) -> float:
     return c_v * cell_integral(state.theta, grid) + kinetic
 
 
-def cumulative_u_integral(u: np.ndarray, u0: np.ndarray, grid: Grid) -> np.ndarray:
-    """Trapezoid antiderivative of (u - u0) from 0 to each node."""
+def cumulative_u_integral(
+    u: np.ndarray, u0: np.ndarray | float, grid: Grid
+) -> np.ndarray:
+    """Trapezoid antiderivative of (u - u0) from 0 to each node.
+
+    u0 may be a scalar; u0 = 0.0 integrates u itself, bit for bit.
+    """
     d = np.asarray(u, dtype=float) - np.asarray(u0, dtype=float)
     if d.shape != (grid.n_nodes,):
         raise ValueError(f"u has shape {np.shape(u)}, expected ({grid.n_nodes},)")

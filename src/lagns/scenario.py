@@ -28,7 +28,6 @@ __all__ = [
     "DiagnosticsRow",
     "DiagnosticsReport",
     "ConvergenceLevel",
-    "ConvergenceReport",
     "TIMESERIES_COLUMNS",
     "parse_config",
     "load_config",
@@ -55,12 +54,38 @@ _PROFILE_DEFAULTS: dict[str, dict[str, float]] = {
 }
 
 
+def _reject_unknown(block: dict, allowed: set[str], context: str) -> None:
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {context} key(s): {', '.join(unknown)}")
+
+
 @dataclass(frozen=True)
 class ProfileSpec:
-    """Named initial-profile family with its amplitude parameters."""
+    """Named initial-profile family with its amplitude parameters.
+
+    Made only if the name and amplitude keys are known and the analytic
+    infima of v0 and theta0 are positive: this is the one home of the rule
+    that initial data stays away from vacuum.
+    """
 
     name: str = "cosine"
     amplitudes: tuple[tuple[str, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or self.name not in _PROFILE_DEFAULTS:
+            raise ConfigError(
+                f"unknown profile {self.name!r}; "
+                f"expected one of {sorted(_PROFILE_DEFAULTS)}"
+            )
+        allowed = set(_PROFILE_DEFAULTS[self.name])
+        _reject_unknown(dict(self.amplitudes), allowed, "profile.amplitudes")
+        built = self.build()
+        if not (built.inf_v > 0.0 and built.inf_theta > 0.0):  # also catches NaN
+            raise ConfigError(
+                f"profile {self.name!r} touches vacuum: inf v0 = {built.inf_v}, "
+                f"inf theta0 = {built.inf_theta}; initial data must keep positivity"
+            )
 
     def values(self) -> dict[str, float]:
         merged = dict(_PROFILE_DEFAULTS[self.name])
@@ -183,24 +208,6 @@ class ConvergenceLevel:
     max_error_theta: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Nested-refinement errors and the observed orders between levels."""
-
-    levels: tuple[ConvergenceLevel, ...]
-    orders: dict[str, tuple[float, ...]]
-    at_rounding_floor: bool
-
-    def min_order(self) -> float:
-        return min(min(seq) for seq in self.orders.values())
-
-
-def _reject_unknown(block: dict, allowed: set[str], context: str) -> None:
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {context} key(s): {', '.join(unknown)}")
-
-
 def _number(block: dict, key: str, context: str) -> float:
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -214,9 +221,10 @@ def parse_config(text: str) -> Scenario:
     """Parse and fully validate a JSON scenario config.
 
     Every key is optional; omitted values take the defaults (all material
-    constants 1, stress-free cosine profile). Unknown keys, out-of-regime
-    exponents, and profiles that touch vacuum are rejected here, before any
-    stepping.
+    constants 1, stress-free cosine profile). Unknown keys and values of the
+    wrong JSON type are rejected here; every range rule is checked where its
+    value is made (MaterialParams, ProfileSpec, Scenario), and surfaces here
+    as a ConfigError before any stepping.
     """
     try:
         raw = json.loads(text)
@@ -264,28 +272,15 @@ def parse_config(text: str) -> Scenario:
     if not isinstance(profile_block, dict):
         raise ConfigError("profile must be an object")
     _reject_unknown(profile_block, {"name", "amplitudes"}, "profile")
-    profile_name = profile_block.get("name", "cosine")
-    if profile_name not in _PROFILE_DEFAULTS:
-        raise ConfigError(
-            f"unknown profile {profile_name!r}; "
-            f"expected one of {sorted(_PROFILE_DEFAULTS)}"
-        )
     amplitudes = profile_block.get("amplitudes", {})
     if not isinstance(amplitudes, dict):
         raise ConfigError("profile.amplitudes must be an object")
-    _reject_unknown(
-        amplitudes, set(_PROFILE_DEFAULTS[profile_name]), "profile.amplitudes"
-    )
     amp_items = tuple(
         sorted((k, _number(amplitudes, k, "profile.amplitudes.")) for k in amplitudes)
     )
-    profile = ProfileSpec(name=profile_name, amplitudes=amp_items)
-    built = profile.build()
-    if built.inf_v <= 0.0 or built.inf_theta <= 0.0:
-        raise ConfigError(
-            f"profile {profile_name!r} touches vacuum: inf v0 = {built.inf_v}, "
-            f"inf theta0 = {built.inf_theta}; initial data must stay positive"
-        )
+    profile = ProfileSpec(
+        name=profile_block.get("name", "cosine"), amplitudes=amp_items
+    )
 
     mms = raw.get("mms")
     if mms is not None and mms not in ("default", "constant"):

@@ -23,8 +23,15 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .constitutive import MaterialParams, sound_speed, stress, viscosity, conductivity
-from .grid import Grid, State, du_dx_cells, wall_values
+from .constitutive import (
+    MaterialParams,
+    conductivity,
+    pressure,
+    sound_speed,
+    stress,
+    viscosity,
+)
+from .grid import Grid, State, cumulative_u_integral, du_dx_cells, wall_values
 
 __all__ = [
     "BoundaryKind",
@@ -86,10 +93,11 @@ class StepControls:
 class InitialProfile:
     """Closed-form initial data: callables of the mass coordinate.
 
-    inf_v and inf_theta are the analytic infima of the profiles, checked
-    before any sampling so near-vacuum data is rejected with a clear
-    diagnostic rather than by a failed first step. u0 is only consulted
-    under no-slip boundaries; stress-free runs derive their own u0.
+    inf_v and inf_theta are the analytic infima of the profiles. A profile
+    built by scenario.ProfileSpec has positive infima, checked when the spec
+    is made, so near-vacuum data is rejected with a clear diagnostic before
+    any sampling; the sampled state is checked by State.validate. u0 is only
+    consulted under no-slip boundaries; stress-free runs derive their own u0.
     """
 
     name: str
@@ -162,21 +170,11 @@ def compatible_initial_data(
     Stress-free runs get u0(x) = integral of R*theta0/mu(v0) from 0 to x
     (trapezoid on node samples), which zeroes the discrete boundary stress
     to quadrature accuracy. No-slip runs take the profile's own u0 and
-    require it to vanish at both ends.
+    require it to vanish at both ends. The sampled state is checked by
+    State.validate before it is returned.
     """
-    if profile.inf_v <= 0.0:
-        raise ValueError(
-            f"profile {profile.name!r} violates positivity: inf v0 = {profile.inf_v}"
-        )
-    if profile.inf_theta <= 0.0:
-        raise ValueError(
-            f"profile {profile.name!r} violates positivity: "
-            f"inf theta0 = {profile.inf_theta}"
-        )
     v0 = np.asarray(profile.v0(grid.centers), dtype=float)
     theta0 = np.asarray(profile.theta0(grid.centers), dtype=float)
-    if np.any(v0 <= 0.0) or np.any(theta0 <= 0.0):
-        raise ValueError(f"profile {profile.name!r} sampled non-positive v0 or theta0")
 
     # both families insulate the ends; reject profiles with a wall slope
     theta_scale = float(np.max(np.abs(theta0)))
@@ -198,9 +196,7 @@ def compatible_initial_data(
         f = params.R * np.asarray(profile.theta0(grid.nodes), dtype=float) / viscosity(
             np.asarray(profile.v0(grid.nodes), dtype=float), params
         )
-        u0 = np.empty(grid.n_nodes)
-        u0[0] = 0.0
-        np.cumsum(0.5 * grid.dx * (f[:-1] + f[1:]), out=u0[1:])
+        u0 = cumulative_u_integral(f, 0.0, grid)
 
     state = State(t=0.0, v=v0, u=u0, theta=theta0)
     state.validate(grid)
@@ -236,7 +232,7 @@ def dt_control(
     """
     if not np.isfinite(np.concatenate((state.v, state.u, state.theta))).all():
         raise SolverAbort("non-finite state in step-size control", state.t)
-    c = sound_speed(state.v, state.theta, params)
+    c = sound_speed(state.theta, params)
     dt = controls.cfl * grid.dx * float((state.v / c).min())
     if controls.dt_max is not None:
         dt = min(dt, controls.dt_max)
@@ -261,7 +257,7 @@ def momentum_step(
     """
     dx = grid.dx
     a = viscosity(state.v, params) / state.v
-    p = params.R * state.theta / state.v
+    p = pressure(state.v, state.theta, params)
     r = dt / dx**2
     n = grid.n_nodes
 

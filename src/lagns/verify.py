@@ -54,9 +54,6 @@ __all__ = [
 def initial_volume_factor(v0: np.ndarray, alpha: float) -> np.ndarray:
     """Frozen initial-data factor: exp(ln v0 - 1/(alpha*v0**alpha)), or v0 itself
     when alpha = 0."""
-    v0 = np.asarray(v0, dtype=float)
-    if (v0 <= 0.0).any():
-        raise ValueError("v0 must be strictly positive")
     if alpha == 0.0:
         return v0.copy()
     return np.exp(np.log(v0) - np.exp(-alpha * np.log(v0)) / alpha)
@@ -77,9 +74,6 @@ def velocity_integral_factor(
 def viscosity_volume_factor(v: np.ndarray, alpha: float) -> np.ndarray:
     """exp(1/(alpha*v**alpha)) from the volume term of the viscosity; ones
     when alpha = 0."""
-    v = np.asarray(v, dtype=float)
-    if (v <= 0.0).any():
-        raise ValueError("v must be strictly positive")
     if alpha == 0.0:
         return np.ones_like(v)
     return np.exp(np.exp(-alpha * np.log(v)) / alpha)

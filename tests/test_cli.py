@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,28 @@ import lagns.driver as driver
 from lagns import parse_timeseries
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# sha256 of (timeseries.csv, snapshot.csv) written by `lagns run` for each
+# shipped config; a change that moves any output bit must update these and
+# say which bits moved and why
+GOLDEN = {
+    "alpha0": (
+        "be9792f5e2d02c1a9164af0da8422a95cbefe72a13cf43e13f657d3ebbb02e3d",
+        "0ca18660b58de225109f3a32eb6dc8723a04e643000b394729b7b37c4e29bedc",
+    ),
+    "default": (
+        "940a691883cc243af925cb7a508596a2d7f050871e891b630601835b09efc0d2",
+        "8b70c5a4052d21f8e05544c42596c4ee90d5d0b42b08d4beb0afaf1355cdaf2d",
+    ),
+    "mms_default": (
+        "63c1604d5237ddc5117af3ce56a6aee5143383ec15c7e2718ad6d971f6ae1464",
+        "0daea0cc54d66b613dd7ed2df069f58b012d47699dc3b2832ba8659d85ad94bd",
+    ),
+    "noslip_steady": (
+        "8954f3199ac47a433ec62108455fc088edd96d34d2b8de7212d0d730c9877ed1",
+        "8a76f8a3721e72ddc2749eccc03a1e15b02ca0e4c6f5f5303c90272d6ff10b5d",
+    ),
+}
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -86,6 +109,15 @@ class TestCmdRun:
             names = ("timeseries.csv", "snapshot.csv")
             outputs.append([(out / name).read_bytes() for name in names])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_golden_outputs(self, name, tmp_path):
+        assert name in GOLDEN, f"configs/{name}.json has no pinned output digests"
+        out = tmp_path / name
+        assert cli.cmd_run(str(CONFIGS / f"{name}.json"), str(out)) == 0
+        for file, want in zip(("timeseries.csv", "snapshot.csv"), GOLDEN[name]):
+            got = hashlib.sha256((out / file).read_bytes()).hexdigest()
+            assert got == want, f"configs/{name}.json: {file} sha256 {got} != {want}"
 
 
 class TestCmdVerify:

@@ -72,12 +72,6 @@ class TestViscosity:
         assert lhs == pytest.approx(v + v ** (1.0 - alpha), rel=1e-12)
         assert lhs > v
 
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            viscosity(np.array([0.0]), MaterialParams())
-        with pytest.raises(ValueError):
-            viscosity(np.array([1.0, -2.0]), MaterialParams())
-
 
 class TestConductivity:
     def test_point_values(self):
@@ -91,10 +85,6 @@ class TestConductivity:
     def test_positive(self, theta, beta):
         assert conductivity(np.array([theta]), MaterialParams(beta=beta))[0] > 0.0
 
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            conductivity(np.array([-1.0]), MaterialParams())
-
 
 class TestPressure:
     def test_point_values(self):
@@ -103,12 +93,6 @@ class TestPressure:
         assert pressure(np.array([2.0]), np.array([1.0]), p)[0] == 0.5
         heavy = MaterialParams(R=287.0)
         assert pressure(np.array([0.5]), np.array([300.0]), heavy)[0] == pytest.approx(172_200.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            pressure(np.array([0.0]), np.array([1.0]), MaterialParams())
-        with pytest.raises(ValueError):
-            pressure(np.array([1.0]), np.array([0.0]), MaterialParams())
 
 
 class TestStress:
@@ -158,13 +142,13 @@ class TestBranchWeight:
 class TestSoundSpeed:
     def test_point_values(self):
         p = MaterialParams()
-        assert sound_speed(np.array([1.0]), np.array([1.0]), p)[0] == pytest.approx(np.sqrt(2.0))
+        assert sound_speed(np.array([1.0]), p)[0] == pytest.approx(np.sqrt(2.0))
         q = MaterialParams(c_v=1.5)
-        assert sound_speed(np.array([1.0]), np.array([2.0]), q)[0] == pytest.approx(
+        assert sound_speed(np.array([2.0]), q)[0] == pytest.approx(
             np.sqrt(10.0 / 3.0)
         )
 
     def test_vanishes_with_theta(self):
         p = MaterialParams()
-        tiny = sound_speed(np.array([1.0]), np.array([1e-30]), p)[0]
+        tiny = sound_speed(np.array([1e-30]), p)[0]
         assert tiny == pytest.approx(0.0, abs=1e-14)

@@ -9,6 +9,7 @@ from lagns import (
     DiagnosticsReport,
     DiagnosticsRow,
     Grid,
+    ProfileSpec,
     Scenario,
     State,
     TIMESERIES_COLUMNS,
@@ -111,6 +112,8 @@ class TestParseConfig:
     def test_bad_profile_name(self):
         with pytest.raises(ConfigError, match="unknown profile"):
             parse_config('{"profile": {"name": "sawtooth"}}')
+        with pytest.raises(ConfigError, match="unknown profile"):
+            parse_config('{"profile": {"name": ["cosine"]}}')
 
     def test_bad_mms_name(self):
         with pytest.raises(ConfigError, match="mms"):
@@ -134,6 +137,14 @@ class TestParseConfig:
             Scenario(n_cells=7)
         with pytest.raises(ConfigError, match="dt_max"):
             Scenario(dt_max=-1.0)
+        with pytest.raises(ConfigError, match="unknown profile 'bogus'"):
+            ProfileSpec(name="bogus")
+        with pytest.raises(ConfigError, match="unknown profile.amplitudes key.*w_amp"):
+            ProfileSpec(amplitudes=(("w_amp", 1.0),))
+        with pytest.raises(ConfigError, match="vacuum"):
+            ProfileSpec(amplitudes=(("v_amp", 1.5),))
+        with pytest.raises(ConfigError, match="vacuum"):
+            ProfileSpec(name="constant", amplitudes=(("theta", float("nan")),))
 
 
 class TestDiagnosticsReport:

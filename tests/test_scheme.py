@@ -80,8 +80,8 @@ class TestCompatibleInitialData:
         assert np.all(np.diff(state.u) > 0.0)  # integrand R*theta/mu > 0
 
     def test_vacuum_profile_rejected(self, grid, params):
-        bad = ProfileSpec(name="cosine", amplitudes=(("v_amp", 1.5),)).build()
         with pytest.raises(ValueError, match="positivity"):
+            bad = ProfileSpec(name="cosine", amplitudes=(("v_amp", 1.5),)).build()
             compatible_initial_data(bad, params, SF, grid)
 
     def test_sloped_wall_temperature_rejected(self, grid, params):

@@ -50,10 +50,6 @@ class TestInitialVolumeFactor:
             initial_volume_factor(np.array([1.0]), 2.0), np.exp(-0.5)
         )
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            initial_volume_factor(np.array([1.0, 0.0]), 1.0)
-
 
 class TestViscosityVolumeFactor:
     def test_unit_volume_alpha_one(self):
@@ -69,10 +65,6 @@ class TestViscosityVolumeFactor:
         np.testing.assert_array_equal(
             viscosity_volume_factor(np.array([0.3, 7.0]), 0.0), np.ones(2)
         )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            viscosity_volume_factor(np.array([-1.0]), 1.0)
 
 
 class TestVelocityIntegralFactor:
