@@ -46,7 +46,6 @@ from .scheme import (
     BoundaryKind,
     InitialProfile,
     SolverAbort,
-    StepControls,
     StepRejected,
     compatible_initial_data,
     compatibility_residual,

@@ -64,7 +64,6 @@ class RunResult:
     tracker: BoundTracker
     case: MmsCase | None
     worst_band_margin: float
-    band_ok: bool
     initial_residual: np.ndarray
 
 
@@ -108,7 +107,6 @@ def run(scenario: Scenario) -> RunResult:
     grid = Grid(scenario.n_cells)
     params = scenario.params
     bc = scenario.bc
-    controls = scenario.controls
     case = (
         manufactured_case(scenario.mms, params) if scenario.mms is not None else None
     )
@@ -121,14 +119,15 @@ def run(scenario: Scenario) -> RunResult:
     halvings = 0
     status = "completed"
     abort_reason: str | None = None
-    band_ok = True
     worst_margin = float("inf")
     out_index = 1
     eps = 1e-12
 
     while state.t < scenario.t_end - eps:
         try:
-            dt = dt_control(state, grid, params, controls)
+            dt = dt_control(
+                state, grid, params, scenario.cfl, scenario.dt_min, scenario.dt_max
+            )
         except SolverAbort as exc:
             status, abort_reason = "aborted", exc.reason
             break
@@ -141,13 +140,11 @@ def run(scenario: Scenario) -> RunResult:
                     mms_sources(case, grid, state.t + dt) if case is not None else None
                 )
                 stress_bc = _imposed_wall_stress(case, bc, state.t + dt)
-                new_state = step(
-                    state, dt, params, bc, grid, controls, sources, stress_bc
-                )
+                new_state = step(state, dt, params, bc, grid, sources, stress_bc)
             except StepRejected as exc:
                 halvings += 1
                 dt *= 0.5
-                if dt < controls.dt_min:
+                if dt < scenario.dt_min:
                     status, abort_reason = "aborted", str(exc)
                     break
                 continue
@@ -158,8 +155,7 @@ def run(scenario: Scenario) -> RunResult:
         velocity_factor = acc.velocity_factor(new_state, grid)
         update_accumulator(acc, new_state, dt, params.alpha, velocity_factor)
         update_bounds(tracker, state, new_state, dt, grid)
-        ok, margin = velocity_band_check(acc, velocity_factor)
-        band_ok = band_ok and ok
+        margin = velocity_band_check(acc, velocity_factor)
         worst_margin = min(worst_margin, margin)
         state = new_state
 
@@ -207,7 +203,6 @@ def run(scenario: Scenario) -> RunResult:
         tracker=tracker,
         case=case,
         worst_band_margin=worst_margin,
-        band_ok=band_ok,
         initial_residual=initial_residual,
     )
 
@@ -270,7 +265,7 @@ def verification_table(result: RunResult) -> list[CheckResult]:
     checks.append(
         CheckResult(
             "velocity-integral band",
-            result.band_ok and result.worst_band_margin >= 0.0,
+            result.worst_band_margin >= 0.0,
             f"worst margin {result.worst_band_margin:.6g}",
         )
     )

@@ -19,7 +19,8 @@ import numpy as np
 
 from .constitutive import MaterialParams
 from .grid import Grid, State
-from .scheme import BoundaryKind, InitialProfile, StepControls
+from .mms import _CASE_NAMES
+from .scheme import BoundaryKind, InitialProfile
 
 __all__ = [
     "ConfigError",
@@ -119,8 +120,10 @@ class Scenario:
     """One deterministic run: material, boundaries, initial data, stepping.
 
     dt_max is a library-level cap used by refinement studies; it is not a
-    config key and defaults to the acoustic limit alone. n_cells >= 8 is the
-    floor for a run; cfl, dt_min and dt_max are range-checked by StepControls.
+    config key and defaults to the acoustic limit alone. Scenario is the one
+    validator of the run's controls (n_cells, t_end, output_every, cfl,
+    dt_min, dt_max, mms); the Picard limits of the temperature solve are the
+    constants scheme.MAX_PICARD and scheme.PICARD_TOL, not fields.
     """
 
     params: MaterialParams = MaterialParams()
@@ -135,23 +138,25 @@ class Scenario:
     dt_max: float | None = None
 
     def __post_init__(self) -> None:
+        # the float checks are written so that NaN fails them
         if self.n_cells < 8:
             raise ConfigError(f"n_cells must be >= 8, got {self.n_cells}")
-        if self.t_end <= 0.0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.output_every <= 0.0:
+        if not 0.0 < self.t_end < math.inf:
+            raise ConfigError(f"t_end must be finite and positive, got {self.t_end}")
+        if not self.output_every > 0.0:
             raise ConfigError(
                 f"output_every must be positive, got {self.output_every}"
             )
-        self.controls  # built here so bad cfl, dt_min or dt_max fail early
-
-    @property
-    def controls(self) -> StepControls:
-        """The step controls of this scenario, range-checked by StepControls."""
-        try:
-            return StepControls(cfl=self.cfl, dt_min=self.dt_min, dt_max=self.dt_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if not 0.0 < self.cfl <= 1.0:
+            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
+        if not self.dt_min > 0.0:
+            raise ConfigError(f"dt_min must be positive, got {self.dt_min}")
+        if self.dt_max is not None and not self.dt_max > 0.0:
+            raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
+        if self.mms is not None and self.mms not in _CASE_NAMES:
+            raise ConfigError(
+                f"unknown mms case {self.mms!r}; expected one of {_CASE_NAMES}"
+            )
 
 
 @dataclass(frozen=True)
@@ -282,12 +287,6 @@ def parse_config(text: str) -> Scenario:
         name=profile_block.get("name", "cosine"), amplitudes=amp_items
     )
 
-    mms = raw.get("mms")
-    if mms is not None and mms not in ("default", "constant"):
-        raise ConfigError(
-            f"unknown mms case {mms!r}; expected 'default' or 'constant'"
-        )
-
     scalars: dict[str, Any] = {}
     for key in ("cfl", "t_end", "dt_min", "output_every"):
         if key in raw:
@@ -298,7 +297,9 @@ def parse_config(text: str) -> Scenario:
             raise ConfigError(f"n_cells must be an integer, got {n_cells!r}")
         scalars["n_cells"] = n_cells
 
-    return Scenario(params=params, bc=bc, profile=profile, mms=mms, **scalars)
+    return Scenario(
+        params=params, bc=bc, profile=profile, mms=raw.get("mms"), **scalars
+    )
 
 
 def load_config(path: str | Path) -> Scenario:

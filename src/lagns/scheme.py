@@ -9,9 +9,11 @@ Evolved system, per unit mass on the fixed interval (0, 1):
 Each step advances u, then v, then theta. The diffusive parts of the
 momentum and temperature updates are backward Euler (tridiagonal solves),
 pressure coupling is explicit, the compression-work term is implicit in
-theta, and the conductivity is lagged through a Picard loop. A step that
-would lose positivity of v or theta is rejected so the driver can retry
-with a halved dt.
+theta, and the conductivity is lagged through a Picard loop whose limits
+are the constants MAX_PICARD and PICARD_TOL. A step that would lose
+positivity of v or theta, or whose Picard loop stalls, is rejected so the
+driver can retry with a halved dt. The step-size limits cfl, dt_min and
+dt_max arrive as plain floats; Scenario is where they are range-checked.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .grid import Grid, State, cumulative_u_integral, du_dx_cells, wall_values
 
 __all__ = [
     "BoundaryKind",
-    "StepControls",
+    "MAX_PICARD",
+    "PICARD_TOL",
     "InitialProfile",
     "StepRejected",
     "SolverAbort",
@@ -48,6 +51,10 @@ __all__ = [
     "temperature_step",
     "step",
 ]
+
+# Picard limits of temperature_step: pass cap and relative max-norm tolerance
+MAX_PICARD = 50
+PICARD_TOL = 1e-11
 
 
 class BoundaryKind(enum.Enum):
@@ -64,29 +71,6 @@ class BoundaryKind(enum.Enum):
         raise ValueError(
             f"unknown boundary kind {name!r}; expected 'stress_free' or 'no_slip'"
         )
-
-
-@dataclass(frozen=True)
-class StepControls:
-    """Step-size and iteration limits for the implicit solves."""
-
-    cfl: float = 0.8
-    dt_min: float = 1e-10
-    max_picard: int = 50
-    picard_tol: float = 1e-11
-    dt_max: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not self.dt_min > 0.0:
-            raise ValueError(f"dt_min must be positive, got {self.dt_min}")
-        if self.max_picard < 1:
-            raise ValueError(f"max_picard must be >= 1, got {self.max_picard}")
-        if self.picard_tol <= 0.0:
-            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
-        if self.dt_max is not None and not self.dt_max > 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
 
 @dataclass(frozen=True)
@@ -224,19 +208,25 @@ def compatibility_residual(
 
 
 def dt_control(
-    state: State, grid: Grid, params: MaterialParams, controls: StepControls
+    state: State,
+    grid: Grid,
+    params: MaterialParams,
+    cfl: float,
+    dt_min: float,
+    dt_max: float | None = None,
 ) -> float:
-    """Acoustic step limit cfl * min_i(dx * v_i / c_i), floored at dt_min.
+    """Acoustic step limit cfl * min_i(dx * v_i / c_i), capped at dt_max if
+    given, then floored at dt_min.
 
     Diffusion is implicit, so only the sound-crossing scale restricts dt.
     """
     if not np.isfinite(np.concatenate((state.v, state.u, state.theta))).all():
         raise SolverAbort("non-finite state in step-size control", state.t)
     c = sound_speed(state.theta, params)
-    dt = controls.cfl * grid.dx * float((state.v / c).min())
-    if controls.dt_max is not None:
-        dt = min(dt, controls.dt_max)
-    return max(dt, controls.dt_min)
+    dt = cfl * grid.dx * float((state.v / c).min())
+    if dt_max is not None:
+        dt = min(dt, dt_max)
+    return max(dt, dt_min)
 
 
 def momentum_step(
@@ -317,7 +307,6 @@ def temperature_step(
     dt: float,
     params: MaterialParams,
     grid: Grid,
-    controls: StepControls,
     source: np.ndarray | None = None,
 ) -> np.ndarray:
     """Backward-Euler temperature update with Picard-lagged conductivity.
@@ -340,7 +329,7 @@ def temperature_step(
         rhs = rhs + (dt / params.c_v) * source
 
     theta = state.theta
-    for _ in range(controls.max_picard):
+    for _ in range(MAX_PICARD):
         kv = conductivity(theta, params) / new_v
         interface = 0.5 * (kv[:-1] + kv[1:])
         flux = s * interface
@@ -352,7 +341,7 @@ def temperature_step(
         if not theta_new.min() > 0.0:  # also catches NaN
             raise StepRejected("non-positive temperature")
         # theta_new > 0 here, so its max is its max-norm
-        if abs(theta_new - theta).max() <= controls.picard_tol * theta_new.max():
+        if abs(theta_new - theta).max() <= PICARD_TOL * theta_new.max():
             return theta_new
         theta = theta_new
     raise StepRejected("conductivity iteration stalled")
@@ -364,7 +353,6 @@ def step(
     params: MaterialParams,
     bc: BoundaryKind,
     grid: Grid,
-    controls: StepControls,
     sources: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     stress_bc: tuple[float, float] = (0.0, 0.0),
 ) -> State:
@@ -379,7 +367,5 @@ def step(
     s_v, s_u, s_theta = sources if sources is not None else (None, None, None)
     new_u = momentum_step(state, dt, params, bc, grid, stress_bc, s_u)
     new_v = continuity_step(state, new_u, dt, grid, s_v)
-    new_theta = temperature_step(
-        state, new_u, new_v, dt, params, grid, controls, s_theta
-    )
+    new_theta = temperature_step(state, new_u, new_v, dt, params, grid, s_theta)
     return State(t=state.t + dt, v=new_v, u=new_u, theta=new_theta)

@@ -167,19 +167,18 @@ def representation_residual(
 
 def velocity_band_check(
     acc: RepresentationAccumulator, velocity_factor: np.ndarray
-) -> tuple[bool, float]:
+) -> float:
     """Energy band on the velocity-integral factor of a state.
 
     The cumulative velocity change is bounded through the conserved energy,
     so the factor acc.velocity_factor(state, grid) must stay inside
-    [exp(-k*s), exp(k*s)] with s = sqrt(2*e0). Returns membership and the
-    worst absolute margin to either edge (negative when outside).
+    [exp(-k*s), exp(k*s)] with s = sqrt(2*e0). Returns the worst absolute
+    margin to either edge: non-negative inside the band, negative outside.
     """
     s = np.sqrt(2.0 * acc.e0)
     lo = np.exp(-acc.k * s)
     hi = np.exp(acc.k * s)
-    margin = float(min((velocity_factor - lo).min(), (hi - velocity_factor).min()))
-    return margin >= 0.0, margin
+    return float(min((velocity_factor - lo).min(), (hi - velocity_factor).min()))
 
 
 @dataclass

@@ -7,7 +7,6 @@ from lagns import (
     BoundaryKind,
     Scenario,
     SolverAbort,
-    StepControls,
     parse_config,
     run,
     verification_table,
@@ -84,7 +83,6 @@ class TestRun:
 
     def test_band_margin_recorded(self):
         result = run(Scenario(n_cells=32, t_end=0.2, output_every=0.1))
-        assert result.band_ok
         assert result.worst_band_margin >= 0.0
         for row in result.report.rows:
             assert row.band_margin >= result.worst_band_margin

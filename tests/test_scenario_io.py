@@ -127,10 +127,23 @@ class TestParseConfig:
     def test_scenario_rejects_bad_scalars(self):
         with pytest.raises(ConfigError):
             Scenario(cfl=0.0)
+        with pytest.raises(ConfigError, match="cfl"):
+            Scenario(cfl=1.5)
+        with pytest.raises(ConfigError, match="dt_min"):
+            Scenario(dt_min=0.0)
+        with pytest.raises(ConfigError, match="dt_max"):
+            Scenario(dt_max=0.0)
         with pytest.raises(ConfigError):
             Scenario(t_end=-1.0)
+        for t_end in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="t_end"):
+                Scenario(n_cells=16, t_end=t_end)
         with pytest.raises(ConfigError):
             Scenario(output_every=0.0)
+        with pytest.raises(ConfigError, match="output_every"):
+            Scenario(output_every=float("nan"))
+        with pytest.raises(ConfigError, match="unknown mms case 'vortex'"):
+            Scenario(mms="vortex")
         with pytest.raises(ConfigError, match=">= 8"):
             Scenario(n_cells=2)
         with pytest.raises(ConfigError, match=">= 8"):

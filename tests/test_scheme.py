@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lagns import scheme
 from lagns import (
     BoundaryKind,
     Grid,
@@ -10,7 +11,6 @@ from lagns import (
     Scenario,
     SolverAbort,
     State,
-    StepControls,
     StepRejected,
     compatible_initial_data,
     compatibility_residual,
@@ -33,20 +33,6 @@ NS = BoundaryKind.NO_SLIP
 
 def constant_profile():
     return ProfileSpec(name="constant").build()
-
-
-class TestStepControls:
-    @pytest.mark.parametrize("kwargs", [
-        {"cfl": 0.0},
-        {"cfl": 1.5},
-        {"dt_min": 0.0},
-        {"max_picard": 0},
-        {"picard_tol": -1e-9},
-        {"dt_max": 0.0},
-    ])
-    def test_rejects_bad_controls(self, kwargs):
-        with pytest.raises(ValueError):
-            StepControls(**kwargs)
 
 
 class TestBoundaryKind:
@@ -138,34 +124,34 @@ class TestDtControl:
     def test_exact_formula(self):
         grid = Grid(100)
         state = State(0.0, np.ones(100), np.zeros(101), np.ones(100))
-        dt = dt_control(state, grid, MaterialParams(), StepControls(cfl=0.5))
+        dt = dt_control(state, grid, MaterialParams(), 0.5, 1e-10)
         assert dt == pytest.approx(0.5 * 0.01 / np.sqrt(2.0))
 
     def test_doubling_cells_halves_dt(self, params):
         dts = []
         for n in (50, 100):
             state = State(0.0, np.ones(n), np.zeros(n + 1), np.ones(n))
-            dts.append(dt_control(state, Grid(n), params, StepControls()))
+            dts.append(dt_control(state, Grid(n), params, 0.8, 1e-10))
         assert dts[0] == pytest.approx(2.0 * dts[1])
 
     def test_hotter_cell_lowers_dt(self, grid, params, uniform_state):
-        base = dt_control(uniform_state, grid, params, StepControls())
+        base = dt_control(uniform_state, grid, params, 0.8, 1e-10)
         hot = uniform_state.copy()
         hot.theta[10] = 4.0
-        assert dt_control(hot, grid, params, StepControls()) < base
+        assert dt_control(hot, grid, params, 0.8, 1e-10) < base
 
     def test_dt_max_caps(self, grid, params, uniform_state):
-        dt = dt_control(uniform_state, grid, params, StepControls(dt_max=1e-6))
+        dt = dt_control(uniform_state, grid, params, 0.8, 1e-10, 1e-6)
         assert dt == 1e-6
 
     def test_dt_min_floors(self, grid, params, uniform_state):
-        dt = dt_control(uniform_state, grid, params, StepControls(dt_min=1.0))
+        dt = dt_control(uniform_state, grid, params, 0.8, 1.0)
         assert dt == 1.0
 
     def test_nan_state_aborts(self, grid, params, uniform_state):
         uniform_state.u[0] = np.nan
         with pytest.raises(SolverAbort, match="non-finite"):
-            dt_control(uniform_state, grid, params, StepControls())
+            dt_control(uniform_state, grid, params, 0.8, 1e-10)
 
 
 class TestMomentumStep:
@@ -224,8 +210,7 @@ class TestContinuityStep:
 class TestTemperatureStep:
     def test_uniform_rest_state_unchanged(self, grid, params, uniform_state):
         new_theta = temperature_step(
-            uniform_state, uniform_state.u, uniform_state.v, 1e-2, params, grid,
-            StepControls(),
+            uniform_state, uniform_state.u, uniform_state.v, 1e-2, params, grid
         )
         np.testing.assert_allclose(new_theta, uniform_state.theta, atol=1e-15)
 
@@ -238,7 +223,7 @@ class TestTemperatureStep:
         v0, th0, dt = 1.25, 0.8, 2e-3
         state = State(0.0, np.full(grid.n_cells, v0), g * grid.nodes, np.full(grid.n_cells, th0))
         new_v = np.full(grid.n_cells, v0)
-        new_theta = temperature_step(state, state.u, new_v, dt, params, grid, StepControls())
+        new_theta = temperature_step(state, state.u, new_v, dt, params, grid)
         mu = viscosity(np.array([v0]), params)[0]
         expected = (th0 + dt * mu * g * g / (params.c_v * v0)) / (
             1.0 + dt * params.R * g / (params.c_v * v0)
@@ -249,23 +234,20 @@ class TestTemperatureStep:
         crushed = uniform_state.copy()
         crushed.u = -5.0 * grid.nodes
         with pytest.raises(StepRejected, match="temperature"):
-            temperature_step(crushed, crushed.u, crushed.v, 0.5, params, grid, StepControls())
+            temperature_step(crushed, crushed.u, crushed.v, 0.5, params, grid)
 
     def test_nan_velocity_rejected(self, grid, params, uniform_state):
         new_u = uniform_state.u.copy()
         new_u[grid.n_nodes // 2] = np.nan
         with pytest.raises(StepRejected, match="temperature"):
-            temperature_step(
-                uniform_state, new_u, uniform_state.v, 1e-3, params, grid,
-                StepControls(),
-            )
+            temperature_step(uniform_state, new_u, uniform_state.v, 1e-3, params, grid)
 
-    def test_iteration_cap_rejects(self, params, cosine_profile):
+    def test_iteration_cap_rejects(self, params, cosine_profile, monkeypatch):
         grid = Grid(64)
         state = compatible_initial_data(cosine_profile, params, SF, grid)
-        starved = StepControls(max_picard=1)
+        monkeypatch.setattr(scheme, "MAX_PICARD", 1)
         with pytest.raises(StepRejected, match="stalled"):
-            step(state, 5e-3, params, SF, grid, starved)
+            step(state, 5e-3, params, SF, grid)
 
 
 class TestStep:
@@ -273,7 +255,7 @@ class TestStep:
         state = compatible_initial_data(constant_profile(), params, NS, grid)
         current = state
         for _ in range(25):
-            current = step(current, 5e-3, params, NS, grid, StepControls())
+            current = step(current, 5e-3, params, NS, grid)
         np.testing.assert_allclose(current.v, state.v, rtol=1e-12)
         np.testing.assert_allclose(current.u, state.u, atol=1e-12)
         np.testing.assert_allclose(current.theta, state.theta, rtol=1e-12)
@@ -283,12 +265,12 @@ class TestStep:
         # (so dt is halved), not as a ValueError from the viscosity
         uniform_state.u[grid.n_nodes // 2] = np.nan
         with pytest.raises(StepRejected, match="volume"):
-            step(uniform_state, 1e-3, params, NS, grid, StepControls())
+            step(uniform_state, 1e-3, params, NS, grid)
 
     def test_continuity_identity_exact(self, grid, params, cosine_profile):
         state = compatible_initial_data(cosine_profile, params, SF, grid)
         dt = 2e-3
-        new = step(state, dt, params, SF, grid, StepControls())
+        new = step(state, dt, params, SF, grid)
         np.testing.assert_allclose(
             new.v - state.v, dt * du_dx_cells(new.u, grid), rtol=0, atol=1e-15
         )
@@ -300,7 +282,7 @@ class TestStep:
         e0 = total_energy(state, grid, params.c_v)
         drifts = []
         for dt in (1e-3, 5e-4):
-            new = step(state, dt, params, SF, grid, StepControls())
+            new = step(state, dt, params, SF, grid)
             drifts.append(abs(total_energy(new, grid, params.c_v) - e0) / e0)
         assert drifts[0] / drifts[1] == pytest.approx(4.0, abs=0.5)
 
@@ -310,11 +292,10 @@ class TestStep:
         # own lagged stress, first-order-accurate for the end-of-step stress
         grid = Grid(64)
         state = compatible_initial_data(cosine_profile, params, SF, grid)
-        controls = StepControls()
         for _ in range(20):
-            state = step(state, 1e-3, params, SF, grid, controls)
+            state = step(state, 1e-3, params, SF, grid)
         dt = 1e-3
-        new = step(state, dt, params, SF, grid, controls)
+        new = step(state, dt, params, SF, grid)
 
         def cumulative(u):
             out = np.zeros(grid.n_nodes)
