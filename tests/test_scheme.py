@@ -35,6 +35,20 @@ def constant_profile():
     return ProfileSpec(name="constant").build()
 
 
+class TestStepControls:
+    # the step controls live on Scenario; the Picard limits that once sat
+    # beside them (cases 3 and 4) are the constants MAX_PICARD and PICARD_TOL
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({"cfl": 0.0}, id="kwargs0"),
+        pytest.param({"cfl": 1.5}, id="kwargs1"),
+        pytest.param({"dt_min": 0.0}, id="kwargs2"),
+        pytest.param({"dt_max": 0.0}, id="kwargs5"),
+    ])
+    def test_rejects_bad_controls(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            Scenario(**kwargs)
+
+
 class TestBoundaryKind:
     def test_from_name(self):
         assert BoundaryKind.from_name("stress_free") is SF
