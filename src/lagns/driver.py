@@ -111,6 +111,7 @@ def run(scenario: Scenario) -> RunResult:
         manufactured_case(scenario.mms, params) if scenario.mms is not None else None
     )
     state = initial_state(scenario, grid)
+    previous: State | None = None
     initial_residual = compatibility_residual(state, params, bc, grid)
 
     acc = make_accumulator(state, grid, params)
@@ -140,7 +141,9 @@ def run(scenario: Scenario) -> RunResult:
                     mms_sources(case, grid, state.t + dt) if case is not None else None
                 )
                 stress_bc = _imposed_wall_stress(case, bc, state.t + dt)
-                new_state = step(state, dt, params, bc, grid, sources, stress_bc)
+                new_state = step(
+                    state, dt, params, bc, grid, sources, stress_bc, previous
+                )
             except StepRejected as exc:
                 halvings += 1
                 dt *= 0.5
@@ -157,7 +160,7 @@ def run(scenario: Scenario) -> RunResult:
         update_bounds(tracker, state, new_state, dt, grid)
         margin = velocity_band_check(acc, velocity_factor)
         worst_margin = min(worst_margin, margin)
-        state = new_state
+        previous, state = state, new_state
 
         if state.t >= out_index * scenario.output_every - eps:
             resid = boundary_stress_residual(

@@ -107,10 +107,9 @@ def cell_integral(f: np.ndarray, grid: Grid) -> float:
 
 def du_dx_cells(u: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell-centered strain rate (u[i+1] - u[i]) / dx."""
-    u = np.asarray(u, dtype=float)
     if u.shape != (grid.n_nodes,):
         raise ValueError(f"u has shape {u.shape}, expected ({grid.n_nodes},)")
-    return np.diff(u) / grid.dx
+    return (u[1:] - u[:-1]) / grid.dx
 
 
 def grad_l2_sq(f: np.ndarray, grid: Grid) -> float:

@@ -138,9 +138,12 @@ class Scenario:
     dt_max: float | None = None
 
     def __post_init__(self) -> None:
+        n = self.n_cells
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ConfigError(f"n_cells must be an integer, got {n!r}")
+        if n < 8:
+            raise ConfigError(f"n_cells must be >= 8, got {n}")
         # the float checks are written so that NaN fails them
-        if self.n_cells < 8:
-            raise ConfigError(f"n_cells must be >= 8, got {self.n_cells}")
         if not 0.0 < self.t_end < math.inf:
             raise ConfigError(f"t_end must be finite and positive, got {self.t_end}")
         if not self.output_every > 0.0:
@@ -292,10 +295,7 @@ def parse_config(text: str) -> Scenario:
         if key in raw:
             scalars[key] = _number(raw, key, "")
     if "n_cells" in raw:
-        n_cells = raw["n_cells"]
-        if isinstance(n_cells, bool) or not isinstance(n_cells, int):
-            raise ConfigError(f"n_cells must be an integer, got {n_cells!r}")
-        scalars["n_cells"] = n_cells
+        scalars["n_cells"] = raw["n_cells"]
 
     return Scenario(
         params=params, bc=bc, profile=profile, mms=raw.get("mms"), **scalars

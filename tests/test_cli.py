@@ -19,20 +19,20 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # say which bits moved and why
 GOLDEN = {
     "alpha0": (
-        "be9792f5e2d02c1a9164af0da8422a95cbefe72a13cf43e13f657d3ebbb02e3d",
-        "0ca18660b58de225109f3a32eb6dc8723a04e643000b394729b7b37c4e29bedc",
+        "203abe076e98d70a469bd152c19465e9788be4dc1ceab3c62d7d624b29878261",
+        "86bcf171d2722fadd59d40b067afdbe54f50b177447ed397a5e70286add296f9",
     ),
     "default": (
-        "940a691883cc243af925cb7a508596a2d7f050871e891b630601835b09efc0d2",
-        "8b70c5a4052d21f8e05544c42596c4ee90d5d0b42b08d4beb0afaf1355cdaf2d",
+        "f04b6a220186fc67b2e8ab15651ef802fea565362150597640e9e47c6ac9a3d7",
+        "c3f61f1479ca78692016c69e0d3d2cf8296e064261983dfee2571911d141b09c",
     ),
     "mms_default": (
-        "63c1604d5237ddc5117af3ce56a6aee5143383ec15c7e2718ad6d971f6ae1464",
-        "0daea0cc54d66b613dd7ed2df069f58b012d47699dc3b2832ba8659d85ad94bd",
+        "0f869720bfb4a897cfbfe18d8f377c39afa770fd0ca99e949eea794f4d986df7",
+        "40ed01f5ce047e3ee30dcc86e6514a67ea25a422a1d85d72757adfad5460471f",
     ),
     "noslip_steady": (
-        "8954f3199ac47a433ec62108455fc088edd96d34d2b8de7212d0d730c9877ed1",
-        "8a76f8a3721e72ddc2749eccc03a1e15b02ca0e4c6f5f5303c90272d6ff10b5d",
+        "8587295430a99bedc4664b83b03bd60e61d3070fcdb6c1606e534195744d4add",
+        "0558c0997701acdf13b8a26aab1408814c92645faac939ed876cbdcba9e23ea9",
     ),
 }
 

@@ -148,6 +148,9 @@ class TestParseConfig:
             Scenario(n_cells=2)
         with pytest.raises(ConfigError, match=">= 8"):
             Scenario(n_cells=7)
+        for n_cells in (16.5, float("nan"), True):
+            with pytest.raises(ConfigError, match="n_cells must be an integer"):
+                Scenario(n_cells=n_cells)
         with pytest.raises(ConfigError, match="dt_max"):
             Scenario(dt_max=-1.0)
         with pytest.raises(ConfigError, match="unknown profile 'bogus'"):

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from lagns import scheme
+from lagns import driver, scheme
 from lagns import (
     BoundaryKind,
     Grid,
@@ -255,6 +257,70 @@ class TestTemperatureStep:
         new_u[grid.n_nodes // 2] = np.nan
         with pytest.raises(StepRejected, match="temperature"):
             temperature_step(uniform_state, new_u, uniform_state.v, 1e-3, params, grid)
+
+    @staticmethod
+    def _history(params, cosine_profile):
+        # a refinement-like trajectory: N = 256, dt = 2/N^2, a few steps in
+        grid = Grid(256)
+        dt = 2.0 * grid.dx**2
+        previous = compatible_initial_data(cosine_profile, params, SF, grid)
+        state = step(previous, dt, params, SF, grid)
+        for _ in range(3):
+            new = step(state, dt, params, SF, grid, previous=previous)
+            previous, state = state, new
+        new_u = momentum_step(state, dt, params, SF, grid)
+        new_v = continuity_step(state, new_u, dt, grid)
+        return grid, dt, previous, state, new_u, new_v
+
+    def test_extrapolated_start_reaches_same_fixed_point(self, params, cosine_profile):
+        grid, dt, previous, state, new_u, new_v = self._history(params, cosine_profile)
+        cold = temperature_step(state, new_u, new_v, dt, params, grid)
+        warm = temperature_step(
+            state, new_u, new_v, dt, params, grid, previous=previous
+        )
+        rel = np.max(np.abs(warm - cold)) / np.max(cold)
+        assert rel <= 10.0 * scheme.PICARD_TOL
+
+    def test_non_positive_guess_falls_back(self, params, cosine_profile):
+        grid, dt, previous, state, new_u, new_v = self._history(params, cosine_profile)
+        # theta + (theta - 3 theta) = -theta in cell 7: the guess is unusable
+        bad = previous.copy()
+        bad.t = state.t - dt
+        bad.theta[7] = 3.0 * state.theta[7]
+        cold = temperature_step(state, new_u, new_v, dt, params, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fallback = temperature_step(
+                state, new_u, new_v, dt, params, grid, previous=bad
+            )
+        np.testing.assert_array_equal(fallback, cold)
+
+    @pytest.mark.parametrize("n, bound", [(64, 4.01), (256, 3.01)])
+    def test_solves_per_accepted_step(self, monkeypatch, n, bound):
+        # one momentum solve plus the Picard passes; the extrapolated start
+        # needs two passes at N = 256 and three at N = 64, where dt/dx^2 is
+        # larger and the guess is further from the fixed point
+        counts = {"solves": 0, "steps": 0}
+        solve, advance = scheme.tridiagonal_solve, driver.step
+
+        def counted_solve(*args):
+            counts["solves"] += 1
+            return solve(*args)
+
+        def counted_step(*args, **kwargs):
+            new_state = advance(*args, **kwargs)
+            counts["steps"] += 1
+            return new_state
+
+        monkeypatch.setattr(scheme, "tridiagonal_solve", counted_solve)
+        monkeypatch.setattr(driver, "step", counted_step)
+        t_end = 0.1 if n == 64 else 0.01
+        result = run(Scenario(
+            n_cells=n, t_end=t_end, output_every=t_end / 2, dt_max=2.0 / n**2,
+        ))
+        assert result.report.status == "completed"
+        assert result.report.halvings == 0
+        assert counts["solves"] / counts["steps"] <= bound
 
     def test_iteration_cap_rejects(self, params, cosine_profile, monkeypatch):
         grid = Grid(64)

@@ -198,7 +198,6 @@ class TestBoundTracker:
         assert tracker.sup_grad_v_sq == 0.0
         assert tracker.min_v == 1.0
         assert tracker.min_theta == 1.0
-        assert tracker.max_energy_drift == 0.0
         assert tracker.monotone_ok
 
     def test_minima_track_excursions(self, grid, params, uniform_state):
@@ -249,9 +248,6 @@ def reference_update_bounds(tracker, state_prev, state, dt, grid):
     tracker.int_uxx_sq += dt * dx * float(uxx @ uxx)
     du_dt = (state.u - state_prev.u) / dt
     tracker.int_ut_sq += dt * float(node_weights(grid) @ (du_dt * du_dt))
-    tracker.max_energy_drift = max(
-        tracker.max_energy_drift, energy_drift(tracker, state, grid, params)
-    )
     after = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
     if not all(np.isfinite(after)) or any(a < b for a, b in zip(after, before)):
         tracker.monotone_ok = False
