@@ -17,13 +17,7 @@ import numpy as np
 from .driver import run, verification_table
 from .mms import manufactured_case
 from .verify import representation_residual
-from .scenario import (
-    ConfigError,
-    ConvergenceLevel,
-    emit_snapshot,
-    emit_timeseries,
-    load_config,
-)
+from .scenario import ConfigError, emit_snapshot, emit_timeseries, load_config
 
 __all__ = ["main", "cmd_run", "cmd_verify", "cmd_convergence", "cmd_sweep"]
 
@@ -42,14 +36,18 @@ def _fail_usage(message: str) -> int:
 
 
 def cmd_run(config_path: str, out_dir: str) -> int:
-    """Run one scenario; write timeseries.csv and snapshot.csv to out_dir."""
+    """Run one scenario; write timeseries.csv and snapshot.csv to out_dir.
+
+    out_dir is created before the run, so an unusable one is a usage error
+    that costs no step.
+    """
+    out = Path(out_dir)
     try:
         scenario = load_config(config_path)
+        out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         return _fail_usage(str(exc))
     result = run(scenario)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     emit_timeseries(result.report, out / "timeseries.csv")
     emit_snapshot(result.state, result.grid, out / "snapshot.csv")
     if result.report.status == "aborted":
@@ -112,12 +110,12 @@ def cmd_convergence(config_path: str, levels: int) -> int:
         return _fail_usage(f"need at least 3 refinement levels, got {levels}")
 
     case = manufactured_case(scenario.mms, scenario.params)
-    level_results: list[ConvergenceLevel] = []
-    for k in range(levels):
-        n = scenario.n_cells * 2**k
+    sizes = [scenario.n_cells * 2**k for k in range(levels)]
+    # max-norm error of each field, one entry per level
+    errors: dict[str, list[float]] = {"v": [], "u": [], "theta": []}
+    for n in sizes:
         dx = 1.0 / n
-        refined = replace(scenario, n_cells=n, dt_max=dx * dx)
-        result = run(refined)
+        result = run(replace(scenario, n_cells=n, dt_max=dx * dx))
         if result.report.status == "aborted":
             print(
                 f"aborted at level n_cells = {n}: {result.report.abort_reason}",
@@ -125,42 +123,30 @@ def cmd_convergence(config_path: str, levels: int) -> int:
             )
             return EXIT_ABORT
         grid, state = result.grid, result.state
-        level_results.append(
-            ConvergenceLevel(
-                n_cells=n,
-                dt=dx * dx,
-                max_error_v=float(
-                    np.max(np.abs(state.v - case.v(grid.centers, state.t)))
-                ),
-                max_error_u=float(
-                    np.max(np.abs(state.u - case.u(grid.nodes, state.t)))
-                ),
-                max_error_theta=float(
-                    np.max(np.abs(state.theta - case.theta(grid.centers, state.t)))
-                ),
-            )
+        errors["v"].append(
+            float(np.max(np.abs(state.v - case.v(grid.centers, state.t))))
         )
-
-    floors = all(
-        max(lv.max_error_v, lv.max_error_u, lv.max_error_theta) < ROUNDING_FLOOR
-        for lv in level_results
-    )
+        errors["u"].append(
+            float(np.max(np.abs(state.u - case.u(grid.nodes, state.t))))
+        )
+        errors["theta"].append(
+            float(np.max(np.abs(state.theta - case.theta(grid.centers, state.t))))
+        )
 
     print(f"{'n_cells':>8} {'dt':>12} {'err_v':>12} {'err_u':>12} {'err_theta':>12}")
-    for lv in level_results:
+    for n, err_v, err_u, err_theta in zip(sizes, *errors.values()):
+        dx = 1.0 / n
         print(
-            f"{lv.n_cells:>8} {lv.dt:>12.4e} {lv.max_error_v:>12.4e} "
-            f"{lv.max_error_u:>12.4e} {lv.max_error_theta:>12.4e}"
+            f"{n:>8} {dx * dx:>12.4e} {err_v:>12.4e} "
+            f"{err_u:>12.4e} {err_theta:>12.4e}"
         )
-    if floors:
+    if all(max(level) < ROUNDING_FLOOR for level in zip(*errors.values())):
         print("errors at rounding floor (exact manufactured solution); "
               "order check skipped")
         return EXIT_OK
     min_order = math.inf
-    for field in ("v", "u", "theta"):
-        seq = _observed_orders(
-            [getattr(lv, f"max_error_{field}") for lv in level_results]
-        )
+    for field, field_errors in errors.items():
+        seq = _observed_orders(field_errors)
         formatted = ", ".join(f"{order:.2f}" for order in seq)
         print(f"observed order {field}: {formatted}")
         min_order = min(min_order, *seq)
@@ -204,7 +190,10 @@ def cmd_sweep(config_path: str, alphas: str, betas: str, out_dir: str) -> int:
     except ValueError as exc:
         return _fail_usage(f"sweep lists: {exc}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail_usage(str(exc))
 
     summary = ["alpha,beta,status,min_v,min_theta,repr_residual"]
     aborted = 0
@@ -216,7 +205,7 @@ def cmd_sweep(config_path: str, alphas: str, betas: str, out_dir: str) -> int:
         if result.report.status == "aborted":
             aborted += 1
         residual = representation_residual(
-            result.state, result.accumulator, result.grid, result.scenario.params.alpha
+            result.state, result.accumulator, result.grid
         )
         summary.append(
             f"{a:.17g},{b:.17g},{result.report.status},"

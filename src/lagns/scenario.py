@@ -28,7 +28,6 @@ __all__ = [
     "Scenario",
     "DiagnosticsRow",
     "DiagnosticsReport",
-    "ConvergenceLevel",
     "TIMESERIES_COLUMNS",
     "parse_config",
     "load_config",
@@ -65,9 +64,9 @@ def _reject_unknown(block: dict, allowed: set[str], context: str) -> None:
 class ProfileSpec:
     """Named initial-profile family with its amplitude parameters.
 
-    Made only if the name and amplitude keys are known and the analytic
-    infima of v0 and theta0 are positive: this is the one home of the rule
-    that initial data stays away from vacuum.
+    Made only if the name and amplitude keys are known and build succeeds,
+    that is, the analytic infima of v0 and theta0 are positive: this is the
+    one home of the rule that initial data stays away from vacuum.
     """
 
     name: str = "cosine"
@@ -81,12 +80,7 @@ class ProfileSpec:
             )
         allowed = set(_PROFILE_DEFAULTS[self.name])
         _reject_unknown(dict(self.amplitudes), allowed, "profile.amplitudes")
-        built = self.build()
-        if not (built.inf_v > 0.0 and built.inf_theta > 0.0):  # also catches NaN
-            raise ConfigError(
-                f"profile {self.name!r} touches vacuum: inf v0 = {built.inf_v}, "
-                f"inf theta0 = {built.inf_theta}; initial data must keep positivity"
-            )
+        self.build()
 
     def values(self) -> dict[str, float]:
         merged = dict(_PROFILE_DEFAULTS[self.name])
@@ -94,25 +88,32 @@ class ProfileSpec:
         return merged
 
     def build(self) -> InitialProfile:
-        """Materialize the closed-form callables and their analytic infima."""
+        """Materialize the closed-form callables; raise ConfigError unless
+        their analytic infima are positive."""
         a = self.values()
         if self.name == "cosine":
-            return InitialProfile(
+            inf_v = a["v_base"] - abs(a["v_amp"])
+            inf_theta = a["theta_base"] - abs(a["theta_amp"])
+            profile = InitialProfile(
                 name=self.name,
                 v0=lambda x: a["v_base"] + a["v_amp"] * np.cos(np.pi * x),
                 theta0=lambda x: a["theta_base"] + a["theta_amp"] * np.cos(np.pi * x),
                 u0=lambda x: a["u_amp"] * np.sin(np.pi * x),
-                inf_v=a["v_base"] - abs(a["v_amp"]),
-                inf_theta=a["theta_base"] - abs(a["theta_amp"]),
             )
-        return InitialProfile(
-            name=self.name,
-            v0=lambda x: np.full(np.shape(x), a["v"]),
-            theta0=lambda x: np.full(np.shape(x), a["theta"]),
-            u0=lambda x: np.zeros(np.shape(x)),
-            inf_v=a["v"],
-            inf_theta=a["theta"],
-        )
+        else:
+            inf_v, inf_theta = a["v"], a["theta"]
+            profile = InitialProfile(
+                name=self.name,
+                v0=lambda x: np.full(np.shape(x), a["v"]),
+                theta0=lambda x: np.full(np.shape(x), a["theta"]),
+                u0=lambda x: np.zeros(np.shape(x)),
+            )
+        if not (inf_v > 0.0 and inf_theta > 0.0):  # also catches NaN
+            raise ConfigError(
+                f"profile {self.name!r} touches vacuum: inf v0 = {inf_v}, "
+                f"inf theta0 = {inf_theta}; initial data must keep positivity"
+            )
+        return profile
 
 
 @dataclass(frozen=True)
@@ -207,15 +208,6 @@ class DiagnosticsReport:
             raise ValueError("diagnostics rows must be strictly increasing in t")
 
 
-@dataclass(frozen=True)
-class ConvergenceLevel:
-    n_cells: int
-    dt: float
-    max_error_v: float
-    max_error_u: float
-    max_error_theta: float
-
-
 def _number(block: dict, key: str, context: str) -> float:
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -272,9 +264,11 @@ def parse_config(text: str) -> Scenario:
 
     bc_name = raw.get("bc", "stress_free")
     try:
-        bc = BoundaryKind.from_name(bc_name)
+        bc = BoundaryKind(bc_name)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(
+            f"unknown boundary kind {bc_name!r}; expected 'stress_free' or 'no_slip'"
+        ) from exc
 
     profile_block = raw.get("profile", {})
     if not isinstance(profile_block, dict):

@@ -68,33 +68,22 @@ class BoundaryKind(enum.Enum):
     STRESS_FREE = "stress_free"
     NO_SLIP = "no_slip"
 
-    @classmethod
-    def from_name(cls, name: str) -> "BoundaryKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(
-            f"unknown boundary kind {name!r}; expected 'stress_free' or 'no_slip'"
-        )
-
 
 @dataclass(frozen=True)
 class InitialProfile:
     """Closed-form initial data: callables of the mass coordinate.
 
-    inf_v and inf_theta are the analytic infima of the profiles. A profile
-    built by scenario.ProfileSpec has positive infima, checked when the spec
-    is made, so near-vacuum data is rejected with a clear diagnostic before
-    any sampling; the sampled state is checked by State.validate. u0 is only
-    consulted under no-slip boundaries; stress-free runs derive their own u0.
+    A profile built by scenario.ProfileSpec has positive analytic infima,
+    checked by ProfileSpec.build, so near-vacuum data is rejected with a
+    clear diagnostic before any sampling; the sampled state is checked by
+    State.validate. u0 is only consulted under no-slip boundaries;
+    stress-free runs derive their own u0.
     """
 
     name: str
     v0: Callable[[np.ndarray], np.ndarray]
     theta0: Callable[[np.ndarray], np.ndarray]
     u0: Callable[[np.ndarray], np.ndarray]
-    inf_v: float
-    inf_theta: float
 
 
 class StepRejected(Exception):

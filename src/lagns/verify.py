@@ -10,6 +10,9 @@ trajectory satisfies an identity the continuum solution satisfies exactly.
 A BoundTracker maintains the norm functionals that the continuum theory
 proves bounded: positivity floors, gradient norms, and space-time integrals
 of the acceleration and second velocity differences.
+
+Each instrument keeps the MaterialParams it was built from, so the
+functions that update it or read a residual from it take no material.
 """
 
 from __future__ import annotations
@@ -23,10 +26,8 @@ from .constitutive import MaterialParams, branch_weight, pressure, stress, visco
 from .grid import (
     Grid,
     State,
-    cell_integral,
     cumulative_u_integral,
     du_dx_cells,
-    grad_l2_sq,
     node_weights,
     total_energy,
     wall_values,
@@ -83,11 +84,13 @@ def viscosity_volume_factor(v: np.ndarray, alpha: float) -> np.ndarray:
 class RepresentationAccumulator:
     """Running state of the closed-form volume representation.
 
-    b0 and u0_nodes are frozen at t = 0; time_integral accumulates
+    params is the material it was built for; b0 and u0_nodes are frozen
+    at t = 0; time_integral accumulates
     theta/(velocity factor * viscosity factor) per cell by the trapezoid
     rule; e0 feeds the energy band on the velocity factor.
     """
 
+    params: MaterialParams
     b0: np.ndarray
     u0_nodes: np.ndarray
     k: float
@@ -111,6 +114,7 @@ def make_accumulator(
 ) -> RepresentationAccumulator:
     """Freeze the initial data and start the time integral at zero."""
     acc = RepresentationAccumulator(
+        params=params,
         b0=initial_volume_factor(state.v, params.alpha),
         u0_nodes=state.u.copy(),
         k=branch_weight(params.alpha),
@@ -129,7 +133,6 @@ def update_accumulator(
     acc: RepresentationAccumulator,
     state: State,
     dt: float,
-    alpha: float,
     velocity_factor: np.ndarray,
 ) -> RepresentationAccumulator:
     """Advance the time integral one accepted step by the trapezoid rule.
@@ -137,7 +140,7 @@ def update_accumulator(
     velocity_factor is acc.velocity_factor(state, grid), computed once per
     step by the caller and shared with velocity_band_check.
     """
-    integrand = _integrand(state, alpha, velocity_factor)
+    integrand = _integrand(state, acc.params.alpha, velocity_factor)
     increment = 0.5 * dt * (acc.last_integrand + integrand)
     if not increment.min() >= 0.0:  # also catches NaN
         acc.monotone_ok = False
@@ -148,7 +151,7 @@ def update_accumulator(
 
 
 def representation_residual(
-    state: State, acc: RepresentationAccumulator, grid: Grid, alpha: float
+    state: State, acc: RepresentationAccumulator, grid: Grid
 ) -> float:
     """Relative max-norm defect of the closed-form volume representation.
 
@@ -160,7 +163,7 @@ def representation_residual(
             f"accumulator at t = {acc.t} is out of sync with state at t = {state.t}"
         )
     d1 = acc.velocity_factor(state, grid)
-    d2 = viscosity_volume_factor(state.v, alpha)
+    d2 = viscosity_volume_factor(state.v, acc.params.alpha)
     predicted = d1 * d2 * (acc.b0 + acc.k * acc.time_integral)
     return float(np.max(np.abs(state.v - predicted)) / np.max(state.v))
 
@@ -220,19 +223,45 @@ def stress_magnitude_scale(state: State, params: MaterialParams, grid: Grid) -> 
     return _stress_scale(state.v, state.theta, du_dx_cells(state.u, grid), params)
 
 
+def _fold_extrema(tracker: BoundTracker, state: State, dx: float) -> None:
+    """Fold one state into the min/sup fields.
+
+    Every value is the grid helper's (du_dx_cells, grad_l2_sq,
+    cell_integral), written out with the same operand order so the results
+    are bit-identical.
+    """
+    v, u, theta = state.v, state.u, state.theta
+    g = (u[1:] - u[:-1]) / dx
+    dv = v[1:] - v[:-1]
+    dtheta = theta[1:] - theta[:-1]
+    tracker.min_v = min(tracker.min_v, float(v.min()))
+    tracker.min_theta = min(tracker.min_theta, float(theta.min()))
+    tracker.sup_grad_v_sq = max(tracker.sup_grad_v_sq, float(dv @ dv / dx))
+    tracker.sup_grad_theta_sq = max(
+        tracker.sup_grad_theta_sq, float(dtheta @ dtheta / dx)
+    )
+    tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, float(dx * (g * g).sum()))
+    tracker.sup_stress_scale = max(
+        tracker.sup_stress_scale, _stress_scale(v, theta, g, tracker.params)
+    )
+
+
 def make_tracker(state: State, grid: Grid, params: MaterialParams) -> BoundTracker:
-    g = du_dx_cells(state.u, grid)
-    return BoundTracker(
+    """Start the tracker at the initial state: the extrema begin at +-inf and
+    take the state through the same fold as every later one."""
+    tracker = BoundTracker(
         params=params,
         weights=node_weights(grid),
         e0=total_energy(state, grid, params.c_v),
-        min_v=float(np.min(state.v)),
-        min_theta=float(np.min(state.theta)),
-        sup_grad_v_sq=grad_l2_sq(state.v, grid),
-        sup_grad_theta_sq=grad_l2_sq(state.theta, grid),
-        sup_u_x_sq=cell_integral(g * g, grid),
-        sup_stress_scale=stress_magnitude_scale(state, params, grid),
+        min_v=math.inf,
+        min_theta=math.inf,
+        sup_grad_v_sq=-math.inf,
+        sup_grad_theta_sq=-math.inf,
+        sup_u_x_sq=-math.inf,
+        sup_stress_scale=-math.inf,
     )
+    _fold_extrema(tracker, state, grid.dx)
+    return tracker
 
 
 def update_bounds(
@@ -246,36 +275,18 @@ def update_bounds(
 
     Sup trackers take the new state; time integrals use the left-rectangle
     rule (previous state), with the acceleration integral built from the
-    difference quotient over the step. Every value is the grid helper's
-    (du_dx_cells, grad_l2_sq, cell_integral), written out with the same
-    operand order so the results are bit-identical.
+    difference quotient over the step.
     """
     dx = grid.dx
-    w = tracker.weights
-    params = tracker.params
-    v, u, theta = state.v, state.u, state.theta
-    u_prev = state_prev.u
-    g = (u[1:] - u[:-1]) / dx
-    dv = v[1:] - v[:-1]
-    dtheta = theta[1:] - theta[:-1]
-
+    u, u_prev = state.u, state_prev.u
     before = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
-    tracker.min_v = min(tracker.min_v, float(v.min()))
-    tracker.min_theta = min(tracker.min_theta, float(theta.min()))
-    tracker.sup_grad_v_sq = max(tracker.sup_grad_v_sq, float(dv @ dv / dx))
-    tracker.sup_grad_theta_sq = max(
-        tracker.sup_grad_theta_sq, float(dtheta @ dtheta / dx)
-    )
-    tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, float(dx * (g * g).sum()))
-    tracker.sup_stress_scale = max(
-        tracker.sup_stress_scale, _stress_scale(v, theta, g, params)
-    )
+    _fold_extrema(tracker, state, dx)
 
     tracker.int_max_theta += dt * float(state_prev.theta.max())
     uxx = (u_prev[2:] - 2.0 * u_prev[1:-1] + u_prev[:-2]) / dx**2
     tracker.int_uxx_sq += dt * dx * float(uxx @ uxx)
     du_dt = (u - u_prev) / dt
-    tracker.int_ut_sq += dt * float(w @ (du_dt * du_dt))
+    tracker.int_ut_sq += dt * float(tracker.weights @ (du_dt * du_dt))
 
     after = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
     if not all(map(math.isfinite, after)) or any(a < b for a, b in zip(after, before)):
@@ -283,12 +294,11 @@ def update_bounds(
     return tracker
 
 
-def energy_drift(
-    tracker: BoundTracker, state: State, grid: Grid, params: MaterialParams
-) -> float:
-    """Relative drift |E(t) - E0| / E0; absolute drift if E0 = 0."""
-    e, e0 = total_energy(state, grid, params.c_v), tracker.e0
-    return abs(e) if e0 == 0.0 else abs(e - e0) / abs(e0)
+def energy_drift(tracker: BoundTracker, energy: float) -> float:
+    """Relative drift |E - E0| / E0 of a total energy E against the
+    tracker's initial energy; absolute drift if E0 = 0."""
+    e0 = tracker.e0
+    return abs(energy) if e0 == 0.0 else abs(energy - e0) / abs(e0)
 
 
 def boundary_stress_residual(

@@ -95,7 +95,7 @@ def test_01_volume_representation_exact_at_start_and_converges():
             ProfileSpec(name="cosine").build(), params, SF, grid
         )
         acc = make_accumulator(state, grid, params)
-        r0 = representation_residual(state, acc, grid, alpha)
+        r0 = representation_residual(state, acc, grid)
         print(f"alpha={alpha}: t=0 residual {r0:.3e} (<= 1e-12)")
         assert r0 <= 1e-12
 

@@ -65,6 +65,15 @@ class TestCmdRun:
     def test_missing_file_exits_two(self, tmp_path):
         assert cli.cmd_run(str(tmp_path / "nope.json"), str(tmp_path)) == 2
 
+    def test_unusable_out_takes_no_step(self, tmp_path, capsys, monkeypatch):
+        steps = []
+        monkeypatch.setattr(driver, "step", lambda *args: steps.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.cmd_run(small_run_config(tmp_path), str(taken)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert steps == []
+
     def test_abort_exits_three_with_partial_outputs(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "bc": "no_slip",
@@ -221,6 +230,13 @@ class TestCmdSweep:
         assert cli.cmd_sweep(config, "nan", "1", str(out)) == 2
         assert "regime" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unusable_out_exits_two(self, tmp_path, capsys):
+        config = small_run_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.cmd_sweep(config, "1", "1", str(taken / "sub")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_garbled_list_exits_two(self, tmp_path, capsys):
         config = small_run_config(tmp_path)

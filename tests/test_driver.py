@@ -59,7 +59,6 @@ class TestRun:
         )
         result = run(scenario)
         assert result.report.status == "completed"
-        assert result.case is not None
 
     def test_abort_keeps_partial_rows(self):
         # a violent initial velocity drives compression hard enough that
@@ -104,6 +103,19 @@ class TestVerificationTable:
         result = run(parse_config('{"material": {"alpha": 0}}'))
         checks = verification_table(result)
         assert all(c.passed for c in checks)
+
+    def test_row_checks_fail_without_rows(self):
+        # t_end < output_every records no row: the checks that read rows
+        # have checked nothing and must not pass
+        result = run(Scenario(n_cells=16, t_end=0.05, output_every=0.1))
+        assert result.report.rows == ()
+        checks = {c.name: c for c in verification_table(result)}
+        for name in (
+            "volume representation", "energy conservation", "boundary compatibility"
+        ):
+            assert not checks[name].passed
+            assert checks[name].detail == "no output row was recorded"
+        assert checks["positivity floors"].passed
 
     def test_checks_carry_numeric_detail(self):
         result = run(Scenario(n_cells=32, t_end=0.2, output_every=0.1))

@@ -51,14 +51,6 @@ class TestStepControls:
             Scenario(**kwargs)
 
 
-class TestBoundaryKind:
-    def test_from_name(self):
-        assert BoundaryKind.from_name("stress_free") is SF
-        assert BoundaryKind.from_name("no_slip") is NS
-        with pytest.raises(ValueError, match="unknown boundary"):
-            BoundaryKind.from_name("periodic")
-
-
 class TestCompatibleInitialData:
     def test_uniform_constant_viscosity_gives_linear_velocity(self):
         # R*theta0/mu(v0) = 1/2 exactly, so u0(x) = x/2 and sigma vanishes
@@ -92,8 +84,6 @@ class TestCompatibleInitialData:
             v0=lambda x: np.ones(np.shape(x)),
             theta0=lambda x: 1.0 + 0.1 * x,
             u0=lambda x: np.zeros(np.shape(x)),
-            inf_v=1.0,
-            inf_theta=1.0,
         )
         with pytest.raises(ValueError, match="wall theta slope"):
             compatible_initial_data(tilted, params, SF, grid)
@@ -104,8 +94,6 @@ class TestCompatibleInitialData:
             v0=lambda x: np.ones(np.shape(x)),
             theta0=lambda x: np.ones(np.shape(x)),
             u0=lambda x: np.ones(np.shape(x)),
-            inf_v=1.0,
-            inf_theta=1.0,
         )
         with pytest.raises(ValueError, match="wall velocity"):
             compatible_initial_data(moving, params, NS, grid)
