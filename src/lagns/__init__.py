@@ -35,6 +35,7 @@ from .scenario import (
     ProfileSpec,
     Scenario,
     TIMESERIES_COLUMNS,
+    compatible_initial_data,
     emit_snapshot,
     emit_timeseries,
     load_config,
@@ -44,10 +45,8 @@ from .scenario import (
 )
 from .scheme import (
     BoundaryKind,
-    InitialProfile,
     SolverAbort,
     StepRejected,
-    compatible_initial_data,
     compatibility_residual,
     continuity_step,
     dt_control,

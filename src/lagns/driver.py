@@ -19,12 +19,12 @@ from .scenario import (
     DiagnosticsReport,
     DiagnosticsRow,
     Scenario,
+    compatible_initial_data,
 )
 from .scheme import (
     BoundaryKind,
     SolverAbort,
     StepRejected,
-    compatible_initial_data,
     compatibility_residual,
     dt_control,
     step,
@@ -88,9 +88,7 @@ def initial_state(scenario: Scenario, grid: Grid, case: MmsCase | None) -> State
         )
         state.validate(grid)
         return state
-    return compatible_initial_data(
-        scenario.profile.build(), scenario.params, scenario.bc, grid
-    )
+    return compatible_initial_data(scenario.profile, scenario.params, scenario.bc, grid)
 
 
 def _imposed_wall_stress(

@@ -1,9 +1,11 @@
-"""Scenario definition, config parsing, and result serialization.
+"""Scenario definition, initial data, config parsing, and result serialization.
 
-Configs are flat JSON objects with one level of nesting for the material
-and profile blocks. Unknown keys anywhere are rejected so typos cannot
-silently fall back to defaults. All numeric output uses 17 significant
-digits, enough to round-trip float64 bit-exactly.
+ProfileSpec names a closed-form family of initial data and samples it;
+compatible_initial_data turns the samples into the initial State for the
+chosen walls. Configs are flat JSON objects with one level of nesting for
+the material and profile blocks. Unknown keys anywhere are rejected so
+typos cannot silently fall back to defaults. All numeric output uses 17
+significant digits, enough to round-trip float64 bit-exactly.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ from typing import Any
 
 import numpy as np
 
-from .constitutive import MaterialParams
-from .grid import Grid, State
+from .constitutive import MaterialParams, viscosity
+from .grid import Grid, State, cumulative_u_integral
 from .mms import _CASE_NAMES
-from .scheme import BoundaryKind, InitialProfile
+from .scheme import BoundaryKind
 
 __all__ = [
     "ConfigError",
     "ProfileSpec",
+    "compatible_initial_data",
     "Scenario",
     "DiagnosticsRow",
     "DiagnosticsReport",
@@ -64,9 +67,11 @@ def _reject_unknown(block: dict, allowed: set[str], context: str) -> None:
 class ProfileSpec:
     """Named initial-profile family with its amplitude parameters.
 
-    Made only if the name and amplitude keys are known and build succeeds,
-    that is, the analytic infima of v0 and theta0 are positive: this is the
-    one home of the rule that initial data stays away from vacuum.
+    Made only if the name and amplitude keys are known and the analytic
+    infima of v0 and theta0 are positive: this is the one home of the rule
+    that initial data stays away from vacuum. Both families are compatible
+    with either kind of wall by construction: theta0' and the no-slip u0
+    vanish at x = 0 and x = 1.
     """
 
     name: str = "cosine"
@@ -80,40 +85,64 @@ class ProfileSpec:
             )
         allowed = set(_PROFILE_DEFAULTS[self.name])
         _reject_unknown(dict(self.amplitudes), allowed, "profile.amplitudes")
-        self.build()
+        a = self.values()
+        if self.name == "cosine":
+            inf_v = a["v_base"] - abs(a["v_amp"])
+            inf_theta = a["theta_base"] - abs(a["theta_amp"])
+        else:
+            inf_v, inf_theta = a["v"], a["theta"]
+        if not (inf_v > 0.0 and inf_theta > 0.0):  # also catches NaN
+            raise ConfigError(
+                f"profile {self.name!r} touches vacuum: inf v0 = {inf_v}, "
+                f"inf theta0 = {inf_theta}; initial data must keep positivity"
+            )
 
     def values(self) -> dict[str, float]:
         merged = dict(_PROFILE_DEFAULTS[self.name])
         merged.update(dict(self.amplitudes))
         return merged
 
-    def build(self) -> InitialProfile:
-        """Materialize the closed-form callables; raise ConfigError unless
-        their analytic infima are positive."""
+    def sample(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v0, theta0, u0) at the mass coordinates x."""
         a = self.values()
         if self.name == "cosine":
-            inf_v = a["v_base"] - abs(a["v_amp"])
-            inf_theta = a["theta_base"] - abs(a["theta_amp"])
-            profile = InitialProfile(
-                name=self.name,
-                v0=lambda x: a["v_base"] + a["v_amp"] * np.cos(np.pi * x),
-                theta0=lambda x: a["theta_base"] + a["theta_amp"] * np.cos(np.pi * x),
-                u0=lambda x: a["u_amp"] * np.sin(np.pi * x),
+            wave = np.cos(np.pi * x)
+            return (
+                a["v_base"] + a["v_amp"] * wave,
+                a["theta_base"] + a["theta_amp"] * wave,
+                a["u_amp"] * np.sin(np.pi * x),
             )
-        else:
-            inf_v, inf_theta = a["v"], a["theta"]
-            profile = InitialProfile(
-                name=self.name,
-                v0=lambda x: np.full(np.shape(x), a["v"]),
-                theta0=lambda x: np.full(np.shape(x), a["theta"]),
-                u0=lambda x: np.zeros(np.shape(x)),
-            )
-        if not (inf_v > 0.0 and inf_theta > 0.0):  # also catches NaN
-            raise ConfigError(
-                f"profile {self.name!r} touches vacuum: inf v0 = {inf_v}, "
-                f"inf theta0 = {inf_theta}; initial data must keep positivity"
-            )
-        return profile
+        shape = np.shape(x)
+        return (
+            np.full(shape, a["v"], dtype=float),
+            np.full(shape, a["theta"], dtype=float),
+            np.zeros(shape),
+        )
+
+
+def compatible_initial_data(
+    profile: ProfileSpec,
+    params: MaterialParams,
+    bc: BoundaryKind,
+    grid: Grid,
+) -> State:
+    """Sample initial data that satisfies the chosen boundary family.
+
+    Stress-free runs get u0(x) = integral of R*theta0/mu(v0) from 0 to x
+    (trapezoid on node samples), which zeroes the discrete boundary stress
+    to quadrature accuracy. No-slip runs take the profile's own u0. The
+    sampled state is checked by State.validate before it is returned; how
+    well it meets the walls' conditions is measured by
+    scheme.compatibility_residual.
+    """
+    v0, theta0, _ = profile.sample(grid.centers)
+    v_nodes, theta_nodes, u0 = profile.sample(grid.nodes)
+    if bc is BoundaryKind.STRESS_FREE:
+        f = params.R * theta_nodes / viscosity(v_nodes, params)
+        u0 = cumulative_u_integral(f, 0.0, grid)
+    state = State(t=0.0, v=v0, u=u0, theta=theta0)
+    state.validate(grid)
+    return state
 
 
 @dataclass(frozen=True)

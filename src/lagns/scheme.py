@@ -19,13 +19,16 @@ starts from the current temperature. A step that would lose
 positivity of v or theta, or whose Picard loop stalls, is rejected so the
 driver can retry with a halved dt. The step-size limits cfl, dt_min and
 dt_max arrive as plain floats; Scenario is where they are range-checked.
+
+Initial data is sampled by scenario.compatible_initial_data. Whether a
+state meets its walls' conditions is measured here, by
+compatibility_residual alone; the "initial compatibility" row of
+`lagns verify` applies it to the initial state.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -38,17 +41,15 @@ from .constitutive import (
     stress,
     viscosity,
 )
-from .grid import Grid, State, cumulative_u_integral, du_dx_cells, wall_values
+from .grid import Grid, State, du_dx_cells, wall_values
 
 __all__ = [
     "BoundaryKind",
     "MAX_PICARD",
     "PICARD_TOL",
-    "InitialProfile",
     "StepRejected",
     "SolverAbort",
     "tridiagonal_solve",
-    "compatible_initial_data",
     "compatibility_residual",
     "dt_control",
     "momentum_step",
@@ -67,23 +68,6 @@ class BoundaryKind(enum.Enum):
 
     STRESS_FREE = "stress_free"
     NO_SLIP = "no_slip"
-
-
-@dataclass(frozen=True)
-class InitialProfile:
-    """Closed-form initial data: callables of the mass coordinate.
-
-    A profile built by scenario.ProfileSpec has positive analytic infima,
-    checked by ProfileSpec.build, so near-vacuum data is rejected with a
-    clear diagnostic before any sampling; the sampled state is checked by
-    State.validate. u0 is only consulted under no-slip boundaries;
-    stress-free runs derive their own u0.
-    """
-
-    name: str
-    v0: Callable[[np.ndarray], np.ndarray]
-    theta0: Callable[[np.ndarray], np.ndarray]
-    u0: Callable[[np.ndarray], np.ndarray]
 
 
 class StepRejected(Exception):
@@ -129,58 +113,6 @@ def tridiagonal_solve(
     return x
 
 
-def _wall_gradient(f: np.ndarray, dx: float) -> tuple[float, float]:
-    # quadratic fit through the first three cell centers, evaluated at the
-    # wall; second-order, unlike a plain one-sided difference
-    left = (-2.0 * f[0] + 3.0 * f[1] - f[2]) / dx
-    right = (2.0 * f[-1] - 3.0 * f[-2] + f[-3]) / dx
-    return left, right
-
-
-def compatible_initial_data(
-    profile: InitialProfile,
-    params: MaterialParams,
-    bc: BoundaryKind,
-    grid: Grid,
-) -> State:
-    """Sample initial data that satisfies the chosen boundary family.
-
-    Stress-free runs get u0(x) = integral of R*theta0/mu(v0) from 0 to x
-    (trapezoid on node samples), which zeroes the discrete boundary stress
-    to quadrature accuracy. No-slip runs take the profile's own u0 and
-    require it to vanish at both ends. The sampled state is checked by
-    State.validate before it is returned.
-    """
-    v0 = np.asarray(profile.v0(grid.centers), dtype=float)
-    theta0 = np.asarray(profile.theta0(grid.centers), dtype=float)
-
-    # both families insulate the ends; reject profiles with a wall slope
-    theta_scale = float(np.max(np.abs(theta0)))
-    slope_tol = 0.5 * grid.dx * theta_scale
-    for side, slope in zip(("left", "right"), _wall_gradient(theta0, grid.dx)):
-        if abs(slope) > slope_tol:
-            raise ValueError(
-                f"profile {profile.name!r} has nonzero {side}-wall theta slope "
-                f"{slope:.3g}; insulated ends need theta0'(0) = theta0'(1) = 0"
-            )
-
-    if bc is BoundaryKind.NO_SLIP:
-        u0 = np.asarray(profile.u0(grid.nodes), dtype=float)
-        if abs(u0[0]) > 1e-12 or abs(u0[-1]) > 1e-12:
-            raise ValueError(
-                f"profile {profile.name!r} has nonzero wall velocity under no-slip"
-            )
-    else:
-        f = params.R * np.asarray(profile.theta0(grid.nodes), dtype=float) / viscosity(
-            np.asarray(profile.v0(grid.nodes), dtype=float), params
-        )
-        u0 = cumulative_u_integral(f, 0.0, grid)
-
-    state = State(t=0.0, v=v0, u=u0, theta=theta0)
-    state.validate(grid)
-    return state
-
-
 def compatibility_residual(
     state: State, params: MaterialParams, bc: BoundaryKind, grid: Grid
 ) -> np.ndarray:
@@ -197,7 +129,11 @@ def compatibility_residual(
     else:
         first = abs(float(state.u[0]))
         second = abs(float(state.u[-1]))
-    grad_left, grad_right = _wall_gradient(state.theta, grid.dx)
+    # quadratic fit through the three cell centers nearest each wall,
+    # evaluated at the wall; second-order, unlike a plain one-sided difference
+    theta, dx = state.theta, grid.dx
+    grad_left = (-2.0 * theta[0] + 3.0 * theta[1] - theta[2]) / dx
+    grad_right = (2.0 * theta[-1] - 3.0 * theta[-2] + theta[-3]) / dx
     return np.array([first, second, abs(grad_left), abs(grad_right)])
 
 

@@ -16,7 +16,7 @@ def grid():
 
 @pytest.fixture
 def cosine_profile():
-    return ProfileSpec(name="cosine").build()
+    return ProfileSpec(name="cosine")
 
 
 @pytest.fixture

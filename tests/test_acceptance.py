@@ -91,9 +91,7 @@ def test_01_volume_representation_exact_at_start_and_converges():
     grid = Grid(64)
     for alpha in (0.0, 1.0):
         params = MaterialParams(alpha=alpha)
-        state = compatible_initial_data(
-            ProfileSpec(name="cosine").build(), params, SF, grid
-        )
+        state = compatible_initial_data(ProfileSpec(name="cosine"), params, SF, grid)
         acc = make_accumulator(state, grid, params)
         r0 = representation_residual(state, acc, grid)
         print(f"alpha={alpha}: t=0 residual {r0:.3e} (<= 1e-12)")

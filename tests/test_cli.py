@@ -145,6 +145,19 @@ class TestCmdVerify:
         assert "8/8 checks passed" in out
         assert "FAIL" not in out
 
+    def test_coarse_grid_cold_profile_passes(self, tmp_path, capsys):
+        # admissible initial data with a large discrete wall slope at
+        # n_cells = 8, which only the initial compatibility row judges
+        path = write_config(tmp_path, {
+            "n_cells": 8,
+            "profile": {
+                "name": "cosine",
+                "amplitudes": {"theta_base": 0.11, "theta_amp": 0.1},
+            },
+        })
+        assert cli.cmd_verify(path) == 0
+        assert "8/8 checks passed" in capsys.readouterr().out
+
     def test_mms_config_rejected_as_usage(self, tmp_path, capsys):
         path = write_config(tmp_path, {"mms": "default", "bc": "no_slip"})
         assert cli.cmd_verify(path) == 2

@@ -28,7 +28,6 @@ class TestBuildCase:
     def test_constant_case_is_exact(self):
         params = MaterialParams()
         case = manufactured_case("constant", params)
-        assert case.exact
         x = np.linspace(0.0, 1.0, 7)
         for t in (0.0, 0.4):
             np.testing.assert_allclose(case.source_v(x, t), 0.0, atol=1e-15)
@@ -38,7 +37,10 @@ class TestBuildCase:
     def test_default_case_satisfies_no_slip_walls(self):
         params = MaterialParams()
         case = manufactured_case("default", params)
-        assert not case.exact
+        # not an exact solution: every source is non-zero at a probe point
+        probe = np.array([0.3])
+        for source in (case.source_v, case.source_u, case.source_theta):
+            assert source(probe, 0.37)[0] != 0.0
         for t in (0.0, 0.13, 0.5):
             assert case.u(0.0, t) == pytest.approx(0.0, abs=1e-15)
             assert case.u(1.0, t) == pytest.approx(0.0, abs=1e-15)

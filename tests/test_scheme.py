@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lagns import driver, scheme
 from lagns import (
     BoundaryKind,
     Grid,
-    InitialProfile,
     MaterialParams,
     ProfileSpec,
     Scenario,
@@ -34,7 +35,28 @@ NS = BoundaryKind.NO_SLIP
 
 
 def constant_profile():
-    return ProfileSpec(name="constant").build()
+    return ProfileSpec(name="constant")
+
+
+bases = st.floats(min_value=1e-3, max_value=1e3)
+fractions = st.floats(min_value=-0.999, max_value=0.999)
+
+
+@st.composite
+def profile_specs(draw):
+    """Either family: bases in [1e-3, 1e3], |amp| < base, |u_amp| <= 1e6."""
+    if draw(st.booleans()):
+        return ProfileSpec(
+            name="constant", amplitudes=(("theta", draw(bases)), ("v", draw(bases)))
+        )
+    v_base, theta_base = draw(bases), draw(bases)
+    return ProfileSpec(name="cosine", amplitudes=(
+        ("theta_amp", draw(fractions) * theta_base),
+        ("theta_base", theta_base),
+        ("u_amp", draw(st.floats(min_value=-1e6, max_value=1e6))),
+        ("v_amp", draw(fractions) * v_base),
+        ("v_base", v_base),
+    ))
 
 
 class TestStepControls:
@@ -75,28 +97,47 @@ class TestCompatibleInitialData:
 
     def test_vacuum_profile_rejected(self, grid, params):
         with pytest.raises(ValueError, match="positivity"):
-            bad = ProfileSpec(name="cosine", amplitudes=(("v_amp", 1.5),)).build()
+            bad = ProfileSpec(name="cosine", amplitudes=(("v_amp", 1.5),))
             compatible_initial_data(bad, params, SF, grid)
 
-    def test_sloped_wall_temperature_rejected(self, grid, params):
-        tilted = InitialProfile(
-            name="tilted",
-            v0=lambda x: np.ones(np.shape(x)),
-            theta0=lambda x: 1.0 + 0.1 * x,
-            u0=lambda x: np.zeros(np.shape(x)),
-        )
-        with pytest.raises(ValueError, match="wall theta slope"):
-            compatible_initial_data(tilted, params, SF, grid)
+    @given(
+        profile=profile_specs(),
+        bc=st.sampled_from(list(BoundaryKind)),
+        n_cells=st.integers(min_value=8, max_value=64),
+    )
+    # a cold cosine temperature on a coarse grid, and a fast no-slip
+    # velocity: both admissible, both once rejected for discretisation or
+    # rounding error at the walls
+    @example(
+        profile=ProfileSpec(amplitudes=(("theta_amp", 0.1), ("theta_base", 0.11))),
+        bc=SF,
+        n_cells=8,
+    )
+    @example(
+        profile=ProfileSpec(amplitudes=(("theta_amp", 0.1), ("theta_base", 0.11))),
+        bc=SF,
+        n_cells=9,
+    )
+    @example(profile=ProfileSpec(amplitudes=(("u_amp", 1e5),)), bc=NS, n_cells=64)
+    def test_every_admissible_profile_sets_up(self, profile, bc, n_cells):
+        grid, params = Grid(n_cells), MaterialParams()
+        state = compatible_initial_data(profile, params, bc, grid)
+        state.validate(grid)
+        assert np.all(np.isfinite(compatibility_residual(state, params, bc, grid)))
 
-    def test_no_slip_needs_vanishing_wall_velocity(self, grid, params):
-        moving = InitialProfile(
-            name="moving",
-            v0=lambda x: np.ones(np.shape(x)),
-            theta0=lambda x: np.ones(np.shape(x)),
-            u0=lambda x: np.ones(np.shape(x)),
-        )
-        with pytest.raises(ValueError, match="wall velocity"):
-            compatible_initial_data(moving, params, NS, grid)
+    @given(profile=profile_specs())
+    def test_families_meet_both_walls(self, profile):
+        # what each family owes either kind of wall: u0 and theta0' vanish at
+        # x = 0 and x = 1. Both families are even in theta0 about each wall,
+        # so a symmetric difference there is zero up to rounding
+        u_amp = profile.values().get("u_amp", 0.0)
+        # theta0 takes its extremes at the walls in both families
+        theta_scale = max(abs(profile.sample(x)[1]) for x in (0.0, 1.0))
+        h = 1e-3
+        for wall in (0.0, 1.0):
+            assert abs(profile.sample(wall)[2]) <= 1e-15 * abs(u_amp)
+            jump = profile.sample(wall + h)[1] - profile.sample(wall - h)[1]
+            assert abs(jump) <= 8 * np.finfo(float).eps * theta_scale
 
 
 class TestCompatibilityResidual:

@@ -142,7 +142,7 @@ class TestRepresentationAccumulator:
 
 class TestVelocityBand:
     def test_initial_state_inside_with_formula_margin(self, grid, params):
-        profile = ProfileSpec(name="cosine").build()
+        profile = ProfileSpec(name="cosine")
         state = compatible_initial_data(profile, params, SF, grid)
         acc = make_accumulator(state, grid, params)
         margin = velocity_band_check(acc, acc.velocity_factor(state, grid))
