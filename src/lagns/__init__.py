@@ -56,6 +56,7 @@ from .scheme import (
     tridiagonal_solve,
 )
 from .verify import (
+    StateBlock,
     boundary_stress_residual,
     energy_drift,
     initial_volume_factor,

@@ -139,14 +139,14 @@ def cumulative_u_integral(
 ) -> np.ndarray:
     """Trapezoid antiderivative of (u - u0) from 0 to each node.
 
+    The integral runs along the last axis, so u may hold one state per row.
     u0 may be a scalar; u0 = 0.0 integrates u itself, bit for bit.
     """
-    d = np.asarray(u, dtype=float) - np.asarray(u0, dtype=float)
-    if d.shape != (grid.n_nodes,):
-        raise ValueError(f"u has shape {np.shape(u)}, expected ({grid.n_nodes},)")
-    out = np.empty(grid.n_nodes)
-    out[0] = 0.0
-    np.cumsum(0.5 * grid.dx * (d[:-1] + d[1:]), out=out[1:])
+    d = np.subtract(u, u0, dtype=float)
+    if d.shape[-1:] != (grid.n_nodes,):
+        raise ValueError(f"u has shape {np.shape(u)}, expected (..., {grid.n_nodes})")
+    out = np.zeros(d.shape)
+    np.cumsum(0.5 * grid.dx * (d[..., :-1] + d[..., 1:]), axis=-1, out=out[..., 1:])
     return out
 
 

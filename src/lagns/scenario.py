@@ -67,9 +67,10 @@ def _reject_unknown(block: dict, allowed: set[str], context: str) -> None:
 class ProfileSpec:
     """Named initial-profile family with its amplitude parameters.
 
-    Made only if the name and amplitude keys are known and the analytic
-    infima of v0 and theta0 are positive: this is the one home of the rule
-    that initial data stays away from vacuum. Both families are compatible
+    Made only if the name and amplitude keys are known, the analytic
+    infima of v0 and theta0 are positive and their suprema are finite: this
+    is the one home of the rule that initial data stays away from vacuum
+    and inside the float range. Both families are compatible
     with either kind of wall by construction: theta0' and the no-slip u0
     vanish at x = 0 and x = 1.
     """
@@ -89,12 +90,21 @@ class ProfileSpec:
         if self.name == "cosine":
             inf_v = a["v_base"] - abs(a["v_amp"])
             inf_theta = a["theta_base"] - abs(a["theta_amp"])
+            sup_v = a["v_base"] + abs(a["v_amp"])
+            sup_theta = a["theta_base"] + abs(a["theta_amp"])
         else:
-            inf_v, inf_theta = a["v"], a["theta"]
+            inf_v = sup_v = a["v"]
+            inf_theta = sup_theta = a["theta"]
         if not (inf_v > 0.0 and inf_theta > 0.0):  # also catches NaN
             raise ConfigError(
                 f"profile {self.name!r} touches vacuum: inf v0 = {inf_v}, "
                 f"inf theta0 = {inf_theta}; initial data must keep positivity"
+            )
+        # rounding is monotone, so a finite supremum bounds every sample
+        if not (math.isfinite(sup_v) and math.isfinite(sup_theta)):
+            raise ConfigError(
+                f"profile {self.name!r} overflows: sup v0 = {sup_v}, "
+                f"sup theta0 = {sup_theta}; initial data must be finite"
             )
 
     def values(self) -> dict[str, float]:

@@ -13,6 +13,17 @@ of the acceleration and second velocity differences.
 
 Each instrument keeps the MaterialParams it was built from, so the
 functions that update it or read a residual from it take no material.
+
+The instruments are fed a StateBlock, the accepted states of a stretch of
+the run as 2-D arrays with one row per state, and fold all of its steps in
+one call. Nearly all of a per-step call's cost is the overhead of its small
+numpy calls, so a block of K steps costs about one step's overhead. Every
+row-wise operation computes each row exactly as the 1-D operation on that
+state would: np.vecdot makes one BLAS dot call per row, as the 1-D ``@``
+does (einsum and a 2-D matrix-vector product round differently), and sums,
+extrema and cumulative sums reduce each row on its own. The running sums,
+extrema and monotone flags are then folded row by row in step order, so the
+results are bit-identical to feeding the steps one at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ __all__ = [
     "initial_volume_factor",
     "velocity_integral_factor",
     "viscosity_volume_factor",
+    "StateBlock",
     "RepresentationAccumulator",
     "make_accumulator",
     "update_accumulator",
@@ -50,6 +62,20 @@ __all__ = [
     "boundary_stress_residual",
     "stress_magnitude_scale",
 ]
+
+
+@dataclass
+class StateBlock:
+    """Consecutive accepted states of a run, one row per state.
+
+    Row 0 is the state before the block and rows 1..K are its K accepted
+    steps; dt[i] is the step from row i to row i + 1.
+    """
+
+    v: np.ndarray
+    u: np.ndarray
+    theta: np.ndarray
+    dt: np.ndarray
 
 
 def initial_volume_factor(v0: np.ndarray, alpha: float) -> np.ndarray:
@@ -66,10 +92,11 @@ def velocity_integral_factor(
     """exp(k * integral of (u - u0) from 0 to x), averaged to cell centers.
 
     The cumulative integral lives on nodes; adjacent node values are
-    averaged before exponentiating so the factor is colocated with v.
+    averaged before exponentiating so the factor is colocated with v. u may
+    hold one state per row; the integral runs along the last axis.
     """
     cumulative = cumulative_u_integral(u, u0, grid)
-    return np.exp(k * 0.5 * (cumulative[:-1] + cumulative[1:]))
+    return np.exp(k * 0.5 * (cumulative[..., :-1] + cumulative[..., 1:]))
 
 
 def viscosity_volume_factor(v: np.ndarray, alpha: float) -> np.ndarray:
@@ -100,13 +127,16 @@ class RepresentationAccumulator:
     e0: float
     monotone_ok: bool = True
 
-    def velocity_factor(self, state: State, grid: Grid) -> np.ndarray:
-        """The velocity-integral factor of state against the frozen u0."""
-        return velocity_integral_factor(state.u, self.u0_nodes, grid, self.k)
+    def velocity_factor(self, u: np.ndarray, grid: Grid) -> np.ndarray:
+        """The velocity-integral factor of the node velocities u (one state,
+        or one state per row) against the frozen u0."""
+        return velocity_integral_factor(u, self.u0_nodes, grid, self.k)
 
 
-def _integrand(state: State, alpha: float, d1: np.ndarray) -> np.ndarray:
-    return state.theta / (d1 * viscosity_volume_factor(state.v, alpha))
+def _integrand(
+    v: np.ndarray, theta: np.ndarray, alpha: float, d1: np.ndarray
+) -> np.ndarray:
+    return theta / (d1 * viscosity_volume_factor(v, alpha))
 
 
 def make_accumulator(
@@ -124,29 +154,37 @@ def make_accumulator(
         e0=total_energy(state, grid, params.c_v),
     )
     acc.last_integrand = _integrand(
-        state, params.alpha, acc.velocity_factor(state, grid)
+        state.v, state.theta, params.alpha, acc.velocity_factor(state.u, grid)
     )
     return acc
 
 
 def update_accumulator(
     acc: RepresentationAccumulator,
-    state: State,
-    dt: float,
+    block: StateBlock,
     velocity_factor: np.ndarray,
 ) -> RepresentationAccumulator:
-    """Advance the time integral one accepted step by the trapezoid rule.
+    """Advance the time integral over the steps of a block by the trapezoid
+    rule.
 
-    velocity_factor is acc.velocity_factor(state, grid), computed once per
-    step by the caller and shared with velocity_band_check.
+    velocity_factor is acc.velocity_factor(block.u[1:], grid), one row per
+    step, computed once per block by the caller and shared with
+    velocity_band_check.
     """
-    integrand = _integrand(state, acc.params.alpha, velocity_factor)
-    increment = 0.5 * dt * (acc.last_integrand + integrand)
+    integrand = _integrand(
+        block.v[1:], block.theta[1:], acc.params.alpha, velocity_factor
+    )
+    # each step's trapezoid pairs its integrand with the one before it
+    increment = np.concatenate((acc.last_integrand[None], integrand[:-1]))
+    increment += integrand
+    increment *= 0.5 * block.dt[:, None]
     if not increment.min() >= 0.0:  # also catches NaN
         acc.monotone_ok = False
-    acc.time_integral += increment
-    acc.last_integrand = integrand
-    acc.t += dt
+    for row in increment:  # one step at a time: the per-step summation order
+        acc.time_integral += row
+    acc.last_integrand = integrand[-1]
+    for dt in block.dt.tolist():
+        acc.t += dt
     return acc
 
 
@@ -162,7 +200,7 @@ def representation_residual(
         raise ValueError(
             f"accumulator at t = {acc.t} is out of sync with state at t = {state.t}"
         )
-    d1 = acc.velocity_factor(state, grid)
+    d1 = acc.velocity_factor(state.u, grid)
     d2 = viscosity_volume_factor(state.v, acc.params.alpha)
     predicted = d1 * d2 * (acc.b0 + acc.k * acc.time_integral)
     return float(np.max(np.abs(state.v - predicted)) / np.max(state.v))
@@ -170,18 +208,23 @@ def representation_residual(
 
 def velocity_band_check(
     acc: RepresentationAccumulator, velocity_factor: np.ndarray
-) -> float:
-    """Energy band on the velocity-integral factor of a state.
+) -> list[float]:
+    """Energy band on the velocity-integral factors of states, one per row.
 
     The cumulative velocity change is bounded through the conserved energy,
-    so the factor acc.velocity_factor(state, grid) must stay inside
-    [exp(-k*s), exp(k*s)] with s = sqrt(2*e0). Returns the worst absolute
-    margin to either edge: non-negative inside the band, negative outside.
+    so each row of acc.velocity_factor(u, grid) must stay inside
+    [exp(-k*s), exp(k*s)] with s = sqrt(2*e0). Returns each row's worst
+    absolute margin to either edge: non-negative inside the band, negative
+    outside.
     """
     s = np.sqrt(2.0 * acc.e0)
     lo = np.exp(-acc.k * s)
     hi = np.exp(acc.k * s)
-    return float(min((velocity_factor - lo).min(), (hi - velocity_factor).min()))
+    # rounding is monotone, so the least f - lo is min(f) - lo and the least
+    # hi - f is hi - max(f), bit for bit (and NaN whenever f holds one)
+    below = (velocity_factor.min(axis=1) - lo).tolist()
+    above = (hi - velocity_factor.max(axis=1)).tolist()
+    return [min(a, b) for a, b in zip(below, above)]
 
 
 @dataclass
@@ -208,9 +251,9 @@ class BoundTracker:
 
 def _stress_scale(
     v: np.ndarray, theta: np.ndarray, g: np.ndarray, params: MaterialParams
-) -> float:
+) -> np.ndarray:
     scale = viscosity(v, params) * np.abs(g) / v + pressure(v, theta, params)
-    return float(scale.max())
+    return scale.max(axis=-1)
 
 
 def stress_magnitude_scale(state: State, params: MaterialParams, grid: Grid) -> float:
@@ -220,29 +263,39 @@ def stress_magnitude_scale(state: State, params: MaterialParams, grid: Grid) -> 
     stress nearly cancels, which it does throughout a stress-free run; it
     normalizes the boundary-residual bound.
     """
-    return _stress_scale(state.v, state.theta, du_dx_cells(state.u, grid), params)
+    scale = _stress_scale(state.v, state.theta, du_dx_cells(state.u, grid), params)
+    return float(scale)
 
 
-def _fold_extrema(tracker: BoundTracker, state: State, dx: float) -> None:
-    """Fold one state into the min/sup fields.
+def _fold_extrema(
+    tracker: BoundTracker,
+    v: np.ndarray,
+    u: np.ndarray,
+    theta: np.ndarray,
+    dx: float,
+) -> None:
+    """Fold states, one per row, into the min/sup fields in row order.
 
     Every value is the grid helper's (du_dx_cells, grad_l2_sq,
     cell_integral), written out with the same operand order so the results
-    are bit-identical.
+    are bit-identical; min and max of several arguments compare them in
+    turn, as a fold of one state at a time would.
     """
-    v, u, theta = state.v, state.u, state.theta
-    g = (u[1:] - u[:-1]) / dx
-    dv = v[1:] - v[:-1]
-    dtheta = theta[1:] - theta[:-1]
-    tracker.min_v = min(tracker.min_v, float(v.min()))
-    tracker.min_theta = min(tracker.min_theta, float(theta.min()))
-    tracker.sup_grad_v_sq = max(tracker.sup_grad_v_sq, float(dv @ dv / dx))
-    tracker.sup_grad_theta_sq = max(
-        tracker.sup_grad_theta_sq, float(dtheta @ dtheta / dx)
+    g = (u[:, 1:] - u[:, :-1]) / dx
+    dv = v[:, 1:] - v[:, :-1]
+    dtheta = theta[:, 1:] - theta[:, :-1]
+    tracker.min_v = min(tracker.min_v, *v.min(axis=1).tolist())
+    tracker.min_theta = min(tracker.min_theta, *theta.min(axis=1).tolist())
+    tracker.sup_grad_v_sq = max(
+        tracker.sup_grad_v_sq, *(np.vecdot(dv, dv) / dx).tolist()
     )
-    tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, float(dx * (g * g).sum()))
+    tracker.sup_grad_theta_sq = max(
+        tracker.sup_grad_theta_sq, *(np.vecdot(dtheta, dtheta) / dx).tolist()
+    )
+    tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, *(dx * (g * g).sum(axis=1)).tolist())
     tracker.sup_stress_scale = max(
-        tracker.sup_stress_scale, _stress_scale(v, theta, g, tracker.params)
+        tracker.sup_stress_scale,
+        *_stress_scale(v, theta, g, tracker.params).tolist(),
     )
 
 
@@ -260,37 +313,43 @@ def make_tracker(state: State, grid: Grid, params: MaterialParams) -> BoundTrack
         sup_u_x_sq=-math.inf,
         sup_stress_scale=-math.inf,
     )
-    _fold_extrema(tracker, state, grid.dx)
+    _fold_extrema(tracker, state.v[None], state.u[None], state.theta[None], grid.dx)
     return tracker
 
 
 def update_bounds(
-    tracker: BoundTracker,
-    state_prev: State,
-    state: State,
-    dt: float,
-    grid: Grid,
+    tracker: BoundTracker, block: StateBlock, grid: Grid
 ) -> BoundTracker:
-    """Fold one accepted step into the tracker.
+    """Fold the accepted steps of a block into the tracker.
 
-    Sup trackers take the new state; time integrals use the left-rectangle
-    rule (previous state), with the acceleration integral built from the
-    difference quotient over the step.
+    Sup trackers take each step's new state; time integrals use the
+    left-rectangle rule (the state before the step), with the acceleration
+    integral built from the difference quotient over the step. The running
+    sums and the monotone check advance one step at a time.
     """
     dx = grid.dx
-    u, u_prev = state.u, state_prev.u
-    before = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
-    _fold_extrema(tracker, state, dx)
+    u, dt = block.u, block.dt
+    u_prev = u[:-1]
+    _fold_extrema(tracker, block.v[1:], u[1:], block.theta[1:], dx)
 
-    tracker.int_max_theta += dt * float(state_prev.theta.max())
-    uxx = (u_prev[2:] - 2.0 * u_prev[1:-1] + u_prev[:-2]) / dx**2
-    tracker.int_uxx_sq += dt * dx * float(uxx @ uxx)
-    du_dt = (u - u_prev) / dt
-    tracker.int_ut_sq += dt * float(tracker.weights @ (du_dt * du_dt))
-
-    after = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
-    if not all(map(math.isfinite, after)) or any(a < b for a, b in zip(after, before)):
-        tracker.monotone_ok = False
+    uxx = (u_prev[:, 2:] - 2.0 * u_prev[:, 1:-1] + u_prev[:, :-2]) / dx**2
+    du_dt = (u[1:] - u_prev) / dt[:, None]
+    steps = zip(
+        dt.tolist(),
+        block.theta[:-1].max(axis=1).tolist(),
+        np.vecdot(uxx, uxx).tolist(),
+        np.vecdot(du_dt * du_dt, tracker.weights).tolist(),
+    )
+    for step, max_theta, uxx_sq, ut_sq in steps:
+        before = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
+        tracker.int_max_theta += step * max_theta
+        tracker.int_uxx_sq += step * dx * uxx_sq
+        tracker.int_ut_sq += step * ut_sq
+        after = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
+        if not all(map(math.isfinite, after)) or any(
+            a < b for a, b in zip(after, before)
+        ):
+            tracker.monotone_ok = False
     return tracker
 
 

@@ -158,6 +158,19 @@ class TestCmdVerify:
         assert cli.cmd_verify(path) == 0
         assert "8/8 checks passed" in capsys.readouterr().out
 
+    def test_overflowing_profile_exits_two(self, tmp_path, capsys):
+        # the infimum 1.6e308 is fine, the supremum v_base + |v_amp| is not
+        path = write_config(tmp_path, {
+            "profile": {
+                "name": "cosine",
+                "amplitudes": {"v_base": 1.7e308, "v_amp": 1e307},
+            },
+        })
+        assert cli.cmd_verify(path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile 'cosine' overflows")
+        assert "Traceback" not in err
+
     def test_mms_config_rejected_as_usage(self, tmp_path, capsys):
         path = write_config(tmp_path, {"mms": "default", "bc": "no_slip"})
         assert cli.cmd_verify(path) == 2

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,15 @@ from lagns import (
     BoundaryKind,
     Scenario,
     SolverAbort,
+    load_config,
     parse_config,
+    representation_residual,
     run,
     verification_table,
 )
 from lagns.scenario import ProfileSpec
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestRun:
@@ -79,6 +85,13 @@ class TestRun:
         assert result.state.t < 2.0
         assert len(result.report.rows) > 0
         assert result.report.halvings > 0
+        # the abort flushed the open block: the instruments reached the
+        # last accepted state
+        assert result.accumulator.t == result.state.t
+        residual = representation_residual(
+            result.state, result.accumulator, result.grid
+        )
+        assert np.isfinite(residual)
 
     def test_band_margin_recorded(self):
         result = run(Scenario(n_cells=32, t_end=0.2, output_every=0.1))
@@ -116,6 +129,22 @@ class TestVerificationTable:
             assert not checks[name].passed
             assert checks[name].detail == "no output row was recorded"
         assert checks["positivity floors"].passed
+
+    def test_final_state_after_last_row_is_judged(self):
+        # t_end is not a multiple of output_every: the one row (t = 0.004)
+        # is inside the tolerance, the final state (t = 0.0079) is not
+        scenario = dataclasses.replace(
+            load_config(CONFIGS / "noslip_steady.json"),
+            t_end=0.0079,
+            output_every=0.004,
+        )
+        result = run(scenario)
+        assert [row.t for row in result.report.rows] == pytest.approx([0.004])
+        assert result.report.rows[0].repr_residual < 5e-3
+        checks = {c.name: c for c in verification_table(result)}
+        assert not checks["volume representation"].passed
+        assert "max residual 7.900e-03" in checks["volume representation"].detail
+        assert checks["energy conservation"].passed
 
     def test_checks_carry_numeric_detail(self):
         result = run(Scenario(n_cells=32, t_end=0.2, output_every=0.1))

@@ -11,6 +11,7 @@ from lagns import (
     Grid,
     MaterialParams,
     State,
+    StateBlock,
     boundary_stress_residual,
     compatible_initial_data,
     energy_drift,
@@ -32,6 +33,26 @@ from lagns.verify import BoundTracker
 
 SF = BoundaryKind.STRESS_FREE
 NS = BoundaryKind.NO_SLIP
+
+
+def block_of(states, dts):
+    """The StateBlock of consecutive states, the first being the state
+    before the block; dts[i] is the step from states[i] to states[i + 1]."""
+    return StateBlock(
+        v=np.array([s.v for s in states]),
+        u=np.array([s.u for s in states]),
+        theta=np.array([s.theta for s in states]),
+        dt=np.array(dts, dtype=float),
+    )
+
+
+def advance(acc, states, dts, grid):
+    """Fold the steps of states into acc as one block; returns the block's
+    per-step band margins."""
+    block = block_of(states, dts)
+    velocity_factor = acc.velocity_factor(block.u[1:], grid)
+    update_accumulator(acc, block, velocity_factor)
+    return velocity_band_check(acc, velocity_factor)
 
 
 class TestInitialVolumeFactor:
@@ -99,12 +120,13 @@ class TestRepresentationAccumulator:
         c = acc.last_integrand.copy()
         later = state.copy()
         later.t = 0.1
-        update_accumulator(acc, later, 0.1, acc.velocity_factor(later, grid))
+        advance(acc, [state, later], [0.1], grid)
         np.testing.assert_allclose(acc.time_integral, 0.1 * c, rtol=1e-14)
         later2 = later.copy()
         later2.t = 0.2
-        update_accumulator(acc, later2, 0.1, acc.velocity_factor(later2, grid))
+        advance(acc, [later, later2], [0.1], grid)
         np.testing.assert_allclose(acc.time_integral, 0.2 * c, rtol=1e-14)
+        assert acc.t == 0.2
         assert acc.monotone_ok
 
     def test_negative_increment_clears_monotone_flag(self, grid, params):
@@ -112,7 +134,7 @@ class TestRepresentationAccumulator:
         acc = make_accumulator(state, grid, params)
         chilled = state.copy()
         chilled.theta = np.full(grid.n_cells, -3.0)  # unphysical, forced by hand
-        update_accumulator(acc, chilled, 0.1, acc.velocity_factor(chilled, grid))
+        advance(acc, [state, chilled], [0.1], grid)
         assert not acc.monotone_ok
 
     def test_out_of_sync_time_raises(self, grid, params, uniform_state):
@@ -145,7 +167,7 @@ class TestVelocityBand:
         profile = ProfileSpec(name="cosine")
         state = compatible_initial_data(profile, params, SF, grid)
         acc = make_accumulator(state, grid, params)
-        margin = velocity_band_check(acc, acc.velocity_factor(state, grid))
+        (margin,) = velocity_band_check(acc, acc.velocity_factor(state.u[None], grid))
         assert margin >= 0.0
         # u = u0 makes the factor exactly one; margin is distance to the
         # nearer band edge
@@ -160,29 +182,33 @@ class TestVelocityBand:
         acc = make_accumulator(state, grid, params)
         later = state.copy()
         later.t = 0.1
-        update_accumulator(acc, later, 0.1, acc.velocity_factor(later, grid))
+        advance(acc, [state, later], [0.1], grid)
         wild = later.copy()
         wild.u = np.full(grid.n_nodes, 50.0)
-        assert velocity_band_check(acc, acc.velocity_factor(wild, grid)) < 0.0
-        assert velocity_band_check(acc, acc.velocity_factor(later, grid)) >= 0.0
+        # one margin per row, each judging its own row
+        u = np.array([wild.u, later.u])
+        wild_margin, later_margin = velocity_band_check(acc, acc.velocity_factor(u, grid))
+        assert wild_margin < 0.0
+        assert later_margin >= 0.0
 
     def test_excursion_outside_is_flagged(self, grid, params, uniform_state):
         acc = make_accumulator(uniform_state, grid, params)
         wild = uniform_state.copy()
         wild.u = np.full(grid.n_nodes, 50.0)
-        assert velocity_band_check(acc, acc.velocity_factor(wild, grid)) < 0.0
+        (margin,) = velocity_band_check(acc, acc.velocity_factor(wild.u[None], grid))
+        assert margin < 0.0
 
 
 class TestBoundTracker:
     def test_steady_state_integrals(self, grid, params, uniform_state):
         tracker = make_tracker(uniform_state, grid, params)
-        state = uniform_state
+        states = [uniform_state]
         dt = 0.25
         for _ in range(4):
-            new = state.copy()
-            new.t = state.t + dt
-            update_bounds(tracker, state, new, dt, grid)
-            state = new
+            new = states[-1].copy()
+            new.t = states[-1].t + dt
+            states.append(new)
+        update_bounds(tracker, block_of(states, [dt] * 4), grid)
         # max theta = 1 at rest: the time integral equals elapsed time;
         # gradient and acceleration integrals stay exactly zero
         assert tracker.int_max_theta == pytest.approx(1.0, rel=1e-14)
@@ -199,7 +225,7 @@ class TestBoundTracker:
         dipped.t = 0.1
         dipped.v[3] = 0.4
         dipped.theta[5] = 0.7
-        update_bounds(tracker, uniform_state, dipped, 0.1, grid)
+        update_bounds(tracker, block_of([uniform_state, dipped], [0.1]), grid)
         assert tracker.min_v == pytest.approx(0.4)
         assert tracker.min_theta == pytest.approx(0.7)
 
@@ -212,7 +238,7 @@ class TestBoundTracker:
         later = broken.copy()
         later.t = 0.1
         with np.errstate(invalid="ignore"):
-            update_bounds(tracker, broken, later, 0.1, grid)
+            update_bounds(tracker, block_of([broken, later], [0.1]), grid)
         assert not tracker.monotone_ok
 
     def test_stress_scale_positive_at_rest(self, grid, params, uniform_state):
@@ -275,6 +301,11 @@ oracle_states = st.builds(
     velocities,
     positive_cells,
 )
+# consecutive states, each with the step that led to it (the first step is
+# unused: the first state is the one before the block)
+oracle_runs = st.lists(
+    st.tuples(oracle_states, st.floats(1e-6, 0.5)), min_size=2, max_size=6
+)
 
 
 def assert_same_fields(tracker, reference):
@@ -290,21 +321,60 @@ def assert_same_fields(tracker, reference):
 class TestUpdateBoundsOracle:
     @settings(max_examples=60, deadline=None)
     @given(
-        states=st.lists(oracle_states, min_size=2, max_size=4),
-        dt=st.floats(1e-6, 0.5),
+        run=oracle_runs,
         alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
         c_v=st.floats(0.2, 5.0),
     )
-    def test_bit_identical_to_grid_helpers(self, states, dt, alpha, c_v):
+    def test_bit_identical_to_grid_helpers(self, run, alpha, c_v):
+        states = [state for state, _ in run]
+        dts = [dt for _, dt in run[1:]]
         grid = Grid(ORACLE_CELLS)
         params = MaterialParams(alpha=alpha, c_v=c_v)
         tracker = make_tracker(states[0], grid, params)
+        whole = make_tracker(states[0], grid, params)
         reference = reference_make_tracker(states[0], grid, params)
         assert_same_fields(tracker, reference)
-        for prev, state in zip(states, states[1:]):
-            update_bounds(tracker, prev, state, dt, grid)
+        for i, dt in enumerate(dts):
+            prev, state = states[i], states[i + 1]
+            update_bounds(tracker, block_of([prev, state], [dt]), grid)
             reference_update_bounds(reference, prev, state, dt, grid)
             assert_same_fields(tracker, reference)
+        # the whole run folded as one block lands on the same bits
+        update_bounds(whole, block_of(states, dts), grid)
+        assert_same_fields(whole, reference)
+
+
+def reference_band_margin(acc, velocity_factor):
+    """The band margin of one state's factor, written as the distance of
+    every value to either edge."""
+    s = np.sqrt(2.0 * acc.e0)
+    lo = np.exp(-acc.k * s)
+    hi = np.exp(acc.k * s)
+    return float(min((velocity_factor - lo).min(), (hi - velocity_factor).min()))
+
+
+class TestBlockFoldOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(run=oracle_runs, alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    def test_one_block_matches_one_step_blocks(self, run, alpha):
+        states = [state for state, _ in run]
+        dts = [dt for _, dt in run[1:]]
+        grid = Grid(ORACLE_CELLS)
+        params = MaterialParams(alpha=alpha)
+        stepwise = make_accumulator(states[0], grid, params)
+        whole = make_accumulator(states[0], grid, params)
+        margins = []
+        for i, dt in enumerate(dts):
+            margins += advance(stepwise, states[i : i + 2], [dt], grid)
+        whole_margins = advance(whole, states, dts, grid)
+        for name in ("time_integral", "last_integrand"):
+            assert getattr(whole, name).tobytes() == getattr(stepwise, name).tobytes()
+        assert repr(whole.t) == repr(stepwise.t)
+        assert whole.monotone_ok == stepwise.monotone_ok
+        assert list(map(repr, whole_margins)) == list(map(repr, margins))
+        for state, margin in zip(states[1:], margins):
+            factor = whole.velocity_factor(state.u, grid)
+            assert repr(margin) == repr(reference_band_margin(whole, factor))
 
 
 class TestEnergyDrift:
