@@ -5,6 +5,16 @@ the residuals of the three evolution equations as additive sources, derived
 symbolically and compiled to numpy callables. Feeding the sources back into
 the scheme makes the manufactured triple the exact solution, which turns
 grid refinement into an order-of-accuracy measurement.
+
+The sources are compiled by location, one program per set of points: the
+cell centers (s_v and s_theta), the nodes (s_u) and the two walls (the
+stress that stress-free walls impose). Each program runs sympy's
+common-subexpression elimination once over its expressions. What depends on
+x alone (the cos(pi x) and sin(pi x) factors) is evaluated once per grid
+and kept with the program; a call at t evaluates only the rest. Every
+expression is folded with sp.N first: left exact, the order in which the
+printed code adds its terms followed string hashing, so the float sums
+differed between processes.
 """
 
 from __future__ import annotations
@@ -28,32 +38,125 @@ FieldFn = Callable[[np.ndarray, float], np.ndarray]
 _CASE_NAMES = ("default", "constant")
 
 
+def _shaped(value, shape: tuple[int, ...]) -> np.ndarray:
+    out = np.asarray(value, dtype=float)
+    # constant and t-only expressions evaluate to scalars; match the x shape
+    return np.broadcast_to(out, shape).copy() if out.shape == () else out
+
+
+def _compile(expr: sp.Expr) -> FieldFn:
+    fn = sp.lambdify((X, T), sp.N(expr), "numpy")
+
+    def evaluate(x: np.ndarray, t: float) -> np.ndarray:
+        return _shaped(fn(x, t), np.shape(x))
+
+    return evaluate
+
+
+def _hoist_x_only(reps, outs):
+    """Split the output of sp.cse into what depends on x alone and the rest.
+
+    Returns (hoisted, per_call, outs). hoisted holds (symbol, expression)
+    pairs in x alone, in evaluation order: the x-only replacements of the
+    elimination, then each largest x-only subexpression left inside the
+    other replacements or the outputs, which per_call and outs now name by
+    its symbol.
+    """
+    x_only = {X}
+    hoisted, per_call = [], []
+    for sym, expr in reps:
+        if expr.free_symbols <= x_only:
+            hoisted.append((sym, expr))
+            x_only.add(sym)
+        else:
+            per_call.append((sym, expr))
+    named = x_only - {X}
+    lifted: dict[sp.Expr, sp.Symbol] = {}
+    names = sp.numbered_symbols("h")
+
+    def lift(expr: sp.Expr) -> sp.Expr:
+        free = expr.free_symbols
+        if free and free <= x_only and expr not in named:
+            if expr not in lifted:
+                lifted[expr] = next(names)
+            return lifted[expr]
+        args = tuple(lift(arg) for arg in expr.args)
+        return expr.func(*args) if args != expr.args else expr
+
+    per_call = [(sym, lift(expr)) for sym, expr in per_call]
+    outs = [lift(expr) for expr in outs]
+    hoisted += [(sym, expr) for expr, sym in lifted.items()]
+    return hoisted, per_call, outs
+
+
+class _Program:
+    """Expressions sampled at one set of points, compiled as one program.
+
+    locate gives the points on a grid. The x-only factors of a grid are
+    evaluated on its first call and kept; a call at t evaluates the rest.
+    """
+
+    def __init__(
+        self, exprs: list[sp.Expr], locate: Callable[[Grid], np.ndarray]
+    ) -> None:
+        self.exprs = tuple(sp.N(expr) for expr in exprs)
+        reps, outs = sp.cse(self.exprs)
+        hoisted, per_call, outs = _hoist_x_only(reps, outs)
+        factors = [sym for sym, _ in hoisted]
+        self._factors = sp.lambdify(
+            (X,), factors, "numpy", cse=lambda _: (hoisted, factors)
+        )
+        self._outputs = sp.lambdify(
+            (T, *factors), outs, "numpy", cse=lambda _: (per_call, outs)
+        )
+        # an output reduced to a bare symbol is a kept factor or another
+        # output's array; it is copied so that no caller writes into those
+        self._copy = tuple(out.is_Symbol for out in outs)
+        self._locate = locate
+        self._on_grid: dict[Grid, tuple[list, tuple[int, ...]]] = {}
+
+    def __call__(self, x: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
+        """The expressions at any points x, their factors evaluated now."""
+        return self._run(self._factors(x), np.shape(x), t)
+
+    def on(self, grid: Grid, t: float) -> tuple[np.ndarray, ...]:
+        """The expressions at the program's points of grid."""
+        kept = self._on_grid.get(grid)
+        if kept is None:
+            x = self._locate(grid)
+            kept = self._on_grid[grid] = (self._factors(x), x.shape)
+        return self._run(*kept, t)
+
+    def _run(
+        self, factors: list, shape: tuple[int, ...], t: float
+    ) -> tuple[np.ndarray, ...]:
+        return tuple(
+            _shaped(np.array(value) if copy else value, shape)
+            for value, copy in zip(self._outputs(t, *factors), self._copy)
+        )
+
+
 @dataclass(frozen=True)
 class MmsCase:
-    """Compiled manufactured case: field, source, and stress evaluators."""
+    """Compiled manufactured case: fields, stress, and the source programs."""
 
     name: str
     v: FieldFn
     u: FieldFn
     theta: FieldFn
-    source_v: FieldFn
-    source_u: FieldFn
-    source_theta: FieldFn
     stress: FieldFn
+    cells: _Program  # (s_v, s_theta) at the cell centers
+    nodes: _Program  # (s_u,) at the nodes
+    walls: _Program  # (stress,) at x = 0 and x = 1
 
+    def source_v(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.cells(x, t)[0]
 
-def _compile(expr: sp.Expr) -> FieldFn:
-    # sp.N folds the exact coefficients into Floats first; left exact, the
-    # order in which the printed source adds its terms followed string
-    # hashing, so the float sums differed between processes
-    fn = sp.lambdify((X, T), sp.N(expr), "numpy")
+    def source_u(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.nodes(x, t)[0]
 
-    def evaluate(x: np.ndarray, t: float) -> np.ndarray:
-        out = np.asarray(fn(x, t), dtype=float)
-        # constant expressions lambdify to scalars; match the x shape
-        return np.broadcast_to(out, np.shape(x)).copy() if out.shape == () else out
-
-    return evaluate
+    def source_theta(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.cells(x, t)[1]
 
 
 def build_case(
@@ -83,16 +186,16 @@ def build_case(
         - mu * sp.diff(u_expr, X) ** 2 / v_expr
     )
 
-    fields = {
-        "v": _compile(v_expr),
-        "u": _compile(u_expr),
-        "theta": _compile(theta_expr),
-        "source_v": _compile(s_v),
-        "source_u": _compile(s_u),
-        "source_theta": _compile(s_theta),
-        "stress": _compile(sigma),
-    }
-    return MmsCase(name=name, **fields)
+    return MmsCase(
+        name=name,
+        v=_compile(v_expr),
+        u=_compile(u_expr),
+        theta=_compile(theta_expr),
+        stress=_compile(sigma),
+        cells=_Program([s_v, s_theta], lambda grid: grid.centers),
+        nodes=_Program([s_u], lambda grid: grid.nodes),
+        walls=_Program([sigma], lambda grid: np.array([0.0, 1.0])),
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,8 +225,6 @@ def mms_sources(
     case: MmsCase, grid: Grid, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sources at one time level: (cells, nodes, cells) for (v, u, theta)."""
-    return (
-        case.source_v(grid.centers, t),
-        case.source_u(grid.nodes, t),
-        case.source_theta(grid.centers, t),
-    )
+    s_v, s_theta = case.cells.on(grid, t)
+    (s_u,) = case.nodes.on(grid, t)
+    return s_v, s_u, s_theta

@@ -27,14 +27,18 @@ GOLDEN = {
         "c3f61f1479ca78692016c69e0d3d2cf8296e064261983dfee2571911d141b09c",
     ),
     "mms_default": (
-        "0f869720bfb4a897cfbfe18d8f377c39afa770fd0ca99e949eea794f4d986df7",
-        "40ed01f5ce047e3ee30dcc86e6514a67ea25a422a1d85d72757adfad5460471f",
+        "bcb824de35fdecfb1227ee6a918a2105d389ce84607f8cf0381fd4c53accf10b",
+        "99aaefc14963ffada89bda4643d611c856a32df3a3a0d892d7d280082c720864",
     ),
     "noslip_steady": (
         "8587295430a99bedc4664b83b03bd60e61d3070fcdb6c1606e534195744d4add",
         "0558c0997701acdf13b8a26aab1408814c92645faac939ed876cbdcba9e23ea9",
     ),
 }
+
+# sha256 of the stdout of `lagns convergence --config configs/mms_default.json
+# --levels 3`: the observed-order contract, pinned to the printed digits
+CONVERGENCE_DIGEST = "5bb3fa456e5e1e807d46ca73e2d266f8860b9055a037884083e10515b0722a29"
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -102,7 +106,7 @@ class TestCmdRun:
         # generated code must not depend on the interpreter's string hashing
         src = str(Path(lagns.__file__).resolve().parents[1])
         config = str(CONFIGS / "mms_default.json")
-        runs = {}
+        runs, studies = {}, []
         for seed in ("1", "2"):
             out = tmp_path / f"seed{seed}"
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
@@ -111,6 +115,11 @@ class TestCmdRun:
                  "--out", str(out)],
                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             )
+            studies.append(subprocess.Popen(
+                [sys.executable, "-m", "lagns", "convergence", "--config", config,
+                 "--levels", "3"],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            ))
         outputs = []
         for out, proc in runs.items():
             _, err = proc.communicate(timeout=120)
@@ -118,6 +127,10 @@ class TestCmdRun:
             names = ("timeseries.csv", "snapshot.csv")
             outputs.append([(out / name).read_bytes() for name in names])
         assert outputs[0] == outputs[1]
+        for proc in studies:
+            stdout, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert hashlib.sha256(stdout).hexdigest() == CONVERGENCE_DIGEST
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
     def test_golden_outputs(self, name, tmp_path):
@@ -210,6 +223,7 @@ class TestCmdConvergence:
         assert cli.cmd_convergence(str(CONFIGS / "mms_default.json"), 3) == 0
         out = capsys.readouterr().out
         assert "min observed order" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == CONVERGENCE_DIGEST
 
 
 class TestCmdSweep:

@@ -1,9 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lagns.driver as driver
 from lagns import (
     BoundaryKind,
+    Grid,
     MaterialParams,
     Scenario,
     build_case,
@@ -11,7 +17,13 @@ from lagns import (
     mms_sources,
     run,
 )
-from lagns.mms import T
+from lagns.mms import T, X
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestBuildCase:
@@ -113,18 +125,127 @@ class TestSourcesAgainstFiniteDifferences:
             assert case.source_theta(x0, t0) == pytest.approx(expect_sth, abs=1e-5)
 
     def test_mms_sources_sampled_on_grid(self):
-        from lagns import Grid
-
         params = MaterialParams()
         case = manufactured_case("default", params)
         grid = Grid(2)
         sv, su, sth = mms_sources(case, grid, 0.2)
-        np.testing.assert_allclose(sv, case.source_v(grid.centers, 0.2))
-        np.testing.assert_allclose(su, case.source_u(grid.nodes, 0.2))
-        np.testing.assert_allclose(sth, case.source_theta(grid.centers, 0.2))
+        assert_bits_equal(sv, case.source_v(grid.centers, 0.2))
+        assert_bits_equal(su, case.source_u(grid.nodes, 0.2))
+        assert_bits_equal(sth, case.source_theta(grid.centers, 0.2))
+
+
+@functools.cache
+def compiled_case(name: str):
+    params = MaterialParams()
+    if name == "heating":
+        # v* = 1 and u* = 0 leave constant continuity and momentum sources;
+        # theta* = 1 + t^2 leaves the theta source 2 c_v t, in t alone
+        return build_case(name, sp.Integer(1), sp.Integer(0), 1 + T**2, params)
+    # a fresh build, so that its first grid is a first use
+    return manufactured_case.__wrapped__(name, params)
+
+
+@functools.cache
+def plain_reference(expr):
+    """expr lambdified without elimination, and the scale of its rounding.
+
+    The scale is the largest sum of the magnitudes of expr's summands: the
+    same sum evaluated in another grouping differs by a few ulp of that,
+    not of the result, which may cancel to far less.
+    """
+    fn = sp.lambdify((X, T), sp.N(expr), "numpy")
+    terms = [sp.lambdify((X, T), term, "numpy") for term in sp.Add.make_args(sp.N(expr))]
+
+    def evaluate(x, t):
+        value = np.broadcast_to(fn(x, t), x.shape)
+        scale = sum(np.abs(np.broadcast_to(term(x, t), x.shape)) for term in terms)
+        return value, float(np.max(scale))
+
+    return evaluate
+
+
+class TestCompiledSources:
+    """The per-grid programs against the one-shot path and a plain lambdify."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["default", "constant", "heating"]),
+        n_cells=st.integers(8, 256),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_grid_sources_match_one_shot_and_plain_lambdify(self, name, n_cells, t):
+        case = compiled_case(name)
+        grid = Grid(n_cells)
+        s_v, s_u, s_theta = mms_sources(case, grid, t)
+        checks = (
+            (s_v, grid.centers, case.source_v, case.cells.exprs[0]),
+            (s_u, grid.nodes, case.source_u, case.nodes.exprs[0]),
+            (s_theta, grid.centers, case.source_theta, case.cells.exprs[1]),
+        )
+        for got, x, one_shot, expr in checks:
+            assert got.shape == x.shape
+            assert_bits_equal(got, one_shot(x, t))
+            want, scale = plain_reference(expr)(x, t)
+            assert np.max(np.abs(got - want)) <= 8 * np.spacing(scale)
+
+    def test_constant_and_t_only_sources_take_the_shape_of_x(self):
+        case = compiled_case("heating")
+        grid = Grid(8)
+        s_v, s_u, s_theta = mms_sources(case, grid, 0.25)
+        assert_bits_equal(s_v, np.zeros(8))
+        assert_bits_equal(s_u, np.zeros(9))
+        assert_bits_equal(s_theta, np.full(8, 0.5))
+        assert case.source_theta(np.zeros((2, 3)), 0.5).shape == (2, 3)
+        assert case.source_theta(0.3, 0.5).shape == ()
+
+    def test_grid_order_gives_fresh_values(self):
+        case = manufactured_case.__wrapped__("default", MaterialParams())
+        for n, t in ((16, 0.1), (32, 0.2), (16, 0.3)):
+            grid = Grid(n)
+            s_v, s_u, s_theta = mms_sources(case, grid, t)
+            assert_bits_equal(s_v, case.source_v(grid.centers, t))
+            assert_bits_equal(s_u, case.source_u(grid.nodes, t))
+            assert_bits_equal(s_theta, case.source_theta(grid.centers, t))
+
+    def test_x_only_outputs_are_fresh_arrays(self):
+        # a steady triple: the wall stress -R theta*/v* depends on x alone,
+        # so its program returns a factor kept for the grid
+        v_expr = 1 + sp.Rational(1, 10) * sp.cos(sp.pi * X)
+        case = build_case("steady", v_expr, sp.Integer(0), sp.Integer(1), MaterialParams())
+        grid = Grid(8)
+        (first,) = case.walls.on(grid, 0.0)
+        want = first.copy()
+        first[:] = 0.0
+        (again,) = case.walls.on(grid, 0.5)
+        assert_bits_equal(again, want)
 
 
 class TestStressFreeForcing:
+    def test_per_step_wall_stress_matches_one_shot(self, monkeypatch):
+        imposed = []
+        real_step = driver.step
+
+        def recording_step(state, dt, params, bc, grid, sources, stress_bc, previous):
+            imposed.append((state.t + dt, stress_bc))
+            return real_step(state, dt, params, bc, grid, sources, stress_bc, previous)
+
+        monkeypatch.setattr(driver, "step", recording_step)
+        scenario = Scenario(
+            bc=BoundaryKind.STRESS_FREE, n_cells=16, t_end=0.05,
+            output_every=0.025, mms="default", dt_max=1.0 / 16**2,
+        )
+        params = run(scenario).scenario.params
+        case = manufactured_case("default", params)
+        walls = np.array([0.0, 1.0])
+        plain = plain_reference(case.walls.exprs[0])
+        assert len(imposed) > 10
+        for t, stress_bc in imposed:
+            (one_shot,) = case.walls(walls, t)
+            assert_bits_equal(np.array(stress_bc), one_shot)
+            _, scale = plain(walls, t)
+            want = case.stress(walls, t)
+            assert np.max(np.abs(one_shot - want)) <= 8 * np.spacing(scale)
+
     def test_error_shrinks_under_refinement(self):
         # stress-free walls with the manufactured wall stress imposed as
         # boundary data; quartering dx should shrink the error by about 4x
