@@ -109,13 +109,13 @@ def initial_state(scenario: Scenario, grid: Grid, case: MmsCase | None) -> State
 
 
 def _imposed_wall_stress(
-    case: MmsCase | None, bc: BoundaryKind, grid: Grid, t: float
+    case: MmsCase | None, bc: BoundaryKind, t: float
 ) -> tuple[float, float]:
     """Wall stress imposed at time t: the manufactured value on stress-free
     walls of a forced run, zero otherwise."""
     if case is None or bc is not BoundaryKind.STRESS_FREE:
         return 0.0, 0.0
-    (values,) = case.walls.on(grid, t)
+    values = case.wall_stress(t)
     return float(values[0]), float(values[1])
 
 
@@ -207,7 +207,7 @@ def run(scenario: Scenario) -> RunResult:
                 sources = (
                     mms_sources(case, grid, state.t + dt) if case is not None else None
                 )
-                stress_bc = _imposed_wall_stress(case, bc, grid, state.t + dt)
+                stress_bc = _imposed_wall_stress(case, bc, state.t + dt)
                 new_state = step(
                     state, dt, params, bc, grid, sources, stress_bc, previous
                 )
@@ -232,7 +232,7 @@ def run(scenario: Scenario) -> RunResult:
 
         if row_due:
             resid = boundary_stress_residual(
-                state, params, grid, bc, _imposed_wall_stress(case, bc, grid, state.t)
+                state, params, grid, bc, _imposed_wall_stress(case, bc, state.t)
             )
             energy = total_energy(state, grid, params.c_v)
             rows.append(

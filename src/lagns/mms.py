@@ -8,10 +8,11 @@ grid refinement into an order-of-accuracy measurement.
 
 The sources are compiled by location, one program per set of points: the
 cell centers (s_v and s_theta), the nodes (s_u) and the two walls (the
-stress that stress-free walls impose). Each program runs sympy's
-common-subexpression elimination once over its expressions. What depends on
-x alone (the cos(pi x) and sin(pi x) factors) is evaluated once per grid
-and kept with the program; a call at t evaluates only the rest. Every
+stress that stress-free walls impose; the case's stress at any x runs the
+same program). Each program runs sympy's common-subexpression elimination
+once over its expressions. What depends on x alone (the cos(pi x) and
+sin(pi x) factors) is evaluated once per grid, or once per case at the
+walls, and kept with the case; a call at t evaluates only the rest. Every
 expression is folded with sp.N first: left exact, the order in which the
 printed code adds its terms followed string hashing, so the float sums
 differed between processes.
@@ -20,7 +21,7 @@ differed between processes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -90,15 +91,13 @@ def _hoist_x_only(reps, outs):
 
 
 class _Program:
-    """Expressions sampled at one set of points, compiled as one program.
+    """Expressions compiled as one program over a set of points.
 
-    locate gives the points on a grid. The x-only factors of a grid are
-    evaluated on its first call and kept; a call at t evaluates the rest.
+    at(x) evaluates the x-only factors on x once and returns the program at
+    those points as a function of t, which evaluates only the rest.
     """
 
-    def __init__(
-        self, exprs: list[sp.Expr], locate: Callable[[Grid], np.ndarray]
-    ) -> None:
+    def __init__(self, exprs: list[sp.Expr]) -> None:
         self.exprs = tuple(sp.N(expr) for expr in exprs)
         reps, outs = sp.cse(self.exprs)
         hoisted, per_call, outs = _hoist_x_only(reps, outs)
@@ -112,20 +111,14 @@ class _Program:
         # an output reduced to a bare symbol is a kept factor or another
         # output's array; it is copied so that no caller writes into those
         self._copy = tuple(out.is_Symbol for out in outs)
-        self._locate = locate
-        self._on_grid: dict[Grid, tuple[list, tuple[int, ...]]] = {}
 
     def __call__(self, x: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
         """The expressions at any points x, their factors evaluated now."""
-        return self._run(self._factors(x), np.shape(x), t)
+        return self.at(x)(t)
 
-    def on(self, grid: Grid, t: float) -> tuple[np.ndarray, ...]:
-        """The expressions at the program's points of grid."""
-        kept = self._on_grid.get(grid)
-        if kept is None:
-            x = self._locate(grid)
-            kept = self._on_grid[grid] = (self._factors(x), x.shape)
-        return self._run(*kept, t)
+    def at(self, x: np.ndarray) -> Callable[[float], tuple[np.ndarray, ...]]:
+        """The expressions at the fixed points x as a function of t."""
+        return functools.partial(self._run, self._factors(x), np.shape(x))
 
     def _run(
         self, factors: list, shape: tuple[int, ...], t: float
@@ -138,16 +131,22 @@ class _Program:
 
 @dataclass(frozen=True)
 class MmsCase:
-    """Compiled manufactured case: fields, stress, and the source programs."""
+    """Compiled manufactured case: fields and the source programs."""
 
     name: str
     v: FieldFn
     u: FieldFn
     theta: FieldFn
-    stress: FieldFn
-    cells: _Program  # (s_v, s_theta) at the cell centers
-    nodes: _Program  # (s_u,) at the nodes
-    walls: _Program  # (stress,) at x = 0 and x = 1
+    cells: _Program  # (s_v, s_theta), sampled at the cell centers
+    nodes: _Program  # (s_u,), sampled at the nodes
+    walls: _Program  # (stress,), sampled at x = 0 and x = 1
+    # the cell and node programs at each grid's points, kept by mms_sources
+    _on_grid: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def stress(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.walls(x, t)[0]
 
     def source_v(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.cells(x, t)[0]
@@ -157,6 +156,14 @@ class MmsCase:
 
     def source_theta(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.cells(x, t)[1]
+
+    def wall_stress(self, t: float) -> np.ndarray:
+        """The stress at x = 0 and x = 1, from factors evaluated once."""
+        return self._at_walls(t)[0]
+
+    @functools.cached_property
+    def _at_walls(self) -> Callable[[float], tuple[np.ndarray, ...]]:
+        return self.walls.at(np.array([0.0, 1.0]))
 
 
 def build_case(
@@ -191,10 +198,9 @@ def build_case(
         v=_compile(v_expr),
         u=_compile(u_expr),
         theta=_compile(theta_expr),
-        stress=_compile(sigma),
-        cells=_Program([s_v, s_theta], lambda grid: grid.centers),
-        nodes=_Program([s_u], lambda grid: grid.nodes),
-        walls=_Program([sigma], lambda grid: np.array([0.0, 1.0])),
+        cells=_Program([s_v, s_theta]),
+        nodes=_Program([s_u]),
+        walls=_Program([sigma]),
     )
 
 
@@ -224,7 +230,17 @@ def manufactured_case(name: str, params: MaterialParams) -> MmsCase:
 def mms_sources(
     case: MmsCase, grid: Grid, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sources at one time level: (cells, nodes, cells) for (v, u, theta)."""
-    s_v, s_theta = case.cells.on(grid, t)
-    (s_u,) = case.nodes.on(grid, t)
+    """Sources at one time level: (cells, nodes, cells) for (v, u, theta).
+
+    The x-only factors of a grid are evaluated on its first use and kept.
+    """
+    kept = case._on_grid.get(grid)
+    if kept is None:
+        kept = case._on_grid[grid] = (
+            case.cells.at(grid.centers),
+            case.nodes.at(grid.nodes),
+        )
+    cells, nodes = kept
+    s_v, s_theta = cells(t)
+    (s_u,) = nodes(t)
     return s_v, s_u, s_theta

@@ -151,7 +151,11 @@ def plain_reference(expr):
 
     The scale is the largest sum of the magnitudes of expr's summands: the
     same sum evaluated in another grouping differs by a few ulp of that,
-    not of the result, which may cancel to far less.
+    not of the result, which may cancel to far less. Do not tighten it to
+    max|source|: s_u of the default case is a sum of terms of about 0.3
+    that cancel to about 0.018 near t = 0.95, where the compiled and plain
+    forms differ by up to 46 ulp of max|s_u| but at most 7 ulp of this
+    scale.
     """
     fn = sp.lambdify((X, T), sp.N(expr), "numpy")
     terms = [sp.lambdify((X, T), term, "numpy") for term in sp.Add.make_args(sp.N(expr))]
@@ -209,15 +213,13 @@ class TestCompiledSources:
 
     def test_x_only_outputs_are_fresh_arrays(self):
         # a steady triple: the wall stress -R theta*/v* depends on x alone,
-        # so its program returns a factor kept for the grid
+        # so its program returns a factor kept for the case
         v_expr = 1 + sp.Rational(1, 10) * sp.cos(sp.pi * X)
         case = build_case("steady", v_expr, sp.Integer(0), sp.Integer(1), MaterialParams())
-        grid = Grid(8)
-        (first,) = case.walls.on(grid, 0.0)
+        first = case.wall_stress(0.0)
         want = first.copy()
         first[:] = 0.0
-        (again,) = case.walls.on(grid, 0.5)
-        assert_bits_equal(again, want)
+        assert_bits_equal(case.wall_stress(0.5), want)
 
 
 class TestStressFreeForcing:
@@ -240,10 +242,9 @@ class TestStressFreeForcing:
         plain = plain_reference(case.walls.exprs[0])
         assert len(imposed) > 10
         for t, stress_bc in imposed:
-            (one_shot,) = case.walls(walls, t)
+            one_shot = case.stress(walls, t)
             assert_bits_equal(np.array(stress_bc), one_shot)
-            _, scale = plain(walls, t)
-            want = case.stress(walls, t)
+            want, scale = plain(walls, t)
             assert np.max(np.abs(one_shot - want)) <= 8 * np.spacing(scale)
 
     def test_error_shrinks_under_refinement(self):
