@@ -63,7 +63,6 @@ from .verify import (
     make_accumulator,
     make_tracker,
     representation_residual,
-    stress_magnitude_scale,
     update_accumulator,
     update_bounds,
     velocity_band_check,

@@ -177,7 +177,7 @@ def run(scenario: Scenario) -> RunResult:
         manufactured_case(scenario.mms, params) if scenario.mms is not None else None
     )
     state = initial_state(scenario, grid, case)
-    previous: State | None = None
+    history: tuple[State, ...] = ()
     initial_residual = compatibility_residual(state, params, bc, grid)
 
     acc = make_accumulator(state, grid, params)
@@ -209,7 +209,7 @@ def run(scenario: Scenario) -> RunResult:
                 )
                 stress_bc = _imposed_wall_stress(case, bc, state.t + dt)
                 new_state = step(
-                    state, dt, params, bc, grid, sources, stress_bc, previous
+                    state, dt, params, bc, grid, sources, stress_bc, history
                 )
             except StepRejected as exc:
                 halvings += 1
@@ -222,7 +222,7 @@ def run(scenario: Scenario) -> RunResult:
         if status == "aborted":
             break
 
-        previous, state = state, new_state
+        history, state = (state, *history[:1]), new_state
         full = block.push(state, dt)
         row_due = state.t >= out_index * scenario.output_every - eps
         if full or row_due:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -55,6 +56,10 @@ _PROFILE_DEFAULTS: dict[str, dict[str, float]] = {
     },
     "constant": {"v": 1.0, "theta": 1.0},
 }
+# largest |u_amp| of the cosine profile: the squared initial velocity
+# gradient, at most (pi u_amp)^2 per cell, then stays finite summed over as
+# many cells as an array can hold (2^63), and so does the kinetic energy
+_U_AMP_MAX = math.sqrt(sys.float_info.max / 2.0**63) / math.pi
 
 
 def _reject_unknown(block: dict, allowed: set[str], context: str) -> None:
@@ -68,11 +73,12 @@ class ProfileSpec:
     """Named initial-profile family with its amplitude parameters.
 
     Made only if the name and amplitude keys are known, the analytic
-    infima of v0 and theta0 are positive and their suprema are finite: this
-    is the one home of the rule that initial data stays away from vacuum
-    and inside the float range. Both families are compatible
-    with either kind of wall by construction: theta0' and the no-slip u0
-    vanish at x = 0 and x = 1.
+    infima of v0 and theta0 are positive, their suprema are finite and
+    |u_amp| is small enough that the initial kinetic energy and squared
+    velocity gradient cannot overflow: this is the one home of the rule
+    that initial data stays away from vacuum and inside the float range.
+    Both families are compatible with either kind of wall by construction:
+    theta0' and the no-slip u0 vanish at x = 0 and x = 1.
     """
 
     name: str = "cosine"
@@ -105,6 +111,12 @@ class ProfileSpec:
             raise ConfigError(
                 f"profile {self.name!r} overflows: sup v0 = {sup_v}, "
                 f"sup theta0 = {sup_theta}; initial data must be finite"
+            )
+        if self.name == "cosine" and not abs(a["u_amp"]) <= _U_AMP_MAX:
+            raise ConfigError(
+                f"profile {self.name!r} overflows: |u_amp| = {abs(a['u_amp'])} "
+                f"exceeds {_U_AMP_MAX:.6g}, beyond which the initial kinetic "
+                "energy or squared velocity gradient can overflow"
             )
 
     def values(self) -> dict[str, float]:

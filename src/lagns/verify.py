@@ -60,7 +60,6 @@ __all__ = [
     "update_bounds",
     "energy_drift",
     "boundary_stress_residual",
-    "stress_magnitude_scale",
 ]
 
 
@@ -252,19 +251,12 @@ class BoundTracker:
 def _stress_scale(
     v: np.ndarray, theta: np.ndarray, g: np.ndarray, params: MaterialParams
 ) -> np.ndarray:
+    """Largest cellwise magnitude of the stress ingredients mu|u_x|/v + P,
+    per row: the natural size of the stress even where the total nearly
+    cancels, as it does throughout a stress-free run; it normalizes the
+    boundary-residual bounds of verification_table."""
     scale = viscosity(v, params) * np.abs(g) / v + pressure(v, theta, params)
     return scale.max(axis=-1)
-
-
-def stress_magnitude_scale(state: State, params: MaterialParams, grid: Grid) -> float:
-    """Largest cellwise magnitude of the stress ingredients mu|u_x|/v + P.
-
-    This is the natural size of the stress components even when the total
-    stress nearly cancels, which it does throughout a stress-free run; it
-    normalizes the boundary-residual bound.
-    """
-    scale = _stress_scale(state.v, state.theta, du_dx_cells(state.u, grid), params)
-    return float(scale)
 
 
 def _fold_extrema(

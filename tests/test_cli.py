@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,20 +20,20 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # say which bits moved and why
 GOLDEN = {
     "alpha0": (
-        "203abe076e98d70a469bd152c19465e9788be4dc1ceab3c62d7d624b29878261",
-        "86bcf171d2722fadd59d40b067afdbe54f50b177447ed397a5e70286add296f9",
+        "cda63a62ad809ef6b03c52f0e4d9ccbf48e4b2f45a5527abbb5cea2285114dff",
+        "39c41a8369baee9517454c0934a3e90a9b01eed79b2b5edb8d8f15771cdfbbd7",
     ),
     "default": (
-        "f04b6a220186fc67b2e8ab15651ef802fea565362150597640e9e47c6ac9a3d7",
-        "c3f61f1479ca78692016c69e0d3d2cf8296e064261983dfee2571911d141b09c",
+        "5ec2724f25f3699beeaa1650f1c0467d9f6a8d948351d5dc356689d6589808e7",
+        "1f84be3e19c6842d5bbf64768dadbefaa9312877ab473a13c1026c38d32e090c",
     ),
     "mms_default": (
-        "bcb824de35fdecfb1227ee6a918a2105d389ce84607f8cf0381fd4c53accf10b",
-        "99aaefc14963ffada89bda4643d611c856a32df3a3a0d892d7d280082c720864",
+        "539a131c27a4742acb21d0007ea83e205fd80d558d7ec6c81203565b14a867b5",
+        "84e5a0eea4d9f3aac16444b55ae06ac38cd3c853665386bd46cd216bfda8f989",
     ),
     "noslip_steady": (
-        "8587295430a99bedc4664b83b03bd60e61d3070fcdb6c1606e534195744d4add",
-        "0558c0997701acdf13b8a26aab1408814c92645faac939ed876cbdcba9e23ea9",
+        "f60169030c0bb5ce2f3835bf385c3c6b82b20c25fe04efa218c05b4eb4dd950e",
+        "226c2fe441d516cd5f5c452d05464d50f4048cdc4d4cb60b6909df3c41774f9b",
     ),
 }
 
@@ -182,6 +183,19 @@ class TestCmdVerify:
         assert cli.cmd_verify(path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: profile 'cosine' overflows")
+        assert "Traceback" not in err
+
+    def test_overflowing_velocity_amplitude_exits_two(self, tmp_path, capsys):
+        # rejected at parse time, before any arithmetic can overflow
+        path = write_config(tmp_path, {
+            "bc": "no_slip",
+            "profile": {"name": "cosine", "amplitudes": {"u_amp": 1e308}},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.cmd_verify(path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile 'cosine' overflows: |u_amp|")
         assert "Traceback" not in err
 
     def test_mms_config_rejected_as_usage(self, tmp_path, capsys):

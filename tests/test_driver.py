@@ -66,6 +66,16 @@ class TestRun:
         result = run(scenario)
         assert result.report.status == "completed"
 
+    @pytest.mark.parametrize("name", ["noslip_steady", "mms_default"])
+    def test_no_slip_walls_exactly_at_rest(self, name):
+        # the rows next to the walls do not couple to them, so gtsv cannot
+        # return a wall velocity as rounding noise
+        result = run(load_config(CONFIGS / f"{name}.json"))
+        assert result.report.status == "completed"
+        assert result.state.u[0] == 0.0 and result.state.u[-1] == 0.0
+        for row in result.report.rows:
+            assert row.boundary_resid_left == row.boundary_resid_right == 0.0
+
     def test_abort_keeps_partial_rows(self):
         # a violent initial velocity drives compression hard enough that
         # halving bottoms out at dt_min and the run aborts mid-flight,

@@ -227,9 +227,9 @@ class TestStressFreeForcing:
         imposed = []
         real_step = driver.step
 
-        def recording_step(state, dt, params, bc, grid, sources, stress_bc, previous):
+        def recording_step(state, dt, params, bc, grid, sources, stress_bc, history):
             imposed.append((state.t + dt, stress_bc))
-            return real_step(state, dt, params, bc, grid, sources, stress_bc, previous)
+            return real_step(state, dt, params, bc, grid, sources, stress_bc, history)
 
         monkeypatch.setattr(driver, "step", recording_step)
         scenario = Scenario(

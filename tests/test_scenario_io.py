@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,18 +10,24 @@ from lagns import (
     DiagnosticsReport,
     DiagnosticsRow,
     Grid,
+    MaterialParams,
     ProfileSpec,
     Scenario,
     State,
     TIMESERIES_COLUMNS,
+    compatibility_residual,
+    compatible_initial_data,
     emit_snapshot,
     emit_timeseries,
     load_config,
+    make_accumulator,
+    make_tracker,
     parse_config,
     parse_snapshot,
     parse_timeseries,
     run,
 )
+from lagns.scenario import _U_AMP_MAX
 
 
 def make_row(t, **overrides):
@@ -96,6 +103,27 @@ class TestParseConfig:
     def test_vacuum_amplitude_rejected(self):
         with pytest.raises(ConfigError, match="vacuum"):
             parse_config('{"profile": {"amplitudes": {"v_amp": 1.0}}}')
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_largest_velocity_amplitude_sets_up_quietly(self, sign):
+        # the largest accepted |u_amp| sets up a no-slip run (wall residual,
+        # accumulator, tracker) without overflow; one ulp more is rejected
+        u_amp = sign * _U_AMP_MAX
+        profile = ProfileSpec(amplitudes=(("u_amp", u_amp),))
+        params = MaterialParams()
+        for n in (8, 128, 4096):
+            grid = Grid(n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                state = compatible_initial_data(
+                    profile, params, BoundaryKind.NO_SLIP, grid
+                )
+                compatibility_residual(state, params, BoundaryKind.NO_SLIP, grid)
+                acc = make_accumulator(state, grid, params)
+                tracker = make_tracker(state, grid, params)
+            assert np.isfinite(acc.e0) and np.isfinite(tracker.sup_u_x_sq)
+        with pytest.raises(ConfigError, match="u_amp"):
+            ProfileSpec(amplitudes=(("u_amp", np.nextafter(u_amp, 2.0 * u_amp)),))
 
     def test_invalid_json_wrapped(self):
         with pytest.raises(ConfigError, match="not valid JSON"):

@@ -18,13 +18,14 @@ from lagns import (
     initial_volume_factor,
     make_accumulator,
     make_tracker,
+    pressure,
     representation_residual,
-    stress_magnitude_scale,
     total_energy,
     update_accumulator,
     update_bounds,
     velocity_band_check,
     velocity_integral_factor,
+    viscosity,
     viscosity_volume_factor,
 )
 from lagns.grid import cell_integral, du_dx_cells, grad_l2_sq, node_weights
@@ -33,6 +34,16 @@ from lagns.verify import BoundTracker
 
 SF = BoundaryKind.STRESS_FREE
 NS = BoundaryKind.NO_SLIP
+
+
+def stress_magnitude_scale(state, params, grid):
+    """Largest cellwise magnitude of the stress ingredients mu|u_x|/v + P,
+    written with the grid helper: the oracle of the tracker's scale."""
+    g = du_dx_cells(state.u, grid)
+    scale = viscosity(state.v, params) * np.abs(g) / state.v + pressure(
+        state.v, state.theta, params
+    )
+    return float(scale.max())
 
 
 def block_of(states, dts):
