@@ -16,27 +16,47 @@ walls, and kept with the case; a call at t evaluates only the rest. Every
 expression is folded with sp.N first: left exact, the order in which the
 printed code adds its terms followed string hashing, so the float sums
 differed between processes.
+
+sympy is imported on the first case build (build_case or
+manufactured_case) or the first use of the symbols X and T, not with the
+module: the case names, MmsCase and mms_sources run without it, so a
+physical run never loads it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import sympy as sp
 
 from .constitutive import MaterialParams
 from .grid import Grid
 
-__all__ = ["X", "T", "MmsCase", "build_case", "manufactured_case", "mms_sources"]
+if TYPE_CHECKING:
+    import sympy as sp
 
-X, T = sp.symbols("x t", real=True)
+__all__ = ["X", "T", "MmsCase", "build_case", "manufactured_case", "mms_sources"]
 
 FieldFn = Callable[[np.ndarray, float], np.ndarray]
 
 _CASE_NAMES = ("default", "constant")
+
+
+@functools.cache
+def _symbols() -> tuple[sp.Symbol, sp.Symbol]:
+    """The symbols x and t of every case, made on first use."""
+    import sympy as sp
+
+    return sp.symbols("x t", real=True)
+
+
+def __getattr__(name: str):
+    # X and T are made with sympy, so the module resolves them on access
+    if name in ("X", "T"):
+        return _symbols()["XT".index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _shaped(value, shape: tuple[int, ...]) -> np.ndarray:
@@ -46,6 +66,9 @@ def _shaped(value, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _compile(expr: sp.Expr) -> FieldFn:
+    import sympy as sp
+
+    X, T = _symbols()
     fn = sp.lambdify((X, T), sp.N(expr), "numpy")
 
     def evaluate(x: np.ndarray, t: float) -> np.ndarray:
@@ -63,6 +86,9 @@ def _hoist_x_only(reps, outs):
     other replacements or the outputs, which per_call and outs now name by
     its symbol.
     """
+    import sympy as sp
+
+    X, _ = _symbols()
     x_only = {X}
     hoisted, per_call = [], []
     for sym, expr in reps:
@@ -98,6 +124,9 @@ class _Program:
     """
 
     def __init__(self, exprs: list[sp.Expr]) -> None:
+        import sympy as sp
+
+        X, T = _symbols()
         self.exprs = tuple(sp.N(expr) for expr in exprs)
         reps, outs = sp.cse(self.exprs)
         hoisted, per_call, outs = _hoist_x_only(reps, outs)
@@ -179,6 +208,9 @@ def build_case(
     temperature equations evaluated on the triple; an exact solution yields
     zero sources.
     """
+    import sympy as sp
+
+    X, T = _symbols()
     mu = params.mu_tilde * (1 + v_expr ** (-sp.Float(params.alpha)))
     kappa = params.kappa_tilde * theta_expr ** sp.Float(params.beta)
     pressure = params.R * theta_expr / v_expr
@@ -212,6 +244,9 @@ def manufactured_case(name: str, params: MaterialParams) -> MmsCase:
     (exact no-slip data) and whose theta* has zero wall slope. "constant":
     the uniform steady state, an exact solution with zero sources.
     """
+    import sympy as sp
+
+    X, T = _symbols()
     if name == "default":
         v_expr = 1 + sp.Rational(1, 10) * sp.exp(-T) * sp.cos(sp.pi * X)
         u_expr = sp.Rational(1, 10) * sp.sin(sp.pi * T) * sp.sin(sp.pi * X)

@@ -14,6 +14,8 @@ import lagns.driver as driver
 from lagns import parse_timeseries
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the import root of lagns, for PYTHONPATH in subprocesses
+SRC = str(Path(lagns.__file__).resolve().parents[1])
 
 # sha256 of (timeseries.csv, snapshot.csv) written by `lagns run` for each
 # shipped config; a change that moves any output bit must update these and
@@ -105,12 +107,11 @@ class TestCmdRun:
     def test_mms_run_byte_identical_across_hash_seeds(self, tmp_path):
         # the manufactured sources are compiled from sympy expressions; their
         # generated code must not depend on the interpreter's string hashing
-        src = str(Path(lagns.__file__).resolve().parents[1])
         config = str(CONFIGS / "mms_default.json")
         runs, studies = {}, []
         for seed in ("1", "2"):
             out = tmp_path / f"seed{seed}"
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
             runs[out] = subprocess.Popen(
                 [sys.executable, "-m", "lagns", "run", "--config", config,
                  "--out", str(out)],
@@ -318,3 +319,55 @@ class TestMain:
         config = small_run_config(tmp_path)
         assert cli.main(["verify", "--config", config]) == 0
         assert "checks passed" in capsys.readouterr().out
+
+
+# runs `lagns.cli.main` on each argv of the JSON list in argv[1], in one
+# fresh interpreter; prints the exit codes and whether sympy was loaded after
+# `import lagns` and after each command
+FRESH_MAIN = """
+import contextlib, io, json, sys
+import lagns, lagns.cli
+loaded, codes = ["sympy" in sys.modules], []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(lagns.cli.main(argv))
+        loaded.append("sympy" in sys.modules)
+print(json.dumps({"codes": codes, "sympy": loaded}))
+"""
+
+
+def fresh_main(argvs):
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_MAIN, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestSympyLoadsOnlyForManufacturedCases:
+    def test_physical_commands_leave_sympy_unloaded(self, tmp_path):
+        config = str(CONFIGS / "default.json")
+        got = fresh_main([
+            ["run", "--config", config, "--out", str(tmp_path / "run")],
+            ["verify", "--config", config],
+            ["sweep", "--config", config, "--alpha", "1", "--beta", "1",
+             "--out", str(tmp_path / "sweep")],
+        ])
+        assert got == {"codes": [0, 0, 0], "sympy": [False] * 4}
+
+    def test_case_name_rejected_at_parse_time_without_sympy(self, tmp_path):
+        # an unknown case name is a config error before any run; a physical
+        # config is a usage error for convergence
+        nope = write_config(tmp_path, {"mms": "nope", "bc": "no_slip"})
+        got = fresh_main([
+            ["run", "--config", nope, "--out", str(tmp_path / "run")],
+            ["convergence", "--config", nope],
+            ["convergence", "--config", str(CONFIGS / "default.json")],
+        ])
+        assert got == {"codes": [2, 2, 2], "sympy": [False] * 4}
+
+    def test_convergence_loads_sympy(self):
+        got = fresh_main([["convergence", "--config", str(CONFIGS / "mms_default.json")]])
+        assert got == {"codes": [0], "sympy": [False, True]}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagns.driver as driver
+import lagns.mms
 from lagns import (
     BoundaryKind,
     Grid,
@@ -70,6 +71,36 @@ class TestBuildCase:
     def test_cache_returns_same_object(self):
         params = MaterialParams()
         assert manufactured_case("default", params) is manufactured_case("default", params)
+
+
+class TestLazySymbols:
+    """X and T are made on first access, once; see the module docstring."""
+
+    def test_repeated_access_returns_identical_symbols(self):
+        from lagns.mms import T as t_again, X as x_again
+
+        assert x_again is X and t_again is T
+        assert lagns.mms.X is X and lagns.mms.T is T
+        assert (X.name, T.name) == ("x", "t") and X.is_real and T.is_real
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="nope"):
+            lagns.mms.nope
+        assert not hasattr(lagns.mms, "nope")
+
+    def test_case_from_module_symbols_matches_named_case(self):
+        params = MaterialParams()
+        tenth = sp.Rational(1, 10)
+        v = 1 + tenth * sp.exp(-T) * sp.cos(sp.pi * X)
+        u = tenth * sp.sin(sp.pi * T) * sp.sin(sp.pi * X)
+        built = build_case("default", v, u, v, params)
+        named = manufactured_case("default", params)
+        x, t = np.linspace(0.0, 1.0, 9), 0.37
+        for fn in ("v", "u", "theta", "stress", "source_v", "source_u", "source_theta"):
+            assert_bits_equal(getattr(built, fn)(x, t), getattr(named, fn)(x, t))
+        grid = Grid(8)
+        for got, want in zip(mms_sources(built, grid, t), mms_sources(named, grid, t)):
+            assert_bits_equal(got, want)
 
 
 class TestSourcesAgainstFiniteDifferences:
