@@ -7,19 +7,27 @@ Evolved system, per unit mass on the fixed interval (0, 1):
     c_v theta_t + (R theta / v) u_x = ((kappa(theta) theta_x) / v)_x + mu(v) u_x^2 / v
 
 Each step advances u, then v, then theta. The diffusive parts of the
-momentum and temperature updates are backward Euler (tridiagonal solves),
-pressure coupling is explicit, the compression-work term is implicit in
-theta, and the conductivity is lagged through a Picard loop whose limits
-are the constants MAX_PICARD and PICARD_TOL. Given the two accepted states
-before the current one, the loop starts from the quadratic extrapolation
-in time through the last three temperatures, an O(dt^3) guess that the
-stopping test accepts after one solve in most steps (at N = 256 and
-dt = 2/N^2 a step takes 1.04 passes). With one state of history it starts
-from the linear extrapolation, and with none, or when the guess is not
-positive everywhere, from the current temperature. A step that would lose
-positivity of v or theta, or whose Picard loop stalls, is rejected so the
-driver can retry with a halved dt. The step-size limits cfl, dt_min and
-dt_max arrive as plain floats; Scenario is where they are range-checked.
+momentum and temperature updates are backward Euler, pressure coupling is
+explicit, the compression-work term is implicit in theta, and the
+conductivity is lagged through a Picard loop whose limits are the
+constants MAX_PICARD and PICARD_TOL. Both systems are symmetric
+positive-definite tridiagonals, solved through their LDL^T factor (LAPACK
+ptsv).
+The Picard loop's first pass factors the matrix at its starting
+temperature; each later pass is a defect correction with the factor it
+already holds (the chord method), and is redone with a fresh factor when
+the corrected temperature is not positive or the correction does not halve
+the increment. Given the two accepted states before the current one, the
+loop starts from the quadratic extrapolation in time through the last
+three temperatures, an O(dt^3) guess that the stopping test accepts after
+one pass in most steps (at N = 256 and dt = 2/N^2 a step takes 1.04
+passes). With one state of history it starts from the linear
+extrapolation, and with none, or when the guess is not positive
+everywhere, from the current temperature. A step that would lose
+positivity of v or theta, whose temperature matrix is not positive
+definite, or whose Picard loop stalls, is rejected so the driver can retry
+with a halved dt. The step-size limits cfl, dt_min and dt_max arrive as
+plain floats; Scenario is where they are range-checked.
 
 Initial data is sampled by scenario.compatible_initial_data. Whether a
 state meets its walls' conditions is measured here, by
@@ -32,7 +40,7 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv, dpttrs
 
 from .constitutive import (
     MaterialParams,
@@ -85,32 +93,45 @@ class SolverAbort(Exception):
 
 
 def tridiagonal_solve(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve a tridiagonal system given its three bands.
+    off: np.ndarray, diag: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Solve a symmetric positive-definite tridiagonal system.
 
-    lower[i] couples row i+1 to column i; upper[i] couples row i to column
-    i+1. Solved by LAPACK gtsv (LU with partial pivoting), which copies its
-    inputs, so one array may be passed as both lower and upper.
+    off[i] couples rows i and i+1 both ways. Solved by LAPACK ptsv, which
+    copies its inputs, so none is overwritten. Returns the solution and the
+    LDL^T factor (the diagonal of D, the subdiagonal of the unit bidiagonal
+    L), which _factor_solve applies to further right-hand sides. A matrix
+    that is not positive definite is a StepRejected, so a step that builds
+    one is retried with a smaller dt.
     """
     diag = np.asarray(diag, dtype=float)
     n = diag.shape[0]
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    off = np.asarray(off, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if lower.shape != (n - 1,) or upper.shape != (n - 1,) or rhs.shape != (n,):
+    if off.shape != (n - 1,) or rhs.shape != (n,):
         raise ValueError(
-            f"band shapes {lower.shape}/{diag.shape}/{upper.shape} and rhs "
-            f"{rhs.shape} are inconsistent"
+            f"band shapes {off.shape}/{diag.shape} and rhs {rhs.shape} are "
+            "inconsistent"
         )
     if n < 2:
-        # gtsv needs at least one off-diagonal entry
-        return rhs / diag
-    x, info = dgtsv(lower, diag, upper, rhs)[3:]
+        # the LAPACK wrappers reject an empty off-diagonal
+        off = np.zeros(1)
+    d, e, x, info = dptsv(diag, off, rhs)
     if info > 0:
-        raise RuntimeError(f"singular tridiagonal system: zero pivot in row {info}")
+        raise StepRejected(
+            f"system not positive definite (leading minor {info})"
+        )
     if info < 0:
-        raise ValueError(f"gtsv rejected argument {-info}")
+        raise ValueError(f"ptsv rejected argument {-info}")
+    return x, (d, e)
+
+
+def _factor_solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solve with an LDL^T factor returned by tridiagonal_solve (LAPACK
+    pttrs), overwriting rhs with the solution."""
+    x, info = dpttrs(*factor, rhs, overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"pttrs rejected argument {-info}")
     return x
 
 
@@ -151,8 +172,9 @@ def dt_control(
 
     Diffusion is implicit, so only the sound-crossing scale restricts dt.
     """
-    if not np.isfinite(np.concatenate((state.v, state.u, state.theta))).all():
-        raise SolverAbort("non-finite state in step-size control", state.t)
+    for field in (state.v, state.u, state.theta):
+        if not np.isfinite(field).all():
+            raise SolverAbort("non-finite state in step-size control", state.t)
     c = sound_speed(state.theta, params)
     dt = cfl * grid.dx * float((state.v / c).min())
     if dt_max is not None:
@@ -183,41 +205,31 @@ def momentum_step(
     n = grid.n_nodes
 
     diag = np.ones(n)
-    lower = np.zeros(n - 1)
-    upper = np.zeros(n - 1)
+    off = -r * a
     rhs = state.u.copy()
 
     diag[1:-1] += r * (a[:-1] + a[1:])
-    lower[: n - 2] = -r * a[:-1]
-    upper[1:] = -r * a[1:]
     rhs[1:-1] -= (dt / dx) * (p[1:] - p[:-1])
     if source is not None:
         rhs[1:-1] += dt * source[1:-1]
 
     if bc is BoundaryKind.STRESS_FREE:
-        diag[0] = 1.0 + 2.0 * r * a[0]
-        upper[0] = -2.0 * r * a[0]
-        rhs[0] = state.u[0] - (2.0 * dt / dx) * (p[0] + stress_bc[0])
-        diag[-1] = 1.0 + 2.0 * r * a[-1]
-        lower[-1] = -2.0 * r * a[-1]
-        rhs[-1] = state.u[-1] + (2.0 * dt / dx) * (stress_bc[1] + p[-1])
+        # each wall row is the half-mass control volume's balance divided by
+        # 2, which is exact and makes the matrix symmetric
+        diag[0] = 0.5 + r * a[0]
+        rhs[0] = 0.5 * state.u[0] - (dt / dx) * (p[0] + stress_bc[0])
+        diag[-1] = 0.5 + r * a[-1]
+        rhs[-1] = 0.5 * state.u[-1] + (dt / dx) * (stress_bc[1] + p[-1])
         if source is not None:
-            rhs[0] += dt * source[0]
-            rhs[-1] += dt * source[-1]
+            rhs[0] += (0.5 * dt) * source[0]
+            rhs[-1] += (0.5 * dt) * source[-1]
     else:
-        # the wall rows are the identity, and the rows next to them do not
-        # couple to the walls: gtsv could otherwise pivot on a coupling and
-        # return the wall velocity as rounding noise instead of exactly 0
-        diag[0] = 1.0
-        upper[0] = 0.0
-        lower[0] = 0.0
-        rhs[0] = 0.0
-        diag[-1] = 1.0
-        lower[-1] = 0.0
-        upper[-1] = 0.0
-        rhs[-1] = 0.0
+        # the wall rows are the identity and do not couple to the rows next
+        # to them, so the walls come back as exactly 0
+        off[0] = off[-1] = 0.0
+        rhs[0] = rhs[-1] = 0.0
 
-    return tridiagonal_solve(lower, diag, upper, rhs)
+    return tridiagonal_solve(off, diag, rhs)[0]
 
 
 def continuity_step(
@@ -284,8 +296,18 @@ def temperature_step(
     The compression-work term is implicit in theta (it enters the diagonal
     with a positive sign when the gas expands), viscous heating is explicit
     from the end-of-step velocity, and the conductivity is re-evaluated at
-    each Picard iterate so every pass is one tridiagonal solve. Zero
-    conductive flux at both walls falls out of omitting the end interfaces.
+    each Picard iterate, so the pass at theta solves A(theta) theta' = rhs.
+    Zero conductive flux at both walls falls out of omitting the end
+    interfaces.
+
+    The first pass factors A at the starting temperature and solves. Each
+    later pass is a defect correction with the factor M it holds,
+    theta' = theta + M^-1 (rhs - A(theta) theta), whose fixed point is the
+    Picard one. A correction that leaves theta' not positive everywhere, or
+    that is more than half the previous increment, is thrown away, and the
+    pass is redone with a fresh factor of A(theta). A matrix that is not
+    positive definite, which needs 1 + dt R u_x / (c_v v) <= 0 in some cell,
+    rejects the step.
 
     history holds the accepted states before state, newest first; the loop
     starts from their extrapolation to state.t + dt (see _picard_start):
@@ -306,21 +328,38 @@ def temperature_step(
         rhs = rhs + (dt / params.c_v) * source
 
     theta = _picard_start(state, history, dt)
+    factor = None
     for _ in range(MAX_PICARD):
         kv = conductivity(theta, params) / new_v
-        interface = 0.5 * (kv[:-1] + kv[1:])
-        flux = s * interface
-        diag = base_diag.copy()
-        diag[:-1] += flux
-        diag[1:] += flux
-        band = -flux
-        theta_new = tridiagonal_solve(band, diag, band, rhs)
-        if not theta_new.min() > 0.0:  # also catches NaN
-            raise StepRejected("non-positive temperature")
+        # minus s times the interface conductivity: the off-diagonal of A
+        off = (-0.5 * s) * (kv[:-1] + kv[1:])
+        if factor is not None:
+            # (A theta)_j = base_diag_j theta_j + jump_j - jump_j-1
+            jump = off * (theta[1:] - theta[:-1])
+            defect = rhs - base_diag * theta
+            defect[:-1] -= jump
+            defect[1:] += jump
+            correction = _factor_solve(factor, defect)
+            theta_new = theta + correction
+            change = abs(correction).max()
+            # NaN fails both tests
+            if not (change <= 0.5 * increment and theta_new.min() > 0.0):
+                factor = None
+        if factor is None:
+            diag = base_diag.copy()
+            diag[:-1] -= off
+            diag[1:] -= off
+            try:
+                theta_new, factor = tridiagonal_solve(off, diag, rhs)
+            except StepRejected as exc:
+                raise StepRejected(f"temperature {exc}") from None
+            if not theta_new.min() > 0.0:  # also catches NaN
+                raise StepRejected("non-positive temperature")
+            change = abs(theta_new - theta).max()
         # theta_new > 0 here, so its max is its max-norm
-        if abs(theta_new - theta).max() <= PICARD_TOL * theta_new.max():
+        if change <= PICARD_TOL * theta_new.max():
             return theta_new
-        theta = theta_new
+        theta, increment = theta_new, change
     raise StepRejected("conductivity iteration stalled")
 
 

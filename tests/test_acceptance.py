@@ -181,12 +181,11 @@ def test_06_manufactured_convergence_and_solver_oracle():
     # linear-solver oracle: banded solve matches a dense reference
     rng = np.random.default_rng(42)
     n = 50
-    lower = rng.random(n - 1)
-    upper = rng.random(n - 1)
+    off = rng.random(n - 1)
     diag = 4.0 + rng.random(n)
     rhs = rng.standard_normal(n)
-    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-    x = tridiagonal_solve(lower, diag, upper, rhs)
+    dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+    x, _ = tridiagonal_solve(off, diag, rhs)
     err = float(np.max(np.abs(x - np.linalg.solve(dense, rhs))))
     print(f"banded vs dense solve {err:.3e} (<= 1e-12)")
     assert err <= 1e-12

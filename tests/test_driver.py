@@ -68,8 +68,8 @@ class TestRun:
 
     @pytest.mark.parametrize("name", ["noslip_steady", "mms_default"])
     def test_no_slip_walls_exactly_at_rest(self, name):
-        # the rows next to the walls do not couple to them, so gtsv cannot
-        # return a wall velocity as rounding noise
+        # the wall rows are the identity and the rows next to them do not
+        # couple to the walls, so the LDL^T solve returns them as exactly 0
         result = run(load_config(CONFIGS / f"{name}.json"))
         assert result.report.status == "completed"
         assert result.state.u[0] == 0.0 and result.state.u[-1] == 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from lagns import driver, scheme
 from lagns import (
@@ -17,11 +18,13 @@ from lagns import (
     StepRejected,
     compatible_initial_data,
     compatibility_residual,
+    conductivity,
     continuity_step,
     du_dx_cells,
     dt_control,
     manufactured_case,
     momentum_step,
+    pressure,
     run,
     step,
     stress,
@@ -198,6 +201,17 @@ class TestDtControl:
         with pytest.raises(SolverAbort, match="non-finite"):
             dt_control(uniform_state, grid, params, 0.8, 1e-10)
 
+    @pytest.mark.parametrize("field", ["v", "u", "theta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_aborts(self, grid, params, uniform_state, field, bad):
+        getattr(uniform_state, field)[grid.n_cells // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(
+                SolverAbort, match="non-finite state in step-size control"
+            ):
+                dt_control(uniform_state, grid, params, 0.8, 1e-10)
+
 
 class TestMomentumStep:
     def test_no_slip_steady_stays_zero(self, grid, params, uniform_state):
@@ -211,6 +225,41 @@ class TestMomentumStep:
         state = compatible_initial_data(constant_profile(), params, SF, grid)
         new_u = momentum_step(state, 1e-2, params, SF, grid)
         np.testing.assert_allclose(new_u, state.u, atol=1e-14)
+
+    @pytest.mark.parametrize("bc", [SF, NS])
+    def test_symmetric_system_matches_unscaled_solve(self, params, cosine_profile, bc):
+        # the system as first written, with the stress-free wall rows not
+        # halved, solved by LU with pivoting: the halving moves only rounding
+        grid = Grid(64)
+        state = compatible_initial_data(cosine_profile, params, bc, grid)
+        dt, stress_bc = 5e-3, (0.3, -0.2)
+        source = np.linspace(-1.0, 1.0, grid.n_nodes)
+        dx, n = grid.dx, grid.n_nodes
+        a = viscosity(state.v, params) / state.v
+        p = pressure(state.v, state.theta, params)
+        r = dt / dx**2
+        ab = np.zeros((3, n))
+        ab[1] = 1.0
+        ab[1, 1:-1] += r * (a[:-1] + a[1:])
+        ab[0, 2:] = -r * a[1:]
+        ab[2, :-2] = -r * a[:-1]
+        rhs = state.u + dt * source
+        rhs[1:-1] -= (dt / dx) * (p[1:] - p[:-1])
+        if bc is SF:
+            ab[1, 0] = 1.0 + 2.0 * r * a[0]
+            ab[0, 1] = -2.0 * r * a[0]
+            rhs[0] -= (2.0 * dt / dx) * (p[0] + stress_bc[0])
+            ab[1, -1] = 1.0 + 2.0 * r * a[-1]
+            ab[2, -2] = -2.0 * r * a[-1]
+            rhs[-1] += (2.0 * dt / dx) * (stress_bc[1] + p[-1])
+        else:
+            rhs[0] = rhs[-1] = 0.0
+        expected = solve_banded((1, 1), ab, rhs)
+        got = momentum_step(state, dt, params, bc, grid, stress_bc, source)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+        if bc is NS:
+            assert got[0] == got[-1] == 0.0
 
     def test_manufactured_time_order_at_least_one(self):
         # fine grid pins the spatial error; dt refinement shows first order
@@ -278,7 +327,9 @@ class TestTemperatureStep:
     def test_violent_compression_rejected(self, grid, params, uniform_state):
         crushed = uniform_state.copy()
         crushed.u = -5.0 * grid.nodes
-        with pytest.raises(StepRejected, match="temperature"):
+        with pytest.raises(
+            StepRejected, match="temperature system not positive definite"
+        ):
             temperature_step(crushed, crushed.u, crushed.v, 0.5, params, grid)
 
     def test_nan_velocity_rejected(self, grid, params, uniform_state):
@@ -349,19 +400,64 @@ class TestTemperatureStep:
             )
         np.testing.assert_array_equal(fallback, cold)
 
-    @pytest.mark.parametrize("n, bound", [(64, 3.29), (256, 2.58)])
-    def test_solves_per_accepted_step(self, monkeypatch, n, bound):
-        # one momentum solve plus the Picard passes, 0.1 above the measured
-        # 3.19 and 2.48: the quadratic start often needs one pass at
-        # N = 256 and mostly two at N = 64, where dt/dx^2 is larger and the
-        # guess is further from the fixed point; the first steps, with less
-        # history, take more
-        counts = {"solves": 0, "steps": 0}
-        solve, advance = scheme.tridiagonal_solve, driver.step
+    def test_hard_step_reaches_picard_fixed_point(self, params):
+        # the first step of test_abort_keeps_partial_rows (test_driver.py):
+        # theta jumps from 1 to about 52, a correction with the first
+        # pass's factor would go far below zero, and the loop reaches the
+        # fixed point only because each pass whose correction does not
+        # halve the increment is redone with a fresh factor
+        grid, dt = Grid(32), 2e-3
+        profile = ProfileSpec(name="cosine", amplitudes=(("u_amp", 50.0),))
+        state = compatible_initial_data(profile, params, NS, grid)
+        new_u = momentum_step(state, dt, params, NS, grid)
+        new_v = continuity_step(state, new_u, dt, grid)
+        got = temperature_step(state, new_u, new_v, dt, params, grid)
+
+        # plain Picard, one fresh banded solve per pass, run to rounding
+        g = du_dx_cells(new_u, grid)
+        base_diag = 1.0 + dt * params.R * g / (params.c_v * new_v)
+        rhs = state.theta + (dt / params.c_v) * viscosity(new_v, params) * g * g / new_v
+        s = dt / (params.c_v * grid.dx**2)
+        theta = state.theta
+        for _ in range(200):
+            kv = conductivity(theta, params) / new_v
+            flux = s * 0.5 * (kv[:-1] + kv[1:])
+            ab = np.zeros((3, grid.n_cells))
+            ab[0, 1:] = ab[2, :-1] = -flux
+            ab[1] = base_diag
+            ab[1, :-1] += flux
+            ab[1, 1:] += flux
+            theta, previous = solve_banded((1, 1), ab, rhs), theta
+            if np.max(np.abs(theta - previous)) <= 1e-15 * np.max(theta):
+                break
+        assert np.max(theta) > 50.0
+        assert np.max(np.abs(got - theta)) <= 1e-10 * np.max(theta)
+
+    @pytest.mark.parametrize("n, dt_max, t_end, bound", [
+        pytest.param(64, 2.0 / 64**2, 0.1, 3.29, id="64-3.29"),
+        pytest.param(256, 2.0 / 256**2, 0.01, 2.58, id="256-2.58"),
+        pytest.param(1024, None, 0.1, 3.25, id="1024-3.25"),
+    ])
+    def test_solves_per_accepted_step(self, monkeypatch, n, dt_max, t_end, bound):
+        # one momentum solve plus the Picard passes, each a solve with a
+        # fresh or a held factor, 0.1 above the measured 3.19, 2.48 and
+        # 3.15: the quadratic start often needs one pass at N = 256 and
+        # mostly two at N = 64 and at N = 1024 with CFL dt, where dt/dx^2
+        # is larger and the guess is further from the fixed point; the
+        # first steps, with less history, take more
+        counts = {"solves": 0, "factors": 0, "steps": 0}
+        solve, factor_solve, advance = (
+            scheme.tridiagonal_solve, scheme._factor_solve, driver.step
+        )
 
         def counted_solve(*args):
             counts["solves"] += 1
+            counts["factors"] += 1
             return solve(*args)
+
+        def counted_factor_solve(*args):
+            counts["solves"] += 1
+            return factor_solve(*args)
 
         def counted_step(*args, **kwargs):
             new_state = advance(*args, **kwargs)
@@ -369,14 +465,17 @@ class TestTemperatureStep:
             return new_state
 
         monkeypatch.setattr(scheme, "tridiagonal_solve", counted_solve)
+        monkeypatch.setattr(scheme, "_factor_solve", counted_factor_solve)
         monkeypatch.setattr(driver, "step", counted_step)
-        t_end = 0.1 if n == 64 else 0.01
         result = run(Scenario(
-            n_cells=n, t_end=t_end, output_every=t_end / 2, dt_max=2.0 / n**2,
+            n_cells=n, t_end=t_end, output_every=t_end / 2, dt_max=dt_max,
         ))
         assert result.report.status == "completed"
         assert result.report.halvings == 0
         assert counts["solves"] / counts["steps"] <= bound
+        # smooth data: every later pass keeps the temperature factor, so a
+        # step factors once for momentum and once for temperature
+        assert counts["factors"] == 2 * counts["steps"]
 
     def test_iteration_cap_rejects(self, params, cosine_profile, monkeypatch):
         grid = Grid(64)
