@@ -18,12 +18,12 @@ from .constitutive import (
 )
 from .driver import run, verification_table
 from .grid import (
+    DerivedFields,
     Grid,
     State,
     cell_integral,
     cumulative_u_integral,
     du_dx_cells,
-    grad_l2_sq,
     node_weights,
     total_energy,
 )
@@ -54,6 +54,7 @@ from .scheme import (
     step,
     temperature_step,
     tridiagonal_solve,
+    with_derived,
 )
 from .verify import (
     StateBlock,

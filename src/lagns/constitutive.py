@@ -18,6 +18,8 @@ import numpy as np
 
 __all__ = [
     "MaterialParams",
+    "volume_power",
+    "volume_terms",
     "viscosity",
     "conductivity",
     "pressure",
@@ -60,12 +62,27 @@ class MaterialParams:
         return 1.0 + self.R / self.c_v
 
 
+def volume_power(v: np.ndarray, alpha: float) -> np.ndarray:
+    """The volume power v**-alpha of the viscosity; ones when alpha = 0."""
+    if alpha == 0.0:
+        return np.ones_like(v)
+    # exp/log form keeps fractional alpha well-defined for all v > 0
+    return np.exp(-alpha * np.log(v))
+
+
+def volume_terms(
+    v: np.ndarray, params: MaterialParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The volume power v**-alpha and the viscosity mu_tilde*(1 + v**-alpha)
+    built from it, so a caller that needs both evaluates the power once.
+    The viscosity is exactly 2*mu_tilde when alpha = 0."""
+    power = volume_power(v, params.alpha)
+    return power, params.mu_tilde * (1.0 + power)
+
+
 def viscosity(v: np.ndarray, params: MaterialParams) -> np.ndarray:
     """Viscosity mu_tilde*(1 + v**-alpha); exactly 2*mu_tilde when alpha = 0."""
-    if params.alpha == 0.0:
-        return np.full_like(v, 2.0 * params.mu_tilde)
-    # exp/log form keeps fractional alpha well-defined for all v > 0
-    return params.mu_tilde * (1.0 + np.exp(-params.alpha * np.log(v)))
+    return volume_terms(v, params)[1]
 
 
 def conductivity(theta: np.ndarray, params: MaterialParams) -> np.ndarray:

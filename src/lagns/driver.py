@@ -18,7 +18,11 @@ per step and so grow with N. Capped at BLOCK_VALUES values they stay at
 32 KiB, well below the 128 KiB from which glibc maps and unmaps every
 allocation, which would make a large block slower than its single steps.
 From N = 2048 on a block is one step, and its temporaries are those of the
-per-step calls.
+per-step calls; its rows are views of the state's own arrays.
+
+The instruments read each state's derived fields (see lagns.scheme). The
+initial state gets its fields from scheme.with_derived; the states that
+move into the history, and the final state of the result, drop them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid, State, total_energy
+from .grid import DerivedFields, Grid, State, total_energy
 from .mms import MmsCase, manufactured_case, mms_sources
 from .scenario import (
     DiagnosticsReport,
@@ -42,6 +46,7 @@ from .scheme import (
     compatibility_residual,
     dt_control,
     step,
+    with_derived,
 )
 from .verify import (
     BoundTracker,
@@ -122,50 +127,64 @@ def _imposed_wall_stress(
 class _Block:
     """Accepted states that the instruments have not folded yet.
 
-    The rows are allocated once per run: the state before the block, then
-    room for max(1, BLOCK_VALUES // n_nodes) steps. Taking a step copies its
-    fields into the next row, so a block allocates no 2-D array per step.
+    A block holds max(1, BLOCK_VALUES // n_nodes) steps. A block of several
+    copies each state, fields and derived fields alike, into rows allocated
+    once per run, so it allocates no 2-D array per step and keeps no state;
+    only the velocity rows are new for each block, because the tracker
+    keeps a view of the newest velocities (BoundTracker.last_u). A block of
+    one step, from N = 2048 on, keeps the state instead, and the fold reads
+    its arrays as 1-row views (StateBlock.of), so folding it copies nothing.
     """
 
-    def __init__(self, state: State, grid: Grid) -> None:
-        rows = max(1, BLOCK_VALUES // grid.n_nodes) + 1
-        self.v = np.empty((rows, grid.n_cells))
-        self.u = np.empty((rows, grid.n_nodes))
-        self.theta = np.empty((rows, grid.n_cells))
-        self.dt = np.empty(rows - 1)
+    def __init__(self, grid: Grid) -> None:
+        self.grid = grid
+        self.dt = np.empty(max(1, BLOCK_VALUES // grid.n_nodes))
         self.steps = 0
-        self._put(0, state)
-
-    def _put(self, row: int, state: State) -> None:
-        self.v[row] = state.v
-        self.u[row] = state.u
-        self.theta[row] = state.theta
+        self.state: State | None = None
+        if len(self.dt) > 1:
+            cells = (len(self.dt), grid.n_cells)
+            self.v, self.theta = np.empty(cells), np.empty(cells)
+            self.u = np.empty((len(self.dt), grid.n_nodes))
+            self.derived = DerivedFields(*(np.empty(cells) for _ in range(4)))
 
     def push(self, state: State, dt: float) -> bool:
         """Add an accepted step; True when the block is full."""
-        self.dt[self.steps] = dt
+        row = self.steps
+        self.dt[row] = dt
         self.steps += 1
-        self._put(self.steps, state)
+        if len(self.dt) == 1:
+            self.state = state
+        else:
+            self.v[row], self.u[row], self.theta[row] = state.v, state.u, state.theta
+            d, rows = state.derived, self.derived
+            rows.u_x[row], rows.v_power[row] = d.u_x, d.v_power
+            rows.mu[row], rows.p[row] = d.mu, d.p
         return self.steps == len(self.dt)
 
     def flush(
-        self, acc: RepresentationAccumulator, tracker: BoundTracker, grid: Grid
+        self, acc: RepresentationAccumulator, tracker: BoundTracker
     ) -> list[float]:
-        """Fold the pending steps into the instruments and start the next
-        block from the last of them; returns each step's band margin."""
-        n = self.steps
+        """Fold the pending steps into the instruments and empty the block;
+        returns each step's band margin."""
+        n, self.steps = self.steps, 0
         if n == 0:
             return []
-        block = StateBlock(
-            self.v[: n + 1], self.u[: n + 1], self.theta[: n + 1], self.dt[:n]
-        )
-        velocity_factor = acc.velocity_factor(block.u[1:], grid)
+        if len(self.dt) == 1:
+            block = StateBlock.of(self.state, float(self.dt[0]))
+        else:
+            d = self.derived
+            block = StateBlock(
+                self.v[:n],
+                self.u[:n],
+                self.theta[:n],
+                DerivedFields(d.u_x[:n], d.v_power[:n], d.mu[:n], d.p[:n]),
+                self.dt[:n],
+            )
+            self.u = np.empty_like(self.u)
+        velocity_factor = acc.velocity_factor(block.u, self.grid)
         update_accumulator(acc, block, velocity_factor)
-        update_bounds(tracker, block, grid)
-        margins = velocity_band_check(acc, velocity_factor)
-        self.v[0], self.u[0], self.theta[0] = self.v[n], self.u[n], self.theta[n]
-        self.steps = 0
-        return margins
+        update_bounds(tracker, block, self.grid)
+        return velocity_band_check(acc, velocity_factor)
 
 
 def run(scenario: Scenario) -> RunResult:
@@ -176,13 +195,13 @@ def run(scenario: Scenario) -> RunResult:
     case = (
         manufactured_case(scenario.mms, params) if scenario.mms is not None else None
     )
-    state = initial_state(scenario, grid, case)
+    state = with_derived(initial_state(scenario, grid, case), params, grid)
     history: tuple[State, ...] = ()
     initial_residual = compatibility_residual(state, params, bc, grid)
 
     acc = make_accumulator(state, grid, params)
     tracker = make_tracker(state, grid, params)
-    block = _Block(state, grid)
+    block = _Block(grid)
     rows: list[DiagnosticsRow] = []
     halvings = 0
     status = "completed"
@@ -222,11 +241,13 @@ def run(scenario: Scenario) -> RunResult:
         if status == "aborted":
             break
 
-        history, state = (state, *history[:1]), new_state
+        # only the newest state needs its derived fields
+        history = (State(state.t, state.v, state.u, state.theta), *history[:1])
+        state = new_state
         full = block.push(state, dt)
         row_due = state.t >= out_index * scenario.output_every - eps
         if full or row_due:
-            margins = block.flush(acc, tracker, grid)
+            margins = block.flush(acc, tracker)
             worst_margin = min([worst_margin, *margins])
             margin = margins[-1]
 
@@ -257,7 +278,7 @@ def run(scenario: Scenario) -> RunResult:
                 )
             )
             out_index += 1
-    worst_margin = min([worst_margin, *block.flush(acc, tracker, grid)])
+    worst_margin = min([worst_margin, *block.flush(acc, tracker)])
 
     report = DiagnosticsReport(
         rows=tuple(rows),
@@ -268,7 +289,8 @@ def run(scenario: Scenario) -> RunResult:
     return RunResult(
         scenario=scenario,
         grid=grid,
-        state=state,
+        # nothing reads the final state's derived fields
+        state=State(state.t, state.v, state.u, state.theta),
         report=report,
         accumulator=acc,
         tracker=tracker,

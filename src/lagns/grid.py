@@ -18,10 +18,10 @@ import numpy as np
 __all__ = [
     "Grid",
     "State",
+    "DerivedFields",
     "node_weights",
     "cell_integral",
     "du_dx_cells",
-    "grad_l2_sq",
     "total_energy",
     "cumulative_u_integral",
     "wall_values",
@@ -56,17 +56,47 @@ class Grid:
 
 
 @dataclass
+class DerivedFields:
+    """Cell fields of a state that the material laws derive from it: the
+    strain rate u_x, the volume power v**-alpha, the viscosity mu(v) and the
+    pressure p = R theta / v. scheme.step makes them for the states it
+    returns and scheme.with_derived for a given state; they are never
+    updated in place."""
+
+    u_x: np.ndarray
+    v_power: np.ndarray
+    mu: np.ndarray
+    p: np.ndarray
+
+    def copy(self) -> "DerivedFields":
+        return DerivedFields(
+            self.u_x.copy(), self.v_power.copy(), self.mu.copy(), self.p.copy()
+        )
+
+
+@dataclass
 class State:
-    """Evolved fields at one time level: u on nodes, v and theta on cells."""
+    """Evolved fields at one time level: u on nodes, v and theta on cells.
+
+    derived holds the state's DerivedFields, or None for a state that does
+    not carry them: initial data before scheme.with_derived, and the states
+    a run keeps after stepping from them (its history, which seeds the
+    temperature start, and the final state of its result).
+    """
 
     t: float
     v: np.ndarray
     u: np.ndarray
     theta: np.ndarray
+    derived: DerivedFields | None = None
 
     def copy(self) -> "State":
         return replace(
-            self, v=self.v.copy(), u=self.u.copy(), theta=self.theta.copy()
+            self,
+            v=self.v.copy(),
+            u=self.u.copy(),
+            theta=self.theta.copy(),
+            derived=None if self.derived is None else self.derived.copy(),
         )
 
     def validate(self, grid: Grid) -> None:
@@ -110,18 +140,6 @@ def du_dx_cells(u: np.ndarray, grid: Grid) -> np.ndarray:
     if u.shape != (grid.n_nodes,):
         raise ValueError(f"u has shape {u.shape}, expected ({grid.n_nodes},)")
     return (u[1:] - u[:-1]) / grid.dx
-
-
-def grad_l2_sq(f: np.ndarray, grid: Grid) -> float:
-    """Squared L2 norm of the discrete gradient of a cell-centered field.
-
-    Uses interior-node differences only: dx * sum_i ((f[i+1] - f[i]) / dx)**2.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n_cells,):
-        raise ValueError(f"field has shape {f.shape}, expected ({grid.n_cells},)")
-    d = np.diff(f)
-    return float(d @ d / grid.dx)
 
 
 def total_energy(state: State, grid: Grid, c_v: float) -> float:

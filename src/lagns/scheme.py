@@ -29,6 +29,14 @@ definite, or whose Picard loop stalls, is rejected so the driver can retry
 with a halved dt. The step-size limits cfl, dt_min and dt_max arrive as
 plain floats; Scenario is where they are range-checked.
 
+Each state that step returns carries its derived fields (grid.DerivedFields),
+made once where the state is made: the strain rate u_x for continuity and
+temperature, the volume power v**-alpha and mu(v) for temperature (both
+from constitutive.volume_terms), and the pressure last. The next momentum
+update, each retry of it at a halved dt, and the instruments of
+lagns.verify read them instead of evaluating the laws again. with_derived
+gives initial data the same fields.
+
 Initial data is sampled by scenario.compatible_initial_data. Whether a
 state meets its walls' conditions is measured here, by
 compatibility_residual alone; the "initial compatibility" row of
@@ -38,6 +46,7 @@ compatibility_residual alone; the "initial compatibility" row of
 from __future__ import annotations
 
 import enum
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg.lapack import dptsv, dpttrs
@@ -48,9 +57,10 @@ from .constitutive import (
     pressure,
     sound_speed,
     stress,
-    viscosity,
+    viscosity,  # noqa: F401  (bench/spans.py traces lagns.scheme.viscosity)
+    volume_terms,
 )
-from .grid import Grid, State, du_dx_cells, wall_values
+from .grid import DerivedFields, Grid, State, du_dx_cells, wall_values
 
 __all__ = [
     "BoundaryKind",
@@ -65,6 +75,7 @@ __all__ = [
     "continuity_step",
     "temperature_step",
     "step",
+    "with_derived",
 ]
 
 # Picard limits of temperature_step: pass cap and relative max-norm tolerance
@@ -197,10 +208,12 @@ def momentum_step(
     sigma* = mu(v) u'_x / v - P(v, theta). Stress-free walls are half-mass
     control volumes fed by the imposed boundary stress (0 unless a
     manufactured value is supplied); no-slip walls are pinned to exactly 0.
+    mu(v) and P are read from state.derived, so a retry at a halved dt
+    evaluates neither again.
     """
     dx = grid.dx
-    a = viscosity(state.v, params) / state.v
-    p = pressure(state.v, state.theta, params)
+    a = state.derived.mu / state.v
+    p = state.derived.p
     r = dt / dx**2
     n = grid.n_nodes
 
@@ -234,13 +247,13 @@ def momentum_step(
 
 def continuity_step(
     state: State,
-    new_u: np.ndarray,
+    u_x: np.ndarray,
     dt: float,
-    grid: Grid,
     source: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact discrete volume update v' = v + dt * u'_x per cell."""
-    new_v = state.v + dt * du_dx_cells(new_u, grid)
+    """Exact discrete volume update v' = v + dt * u'_x per cell, from the
+    end-of-step strain rate u_x = du_dx_cells(u')."""
+    new_v = state.v + dt * u_x
     if source is not None:
         new_v = new_v + dt * source
     if not new_v.min() > 0.0:  # also catches NaN
@@ -283,8 +296,9 @@ def _picard_start(state: State, history: tuple[State, ...], dt: float) -> np.nda
 
 def temperature_step(
     state: State,
-    new_u: np.ndarray,
+    u_x: np.ndarray,
     new_v: np.ndarray,
+    mu: np.ndarray,
     dt: float,
     params: MaterialParams,
     grid: Grid,
@@ -293,6 +307,7 @@ def temperature_step(
 ) -> np.ndarray:
     """Backward-Euler temperature update with Picard-lagged conductivity.
 
+    u_x and mu are the end-of-step strain rate and the viscosity of new_v.
     The compression-work term is implicit in theta (it enters the diagonal
     with a positive sign when the gas expands), viscous heating is explicit
     from the end-of-step velocity, and the conductivity is re-evaluated at
@@ -317,12 +332,10 @@ def temperature_step(
     point to within PICARD_TOL.
     """
     dx = grid.dx
-    g = du_dx_cells(new_u, grid)
-    mu = viscosity(new_v, params)
-    heating = mu * g * g / new_v
+    heating = mu * u_x * u_x / new_v
     s = dt / (params.c_v * dx**2)
 
-    base_diag = 1.0 + dt * params.R * g / (params.c_v * new_v)
+    base_diag = 1.0 + dt * params.R * u_x / (params.c_v * new_v)
     rhs = state.theta + (dt / params.c_v) * heating
     if source is not None:
         rhs = rhs + (dt / params.c_v) * source
@@ -382,11 +395,29 @@ def step(
     state, newest first, seeds the temperature Picard loop (see
     temperature_step); the driver passes the last two. Raises StepRejected
     if positivity or the Picard loop fails at this dt.
+
+    state must carry its derived fields (see with_derived), and the state
+    returned carries its own: u'_x, made once for continuity and
+    temperature, the volume power and mu(v'), made once for temperature,
+    and P(v', theta').
     """
     s_v, s_u, s_theta = sources if sources is not None else (None, None, None)
     new_u = momentum_step(state, dt, params, bc, grid, stress_bc, s_u)
-    new_v = continuity_step(state, new_u, dt, grid, s_v)
+    u_x = du_dx_cells(new_u, grid)
+    new_v = continuity_step(state, u_x, dt, s_v)
+    v_power, mu = volume_terms(new_v, params)
     new_theta = temperature_step(
-        state, new_u, new_v, dt, params, grid, s_theta, history
+        state, u_x, new_v, mu, dt, params, grid, s_theta, history
     )
-    return State(t=state.t + dt, v=new_v, u=new_u, theta=new_theta)
+    derived = DerivedFields(u_x, v_power, mu, pressure(new_v, new_theta, params))
+    return State(state.t + dt, new_v, new_u, new_theta, derived)
+
+
+def with_derived(state: State, params: MaterialParams, grid: Grid) -> State:
+    """The state with its derived fields, made as step makes them for the
+    states it returns; a run applies it to its initial state."""
+    v_power, mu = volume_terms(state.v, params)
+    derived = DerivedFields(
+        du_dx_cells(state.u, grid), v_power, mu, pressure(state.v, state.theta, params)
+    )
+    return replace(state, derived=derived)

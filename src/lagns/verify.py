@@ -16,14 +16,21 @@ functions that update it or read a residual from it take no material.
 
 The instruments are fed a StateBlock, the accepted states of a stretch of
 the run as 2-D arrays with one row per state, and fold all of its steps in
-one call. Nearly all of a per-step call's cost is the overhead of its small
-numpy calls, so a block of K steps costs about one step's overhead. Every
-row-wise operation computes each row exactly as the 1-D operation on that
-state would: np.vecdot makes one BLAS dot call per row, as the 1-D ``@``
-does (einsum and a 2-D matrix-vector product round differently), and sums,
-extrema and cumulative sums reduce each row on its own. The running sums,
-extrema and monotone flags are then folded row by row in step order, so the
-results are bit-identical to feeding the steps one at a time.
+one call. Each state carries the derived fields that its step made
+(DerivedFields): the tracker reads the strain rate, the viscosity and the
+pressure, and the accumulator the volume power v**-alpha, so no instrument
+evaluates a material law again. Each instrument also keeps what its next
+fold needs of the newest state it has seen (the accumulator its integrand,
+the tracker its velocities and left-rectangle terms), so a block holds only
+the states after it. Nearly all of a per-step call's cost is the overhead
+of its small numpy calls, so a block of K steps costs about one step's
+overhead. Every row-wise operation computes each row exactly as the 1-D
+operation on that state would: np.vecdot makes one BLAS dot call per row,
+as the 1-D ``@`` does (einsum and a 2-D matrix-vector product round
+differently), and sums, extrema and cumulative sums reduce each row on its
+own. The running sums, extrema and monotone flags are then folded row by
+row in step order, so the results are bit-identical to feeding the steps
+one at a time.
 """
 
 from __future__ import annotations
@@ -33,8 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import MaterialParams, branch_weight, pressure, stress, viscosity
+from .constitutive import (
+    MaterialParams,
+    branch_weight,
+    pressure,  # noqa: F401  (bench/spans.py traces lagns.verify.pressure)
+    stress,
+    viscosity,  # noqa: F401  (bench/spans.py traces lagns.verify.viscosity)
+    volume_power,
+)
 from .grid import (
+    DerivedFields,
     Grid,
     State,
     cumulative_u_integral,
@@ -65,16 +80,29 @@ __all__ = [
 
 @dataclass
 class StateBlock:
-    """Consecutive accepted states of a run, one row per state.
-
-    Row 0 is the state before the block and rows 1..K are its K accepted
-    steps; dt[i] is the step from row i to row i + 1.
+    """Consecutive accepted states of a run, one row per state, each with
+    its derived fields (derived holds one row per state in each field);
+    dt[i] is the step that made row i, from the state before it.
     """
 
     v: np.ndarray
     u: np.ndarray
     theta: np.ndarray
+    derived: DerivedFields
     dt: np.ndarray
+
+    @classmethod
+    def of(cls, state: State, dt: float) -> "StateBlock":
+        """The block of one state, which must carry its derived fields, made
+        by a step of dt: 1-row views of the state's arrays, not copies."""
+        d = state.derived
+        return cls(
+            state.v[None],
+            state.u[None],
+            state.theta[None],
+            DerivedFields(d.u_x[None], d.v_power[None], d.mu[None], d.p[None]),
+            np.array([dt]),
+        )
 
 
 def initial_volume_factor(v0: np.ndarray, alpha: float) -> np.ndarray:
@@ -101,9 +129,14 @@ def velocity_integral_factor(
 def viscosity_volume_factor(v: np.ndarray, alpha: float) -> np.ndarray:
     """exp(1/(alpha*v**alpha)) from the volume term of the viscosity; ones
     when alpha = 0."""
+    return _power_factor(volume_power(v, alpha), alpha)
+
+
+def _power_factor(v_power: np.ndarray, alpha: float) -> np.ndarray:
+    """viscosity_volume_factor from the volume power v**-alpha."""
     if alpha == 0.0:
-        return np.ones_like(v)
-    return np.exp(np.exp(-alpha * np.log(v)) / alpha)
+        return np.ones_like(v_power)
+    return np.exp(v_power / alpha)
 
 
 @dataclass
@@ -133,15 +166,16 @@ class RepresentationAccumulator:
 
 
 def _integrand(
-    v: np.ndarray, theta: np.ndarray, alpha: float, d1: np.ndarray
+    theta: np.ndarray, v_power: np.ndarray, alpha: float, d1: np.ndarray
 ) -> np.ndarray:
-    return theta / (d1 * viscosity_volume_factor(v, alpha))
+    return theta / (d1 * _power_factor(v_power, alpha))
 
 
 def make_accumulator(
     state: State, grid: Grid, params: MaterialParams
 ) -> RepresentationAccumulator:
-    """Freeze the initial data and start the time integral at zero."""
+    """Freeze the initial data and start the time integral at zero; state
+    must carry its derived fields."""
     acc = RepresentationAccumulator(
         params=params,
         b0=initial_volume_factor(state.v, params.alpha),
@@ -153,7 +187,10 @@ def make_accumulator(
         e0=total_energy(state, grid, params.c_v),
     )
     acc.last_integrand = _integrand(
-        state.v, state.theta, params.alpha, acc.velocity_factor(state.u, grid)
+        state.theta,
+        state.derived.v_power,
+        params.alpha,
+        acc.velocity_factor(state.u, grid),
     )
     return acc
 
@@ -166,12 +203,12 @@ def update_accumulator(
     """Advance the time integral over the steps of a block by the trapezoid
     rule.
 
-    velocity_factor is acc.velocity_factor(block.u[1:], grid), one row per
+    velocity_factor is acc.velocity_factor(block.u, grid), one row per
     step, computed once per block by the caller and shared with
     velocity_band_check.
     """
     integrand = _integrand(
-        block.v[1:], block.theta[1:], acc.params.alpha, velocity_factor
+        block.theta, block.derived.v_power, acc.params.alpha, velocity_factor
     )
     # each step's trapezoid pairs its integrand with the one before it
     increment = np.concatenate((acc.last_integrand[None], integrand[:-1]))
@@ -231,6 +268,10 @@ class BoundTracker:
     """Running extrema and space-time integrals of the bounded functionals.
 
     weights holds the trapezoid node weights of the grid, built once.
+    last_u, last_max_theta and last_uxx_sq belong to the newest state
+    folded in: the node velocities, the largest temperature and the sum of
+    squares of the second velocity differences, which the left-rectangle
+    integrals of the next step read.
     """
 
     params: MaterialParams
@@ -242,38 +283,40 @@ class BoundTracker:
     sup_grad_theta_sq: float
     sup_u_x_sq: float
     sup_stress_scale: float
+    last_u: np.ndarray
+    last_max_theta: float
+    last_uxx_sq: float
     int_max_theta: float = 0.0
     int_uxx_sq: float = 0.0
     int_ut_sq: float = 0.0
     monotone_ok: bool = True
 
 
-def _stress_scale(
-    v: np.ndarray, theta: np.ndarray, g: np.ndarray, params: MaterialParams
-) -> np.ndarray:
+def _stress_scale(v: np.ndarray, derived: DerivedFields) -> np.ndarray:
     """Largest cellwise magnitude of the stress ingredients mu|u_x|/v + P,
     per row: the natural size of the stress even where the total nearly
     cancels, as it does throughout a stress-free run; it normalizes the
     boundary-residual bounds of verification_table."""
-    scale = viscosity(v, params) * np.abs(g) / v + pressure(v, theta, params)
+    scale = derived.mu * np.abs(derived.u_x) / v + derived.p
     return scale.max(axis=-1)
 
 
-def _fold_extrema(
-    tracker: BoundTracker,
-    v: np.ndarray,
-    u: np.ndarray,
-    theta: np.ndarray,
-    dx: float,
-) -> None:
-    """Fold states, one per row, into the min/sup fields in row order.
+def _fold_states(
+    tracker: BoundTracker, block: StateBlock, dx: float
+) -> tuple[list[float], list[float]]:
+    """Fold the states of a block, one per row, into the min/sup fields in
+    row order, and make the last row the tracker's newest state.
 
-    Every value is the grid helper's (du_dx_cells, grad_l2_sq,
-    cell_integral), written out with the same operand order so the results
-    are bit-identical; min and max of several arguments compare them in
-    turn, as a fold of one state at a time would.
+    Returns, for each row, the largest temperature and the u_xx sum of
+    squares of the state before it (the tracker's newest state for row 0).
+    Every value is the one-state formula (the gradient norm
+    dx * sum(((f[i+1] - f[i]) / dx)**2) as d @ d / dx,
+    dx * sum(u_x**2) for the strain rate) written with the same operand
+    order, so the results are bit-identical; min and max of several
+    arguments compare them in turn, as a fold of one state at a time would.
     """
-    g = (u[:, 1:] - u[:, :-1]) / dx
+    v, u, theta = block.v, block.u, block.theta
+    g = block.derived.u_x
     dv = v[:, 1:] - v[:, :-1]
     dtheta = theta[:, 1:] - theta[:, :-1]
     tracker.min_v = min(tracker.min_v, *v.min(axis=1).tolist())
@@ -286,14 +329,21 @@ def _fold_extrema(
     )
     tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, *(dx * (g * g).sum(axis=1)).tolist())
     tracker.sup_stress_scale = max(
-        tracker.sup_stress_scale,
-        *_stress_scale(v, theta, g, tracker.params).tolist(),
+        tracker.sup_stress_scale, *_stress_scale(v, block.derived).tolist()
     )
+
+    uxx = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dx**2
+    max_theta = [tracker.last_max_theta, *theta.max(axis=1).tolist()]
+    uxx_sq = [tracker.last_uxx_sq, *np.vecdot(uxx, uxx).tolist()]
+    tracker.last_u = u[-1]
+    tracker.last_max_theta, tracker.last_uxx_sq = max_theta.pop(), uxx_sq.pop()
+    return max_theta, uxx_sq
 
 
 def make_tracker(state: State, grid: Grid, params: MaterialParams) -> BoundTracker:
-    """Start the tracker at the initial state: the extrema begin at +-inf and
-    take the state through the same fold as every later one."""
+    """Start the tracker at the initial state, which must carry its derived
+    fields: the extrema begin at +-inf and take the state through the same
+    fold as every later one."""
     tracker = BoundTracker(
         params=params,
         weights=node_weights(grid),
@@ -304,8 +354,12 @@ def make_tracker(state: State, grid: Grid, params: MaterialParams) -> BoundTrack
         sup_grad_theta_sq=-math.inf,
         sup_u_x_sq=-math.inf,
         sup_stress_scale=-math.inf,
+        last_u=state.u,
+        last_max_theta=math.nan,
+        last_uxx_sq=math.nan,
     )
-    _fold_extrema(tracker, state.v[None], state.u[None], state.theta[None], grid.dx)
+    # the initial state's fold reads no step
+    _fold_states(tracker, StateBlock.of(state, math.nan), grid.dx)
     return tracker
 
 
@@ -321,15 +375,13 @@ def update_bounds(
     """
     dx = grid.dx
     u, dt = block.u, block.dt
-    u_prev = u[:-1]
-    _fold_extrema(tracker, block.v[1:], u[1:], block.theta[1:], dx)
-
-    uxx = (u_prev[:, 2:] - 2.0 * u_prev[:, 1:-1] + u_prev[:, :-2]) / dx**2
-    du_dt = (u[1:] - u_prev) / dt[:, None]
+    du_dt = np.empty_like(u)
+    np.subtract(u[0], tracker.last_u, out=du_dt[0])
+    np.subtract(u[1:], u[:-1], out=du_dt[1:])
+    du_dt /= dt[:, None]
     steps = zip(
         dt.tolist(),
-        block.theta[:-1].max(axis=1).tolist(),
-        np.vecdot(uxx, uxx).tolist(),
+        *_fold_states(tracker, block, dx),
         np.vecdot(du_dt * du_dt, tracker.weights).tolist(),
     )
     for step, max_theta, uxx_sq, ut_sq in steps:

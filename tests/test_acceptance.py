@@ -25,6 +25,7 @@ from lagns import (
     run,
     tridiagonal_solve,
     verification_table,
+    with_derived,
 )
 from lagns.scenario import ProfileSpec
 
@@ -92,7 +93,7 @@ def test_01_volume_representation_exact_at_start_and_converges():
     for alpha in (0.0, 1.0):
         params = MaterialParams(alpha=alpha)
         state = compatible_initial_data(ProfileSpec(name="cosine"), params, SF, grid)
-        acc = make_accumulator(state, grid, params)
+        acc = make_accumulator(with_derived(state, params, grid), grid, params)
         r0 = representation_residual(state, acc, grid)
         print(f"alpha={alpha}: t=0 residual {r0:.3e} (<= 1e-12)")
         assert r0 <= 1e-12

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lagns import driver, scheme, verify
 from lagns import (
     BoundaryKind,
     Scenario,
@@ -108,6 +109,54 @@ class TestRun:
         assert result.worst_band_margin >= 0.0
         for row in result.report.rows:
             assert row.band_margin >= result.worst_band_margin
+
+
+class TestDerivedFieldsOnce:
+    @pytest.mark.parametrize("scenario, halvings", [
+        pytest.param(Scenario(n_cells=64, t_end=0.2), 0, id="default"),
+        # two steps are rejected and retried at a halved dt
+        pytest.param(Scenario(
+            bc=BoundaryKind.NO_SLIP,
+            profile=ProfileSpec(name="cosine", amplitudes=(("u_amp", 50.0),)),
+            n_cells=32, t_end=0.05, output_every=0.01, cfl=1.0,
+        ), 2, id="halvings"),
+    ])
+    def test_volume_power_once_per_attempt(self, monkeypatch, scenario, halvings):
+        # the volume power v**-alpha is evaluated once per step attempt, by
+        # scheme.volume_terms, plus once for the initial state; the momentum
+        # step, its retries at a halved dt, and the instruments read the
+        # state's derived fields instead of evaluating the laws again
+        counts = {"terms": 0, "attempts": 0, "steps": 0, "laws": 0}
+        terms, advance = scheme.volume_terms, driver.step
+
+        def counted_terms(*args):
+            counts["terms"] += 1
+            return terms(*args)
+
+        def counted_step(*args, **kwargs):
+            counts["attempts"] += 1
+            new_state = advance(*args, **kwargs)
+            counts["steps"] += 1
+            return new_state
+
+        def counted_law(law):
+            def counted(*args):
+                counts["laws"] += 1
+                return law(*args)
+            return counted
+
+        monkeypatch.setattr(scheme, "volume_terms", counted_terms)
+        monkeypatch.setattr(driver, "step", counted_step)
+        for module, name in (
+            (scheme, "viscosity"), (verify, "viscosity"), (verify, "pressure")
+        ):
+            monkeypatch.setattr(module, name, counted_law(getattr(module, name)))
+        result = run(scenario)
+        assert result.report.status == "completed"
+        assert result.report.halvings == halvings
+        assert counts["attempts"] - counts["steps"] == halvings
+        assert counts["steps"] + 1 <= counts["terms"] <= counts["attempts"] + 1
+        assert counts["laws"] == 0
 
 
 class TestVerificationTable:

@@ -26,6 +26,7 @@ from lagns import (
     parse_snapshot,
     parse_timeseries,
     run,
+    with_derived,
 )
 from lagns.scenario import _U_AMP_MAX
 
@@ -119,6 +120,7 @@ class TestParseConfig:
                     profile, params, BoundaryKind.NO_SLIP, grid
                 )
                 compatibility_residual(state, params, BoundaryKind.NO_SLIP, grid)
+                state = with_derived(state, params, grid)
                 acc = make_accumulator(state, grid, params)
                 tracker = make_tracker(state, grid, params)
             assert np.isfinite(acc.e0) and np.isfinite(tracker.sup_u_x_sq)

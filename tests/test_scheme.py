@@ -23,6 +23,7 @@ from lagns import (
     du_dx_cells,
     dt_control,
     manufactured_case,
+    mms_sources,
     momentum_step,
     pressure,
     run,
@@ -31,7 +32,10 @@ from lagns import (
     temperature_step,
     total_energy,
     viscosity,
+    viscosity_volume_factor,
+    with_derived,
 )
+from lagns.constitutive import volume_power
 
 SF = BoundaryKind.STRESS_FREE
 NS = BoundaryKind.NO_SLIP
@@ -39,6 +43,14 @@ NS = BoundaryKind.NO_SLIP
 
 def constant_profile():
     return ProfileSpec(name="constant")
+
+
+def temperature(state, new_u, new_v, dt, params, grid, **kwargs):
+    """temperature_step after the end-of-step velocity new_u and volume
+    new_v, with the strain rate and viscosity that step passes it."""
+    u_x = du_dx_cells(new_u, grid)
+    mu = viscosity(new_v, params)
+    return temperature_step(state, u_x, new_v, mu, dt, params, grid, **kwargs)
 
 
 bases = st.floats(min_value=1e-3, max_value=1e3)
@@ -215,7 +227,8 @@ class TestDtControl:
 
 class TestMomentumStep:
     def test_no_slip_steady_stays_zero(self, grid, params, uniform_state):
-        new_u = momentum_step(uniform_state, 1e-2, params, NS, grid)
+        state = with_derived(uniform_state, params, grid)
+        new_u = momentum_step(state, 1e-2, params, NS, grid)
         np.testing.assert_array_equal(new_u, np.zeros(grid.n_nodes))
 
     def test_stress_free_zero_stress_start_is_stationary(self, grid):
@@ -223,7 +236,7 @@ class TestMomentumStep:
         # vanish and the implicit solve returns u unchanged
         params = MaterialParams(alpha=0.0)
         state = compatible_initial_data(constant_profile(), params, SF, grid)
-        new_u = momentum_step(state, 1e-2, params, SF, grid)
+        new_u = momentum_step(with_derived(state, params, grid), 1e-2, params, SF, grid)
         np.testing.assert_allclose(new_u, state.u, atol=1e-14)
 
     @pytest.mark.parametrize("bc", [SF, NS])
@@ -255,7 +268,9 @@ class TestMomentumStep:
         else:
             rhs[0] = rhs[-1] = 0.0
         expected = solve_banded((1, 1), ab, rhs)
-        got = momentum_step(state, dt, params, bc, grid, stress_bc, source)
+        got = momentum_step(
+            with_derived(state, params, grid), dt, params, bc, grid, stress_bc, source
+        )
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= 1e-13 * scale
         if bc is NS:
@@ -282,28 +297,29 @@ class TestMomentumStep:
 
 class TestContinuityStep:
     def test_uniform_velocity_preserves_volume(self, grid, uniform_state):
-        new_v = continuity_step(uniform_state, np.full(grid.n_nodes, 2.0), 0.1, grid)
+        u_x = du_dx_cells(np.full(grid.n_nodes, 2.0), grid)
+        new_v = continuity_step(uniform_state, u_x, 0.1)
         np.testing.assert_array_equal(new_v, uniform_state.v)
 
     def test_linear_velocity_adds_dt(self, grid, uniform_state):
-        new_v = continuity_step(uniform_state, grid.nodes.copy(), 0.25, grid)
+        new_v = continuity_step(uniform_state, du_dx_cells(grid.nodes, grid), 0.25)
         np.testing.assert_allclose(new_v, uniform_state.v + 0.25)
 
     def test_compatible_start_grows_half_dt(self, grid):
         params = MaterialParams(alpha=0.0)
         state = compatible_initial_data(constant_profile(), params, SF, grid)
-        new_v = continuity_step(state, state.u, 0.1, grid)
+        new_v = continuity_step(state, du_dx_cells(state.u, grid), 0.1)
         np.testing.assert_allclose(new_v, state.v + 0.05)
 
     def test_collapse_rejected(self, grid, uniform_state):
         crushing = -10.0 * grid.nodes
         with pytest.raises(StepRejected, match="volume"):
-            continuity_step(uniform_state, crushing, 0.5, grid)
+            continuity_step(uniform_state, du_dx_cells(crushing, grid), 0.5)
 
 
 class TestTemperatureStep:
     def test_uniform_rest_state_unchanged(self, grid, params, uniform_state):
-        new_theta = temperature_step(
+        new_theta = temperature(
             uniform_state, uniform_state.u, uniform_state.v, 1e-2, params, grid
         )
         np.testing.assert_allclose(new_theta, uniform_state.theta, atol=1e-15)
@@ -317,7 +333,7 @@ class TestTemperatureStep:
         v0, th0, dt = 1.25, 0.8, 2e-3
         state = State(0.0, np.full(grid.n_cells, v0), g * grid.nodes, np.full(grid.n_cells, th0))
         new_v = np.full(grid.n_cells, v0)
-        new_theta = temperature_step(state, state.u, new_v, dt, params, grid)
+        new_theta = temperature(state, state.u, new_v, dt, params, grid)
         mu = viscosity(np.array([v0]), params)[0]
         expected = (th0 + dt * mu * g * g / (params.c_v * v0)) / (
             1.0 + dt * params.R * g / (params.c_v * v0)
@@ -330,13 +346,13 @@ class TestTemperatureStep:
         with pytest.raises(
             StepRejected, match="temperature system not positive definite"
         ):
-            temperature_step(crushed, crushed.u, crushed.v, 0.5, params, grid)
+            temperature(crushed, crushed.u, crushed.v, 0.5, params, grid)
 
     def test_nan_velocity_rejected(self, grid, params, uniform_state):
         new_u = uniform_state.u.copy()
         new_u[grid.n_nodes // 2] = np.nan
         with pytest.raises(StepRejected, match="temperature"):
-            temperature_step(uniform_state, new_u, uniform_state.v, 1e-3, params, grid)
+            temperature(uniform_state, new_u, uniform_state.v, 1e-3, params, grid)
 
     def test_start_exact_on_quadratic_data(self):
         # theta(t) = a + b t + c t^2 per cell, sampled at three times with
@@ -368,20 +384,19 @@ class TestTemperatureStep:
         grid = Grid(256)
         dt = 2.0 * grid.dx**2
         state = compatible_initial_data(cosine_profile, params, SF, grid)
+        state = with_derived(state, params, grid)
         history = ()
         for _ in range(4):
             new = step(state, dt, params, SF, grid, history=history)
             history, state = (state, *history[:1]), new
         new_u = momentum_step(state, dt, params, SF, grid)
-        new_v = continuity_step(state, new_u, dt, grid)
+        new_v = continuity_step(state, du_dx_cells(new_u, grid), dt)
         return grid, dt, history, state, new_u, new_v
 
     def test_extrapolated_start_reaches_same_fixed_point(self, params, cosine_profile):
         grid, dt, history, state, new_u, new_v = self._history(params, cosine_profile)
-        cold = temperature_step(state, new_u, new_v, dt, params, grid)
-        warm = temperature_step(
-            state, new_u, new_v, dt, params, grid, history=history
-        )
+        cold = temperature(state, new_u, new_v, dt, params, grid)
+        warm = temperature(state, new_u, new_v, dt, params, grid, history=history)
         rel = np.max(np.abs(warm - cold)) / np.max(cold)
         assert rel <= 10.0 * scheme.PICARD_TOL
 
@@ -392,10 +407,10 @@ class TestTemperatureStep:
         # -5 theta: it is unusable
         bad = history[0].copy()
         bad.theta[7] = 3.0 * state.theta[7]
-        cold = temperature_step(state, new_u, new_v, dt, params, grid)
+        cold = temperature(state, new_u, new_v, dt, params, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            fallback = temperature_step(
+            fallback = temperature(
                 state, new_u, new_v, dt, params, grid, history=(bad, history[1])
             )
         np.testing.assert_array_equal(fallback, cold)
@@ -409,9 +424,10 @@ class TestTemperatureStep:
         grid, dt = Grid(32), 2e-3
         profile = ProfileSpec(name="cosine", amplitudes=(("u_amp", 50.0),))
         state = compatible_initial_data(profile, params, NS, grid)
+        state = with_derived(state, params, grid)
         new_u = momentum_step(state, dt, params, NS, grid)
-        new_v = continuity_step(state, new_u, dt, grid)
-        got = temperature_step(state, new_u, new_v, dt, params, grid)
+        new_v = continuity_step(state, du_dx_cells(new_u, grid), dt)
+        got = temperature(state, new_u, new_v, dt, params, grid)
 
         # plain Picard, one fresh banded solve per pass, run to rounding
         g = du_dx_cells(new_u, grid)
@@ -480,6 +496,7 @@ class TestTemperatureStep:
     def test_iteration_cap_rejects(self, params, cosine_profile, monkeypatch):
         grid = Grid(64)
         state = compatible_initial_data(cosine_profile, params, SF, grid)
+        state = with_derived(state, params, grid)
         monkeypatch.setattr(scheme, "MAX_PICARD", 1)
         with pytest.raises(StepRejected, match="stalled"):
             step(state, 5e-3, params, SF, grid)
@@ -488,7 +505,7 @@ class TestTemperatureStep:
 class TestStep:
     def test_no_slip_constant_fixed_point(self, grid, params):
         state = compatible_initial_data(constant_profile(), params, NS, grid)
-        current = state
+        current = with_derived(state, params, grid)
         for _ in range(25):
             current = step(current, 5e-3, params, NS, grid)
         np.testing.assert_allclose(current.v, state.v, rtol=1e-12)
@@ -499,11 +516,13 @@ class TestStep:
         # a NaN in the momentum result must reach the driver as a rejection
         # (so dt is halved), not as a ValueError from the viscosity
         uniform_state.u[grid.n_nodes // 2] = np.nan
+        state = with_derived(uniform_state, params, grid)
         with pytest.raises(StepRejected, match="volume"):
-            step(uniform_state, 1e-3, params, NS, grid)
+            step(state, 1e-3, params, NS, grid)
 
     def test_continuity_identity_exact(self, grid, params, cosine_profile):
         state = compatible_initial_data(cosine_profile, params, SF, grid)
+        state = with_derived(state, params, grid)
         dt = 2e-3
         new = step(state, dt, params, SF, grid)
         np.testing.assert_allclose(
@@ -514,6 +533,7 @@ class TestStep:
         # local (one-step) energy error is O(dt^2); over a fixed horizon it
         # accumulates to the first-order drift checked elsewhere
         state = compatible_initial_data(cosine_profile, params, SF, grid)
+        state = with_derived(state, params, grid)
         e0 = total_energy(state, grid, params.c_v)
         drifts = []
         for dt in (1e-3, 5e-4):
@@ -527,6 +547,7 @@ class TestStep:
         # own lagged stress, first-order-accurate for the end-of-step stress
         grid = Grid(64)
         state = compatible_initial_data(cosine_profile, params, SF, grid)
+        state = with_derived(state, params, grid)
         for _ in range(20):
             state = step(state, 1e-3, params, SF, grid)
         dt = 1e-3
@@ -547,3 +568,55 @@ class TestStep:
         node_avg_end = 0.5 * (end_state[:-1] + end_state[1:])
         tol = 5.0 * dt * (dt + grid.dx**2)
         assert np.max(np.abs(delta[1:-1] - dt * node_avg_end)) <= tol
+
+
+class TestDerivedFields:
+    @staticmethod
+    def _same_bits(got, want):
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["profile", "manufactured"])
+    @pytest.mark.parametrize("bc", [SF, NS], ids=["stress_free", "no_slip"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_step_returns_the_fields_of_its_state(
+        self, alpha, bc, forced, cosine_profile
+    ):
+        # each derived field step returns is, bit for bit, the law evaluated
+        # on the state it returns, so a reader of the field sees what a
+        # re-evaluation would give; two steps, so the second starts from a
+        # stepped state's fields
+        grid, dt = Grid(32), 1e-3
+        params = MaterialParams(alpha=alpha)
+        case = manufactured_case("default", params) if forced else None
+        scenario = Scenario(
+            bc=bc, n_cells=32, params=params, profile=cosine_profile,
+            mms="default" if forced else None,
+        )
+        state = with_derived(driver.initial_state(scenario, grid, case), params, grid)
+        for _ in range(2):
+            t = state.t + dt
+            sources = mms_sources(case, grid, t) if forced else None
+            stress_bc = driver._imposed_wall_stress(case, bc, t)
+            state = step(state, dt, params, bc, grid, sources, stress_bc)
+            d = state.derived
+            assert self._same_bits(d.u_x, du_dx_cells(state.u, grid))
+            assert self._same_bits(d.mu, viscosity(state.v, params))
+            assert self._same_bits(d.p, pressure(state.v, state.theta, params))
+            # the inner power of viscosity_volume_factor
+            assert self._same_bits(d.v_power, volume_power(state.v, alpha))
+            factor = viscosity_volume_factor(state.v, alpha)
+            if alpha == 0.0:
+                assert np.all(d.v_power == 1.0) and np.all(factor == 1.0)
+            else:
+                assert self._same_bits(np.exp(d.v_power / alpha), factor)
+
+    def test_copy_does_not_alias_them(self, grid, params, cosine_profile):
+        state = compatible_initial_data(cosine_profile, params, SF, grid)
+        state = step(with_derived(state, params, grid), 1e-3, params, SF, grid)
+        copy = state.copy()
+        for name in ("u_x", "v_power", "mu", "p"):
+            got, want = getattr(copy.derived, name), getattr(state.derived, name)
+            assert self._same_bits(got, want)
+            assert not np.shares_memory(got, want), name
+        assert State(0.0, state.v, state.u, state.theta).copy().derived is None
+

@@ -1,4 +1,6 @@
 import dataclasses
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lagns import driver
 from lagns import (
     BoundaryKind,
     Grid,
@@ -13,13 +16,16 @@ from lagns import (
     State,
     StateBlock,
     boundary_stress_residual,
+    branch_weight,
     compatible_initial_data,
     energy_drift,
     initial_volume_factor,
+    load_config,
     make_accumulator,
     make_tracker,
     pressure,
     representation_residual,
+    run,
     total_energy,
     update_accumulator,
     update_bounds,
@@ -27,13 +33,15 @@ from lagns import (
     velocity_integral_factor,
     viscosity,
     viscosity_volume_factor,
+    with_derived,
 )
-from lagns.grid import cell_integral, du_dx_cells, grad_l2_sq, node_weights
+from lagns.grid import DerivedFields, cell_integral, du_dx_cells, node_weights
 from lagns.scenario import ProfileSpec
 from lagns.verify import BoundTracker
 
 SF = BoundaryKind.STRESS_FREE
 NS = BoundaryKind.NO_SLIP
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def stress_magnitude_scale(state, params, grid):
@@ -46,22 +54,40 @@ def stress_magnitude_scale(state, params, grid):
     return float(scale.max())
 
 
-def block_of(states, dts):
-    """The StateBlock of consecutive states, the first being the state
-    before the block; dts[i] is the step from states[i] to states[i + 1]."""
+def grad_l2_sq(f, grid):
+    """Squared L2 norm of the discrete gradient of a cell-centered field,
+    dx * sum_i ((f[i+1] - f[i]) / dx)**2 over interior-node differences:
+    the oracle of the tracker's gradient norms."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (grid.n_cells,):
+        raise ValueError(f"field has shape {f.shape}, expected ({grid.n_cells},)")
+    d = np.diff(f)
+    return float(d @ d / grid.dx)
+
+
+def block_of(states, dts, params, grid):
+    """The StateBlock of consecutive states after the one the instruments
+    last saw, each given its derived fields; dts[i] is the step that made
+    states[i]."""
+    derived = [with_derived(s, params, grid).derived for s in states]
+
+    def rows(name, items):
+        return np.array([getattr(item, name) for item in items])
+
     return StateBlock(
-        v=np.array([s.v for s in states]),
-        u=np.array([s.u for s in states]),
-        theta=np.array([s.theta for s in states]),
-        dt=np.array(dts, dtype=float),
+        rows("v", states),
+        rows("u", states),
+        rows("theta", states),
+        DerivedFields(*(rows(f.name, derived) for f in dataclasses.fields(DerivedFields))),
+        np.array(dts, dtype=float),
     )
 
 
 def advance(acc, states, dts, grid):
-    """Fold the steps of states into acc as one block; returns the block's
-    per-step band margins."""
-    block = block_of(states, dts)
-    velocity_factor = acc.velocity_factor(block.u[1:], grid)
+    """Fold the steps of states[1:] into acc, last fed states[0], as one
+    block; returns the block's per-step band margins."""
+    block = block_of(states[1:], dts, acc.params, grid)
+    velocity_factor = acc.velocity_factor(block.u, grid)
     update_accumulator(acc, block, velocity_factor)
     return velocity_band_check(acc, velocity_factor)
 
@@ -125,7 +151,7 @@ class TestVelocityIntegralFactor:
 class TestRepresentationAccumulator:
     def test_constant_integrand_accumulates_trapezoid(self, grid, params):
         state = State(0.0, np.ones(grid.n_cells), np.zeros(grid.n_nodes), np.ones(grid.n_cells))
-        acc = make_accumulator(state, grid, params)
+        acc = make_accumulator(with_derived(state, params, grid), grid, params)
         # integrand theta/(D1*D2) is constant in time here, so the trapezoid
         # rule accumulates exactly c*dt per step
         c = acc.last_integrand.copy()
@@ -142,14 +168,14 @@ class TestRepresentationAccumulator:
 
     def test_negative_increment_clears_monotone_flag(self, grid, params):
         state = State(0.0, np.ones(grid.n_cells), np.zeros(grid.n_nodes), np.ones(grid.n_cells))
-        acc = make_accumulator(state, grid, params)
+        acc = make_accumulator(with_derived(state, params, grid), grid, params)
         chilled = state.copy()
         chilled.theta = np.full(grid.n_cells, -3.0)  # unphysical, forced by hand
         advance(acc, [state, chilled], [0.1], grid)
         assert not acc.monotone_ok
 
     def test_out_of_sync_time_raises(self, grid, params, uniform_state):
-        acc = make_accumulator(uniform_state, grid, params)
+        acc = make_accumulator(with_derived(uniform_state, params, grid), grid, params)
         ahead = uniform_state.copy()
         ahead.t = 1.0
         with pytest.raises(ValueError, match="out of sync"):
@@ -169,7 +195,7 @@ class TestRepresentationAccumulator:
         grid = Grid(16)
         params = MaterialParams(alpha=alpha)
         state = State(0.0, v0, np.zeros(grid.n_nodes), np.ones(grid.n_cells))
-        acc = make_accumulator(state, grid, params)
+        acc = make_accumulator(with_derived(state, params, grid), grid, params)
         assert representation_residual(state, acc, grid) <= 1e-12
 
 
@@ -177,7 +203,7 @@ class TestVelocityBand:
     def test_initial_state_inside_with_formula_margin(self, grid, params):
         profile = ProfileSpec(name="cosine")
         state = compatible_initial_data(profile, params, SF, grid)
-        acc = make_accumulator(state, grid, params)
+        acc = make_accumulator(with_derived(state, params, grid), grid, params)
         (margin,) = velocity_band_check(acc, acc.velocity_factor(state.u[None], grid))
         assert margin >= 0.0
         # u = u0 makes the factor exactly one; margin is distance to the
@@ -190,7 +216,7 @@ class TestVelocityBand:
         # the factor belongs to the state passed in, not to the last state
         # the accumulator was advanced with
         state = compatible_initial_data(cosine_profile, params, SF, grid)
-        acc = make_accumulator(state, grid, params)
+        acc = make_accumulator(with_derived(state, params, grid), grid, params)
         later = state.copy()
         later.t = 0.1
         advance(acc, [state, later], [0.1], grid)
@@ -203,7 +229,7 @@ class TestVelocityBand:
         assert later_margin >= 0.0
 
     def test_excursion_outside_is_flagged(self, grid, params, uniform_state):
-        acc = make_accumulator(uniform_state, grid, params)
+        acc = make_accumulator(with_derived(uniform_state, params, grid), grid, params)
         wild = uniform_state.copy()
         wild.u = np.full(grid.n_nodes, 50.0)
         (margin,) = velocity_band_check(acc, acc.velocity_factor(wild.u[None], grid))
@@ -212,14 +238,14 @@ class TestVelocityBand:
 
 class TestBoundTracker:
     def test_steady_state_integrals(self, grid, params, uniform_state):
-        tracker = make_tracker(uniform_state, grid, params)
+        tracker = make_tracker(with_derived(uniform_state, params, grid), grid, params)
         states = [uniform_state]
         dt = 0.25
         for _ in range(4):
             new = states[-1].copy()
             new.t = states[-1].t + dt
             states.append(new)
-        update_bounds(tracker, block_of(states, [dt] * 4), grid)
+        update_bounds(tracker, block_of(states[1:], [dt] * 4, params, grid), grid)
         # max theta = 1 at rest: the time integral equals elapsed time;
         # gradient and acceleration integrals stay exactly zero
         assert tracker.int_max_theta == pytest.approx(1.0, rel=1e-14)
@@ -231,25 +257,27 @@ class TestBoundTracker:
         assert tracker.monotone_ok
 
     def test_minima_track_excursions(self, grid, params, uniform_state):
-        tracker = make_tracker(uniform_state, grid, params)
+        tracker = make_tracker(with_derived(uniform_state, params, grid), grid, params)
         dipped = uniform_state.copy()
         dipped.t = 0.1
         dipped.v[3] = 0.4
         dipped.theta[5] = 0.7
-        update_bounds(tracker, block_of([uniform_state, dipped], [0.1]), grid)
+        update_bounds(tracker, block_of([dipped], [0.1], params, grid), grid)
         assert tracker.min_v == pytest.approx(0.4)
         assert tracker.min_theta == pytest.approx(0.7)
 
     def test_nonfinite_clears_monotone_flag(self, grid, params, uniform_state):
-        tracker = make_tracker(uniform_state, grid, params)
-        # the theta integral uses the left-rectangle rule, so the previous
-        # state must carry the bad value for it to enter the running sums
+        tracker = make_tracker(with_derived(uniform_state, params, grid), grid, params)
+        # the theta integral uses the left-rectangle rule, so the state
+        # before a step must carry the bad value for it to enter the running
+        # sums: here the step to later, after broken
         broken = uniform_state.copy()
         broken.theta = np.full(grid.n_cells, np.inf)
         later = broken.copy()
         later.t = 0.1
         with np.errstate(invalid="ignore"):
-            update_bounds(tracker, block_of([broken, later], [0.1]), grid)
+            block = block_of([broken, later], [0.1, 0.1], params, grid)
+            update_bounds(tracker, block, grid)
         assert not tracker.monotone_ok
 
     def test_stress_scale_positive_at_rest(self, grid, params, uniform_state):
@@ -260,6 +288,7 @@ class TestBoundTracker:
 def reference_make_tracker(state, grid, params):
     """make_tracker written with the grid helpers, as the oracle of the seed."""
     g = du_dx_cells(state.u, grid)
+    uxx = (state.u[2:] - 2.0 * state.u[1:-1] + state.u[:-2]) / grid.dx**2
     return BoundTracker(
         params=params,
         weights=node_weights(grid),
@@ -270,6 +299,9 @@ def reference_make_tracker(state, grid, params):
         sup_grad_theta_sq=grad_l2_sq(state.theta, grid),
         sup_u_x_sq=cell_integral(g * g, grid),
         sup_stress_scale=stress_magnitude_scale(state, params, grid),
+        last_u=state.u,
+        last_max_theta=float(np.max(state.theta)),
+        last_uxx_sq=float(uxx @ uxx),
     )
 
 
@@ -321,7 +353,8 @@ oracle_runs = st.lists(
 
 def assert_same_fields(tracker, reference):
     for field in dataclasses.fields(BoundTracker):
-        if field.name in ("params", "weights"):
+        # the newest state's values are checked through the integrals
+        if field.name in ("params", "weights") or field.name.startswith("last_"):
             continue
         # repr round-trips a float exactly, so equal reprs are equal bits
         got = repr(getattr(tracker, field.name))
@@ -341,17 +374,17 @@ class TestUpdateBoundsOracle:
         dts = [dt for _, dt in run[1:]]
         grid = Grid(ORACLE_CELLS)
         params = MaterialParams(alpha=alpha, c_v=c_v)
-        tracker = make_tracker(states[0], grid, params)
-        whole = make_tracker(states[0], grid, params)
+        tracker = make_tracker(with_derived(states[0], params, grid), grid, params)
+        whole = make_tracker(with_derived(states[0], params, grid), grid, params)
         reference = reference_make_tracker(states[0], grid, params)
         assert_same_fields(tracker, reference)
         for i, dt in enumerate(dts):
             prev, state = states[i], states[i + 1]
-            update_bounds(tracker, block_of([prev, state], [dt]), grid)
+            update_bounds(tracker, block_of([state], [dt], params, grid), grid)
             reference_update_bounds(reference, prev, state, dt, grid)
             assert_same_fields(tracker, reference)
         # the whole run folded as one block lands on the same bits
-        update_bounds(whole, block_of(states, dts), grid)
+        update_bounds(whole, block_of(states[1:], dts, params, grid), grid)
         assert_same_fields(whole, reference)
 
 
@@ -372,8 +405,8 @@ class TestBlockFoldOracle:
         dts = [dt for _, dt in run[1:]]
         grid = Grid(ORACLE_CELLS)
         params = MaterialParams(alpha=alpha)
-        stepwise = make_accumulator(states[0], grid, params)
-        whole = make_accumulator(states[0], grid, params)
+        stepwise = make_accumulator(with_derived(states[0], params, grid), grid, params)
+        whole = make_accumulator(with_derived(states[0], params, grid), grid, params)
         margins = []
         for i, dt in enumerate(dts):
             margins += advance(stepwise, states[i : i + 2], [dt], grid)
@@ -388,16 +421,80 @@ class TestBlockFoldOracle:
             assert repr(margin) == repr(reference_band_margin(whole, factor))
 
 
+def reference_time_integral(states, dts, grid, params):
+    """The accumulator's time integral folded one state at a time, each
+    integrand evaluated from the state's fields with
+    viscosity_volume_factor: the oracle of the run's accumulator."""
+    k = branch_weight(params.alpha)
+
+    def integrand(state):
+        d1 = velocity_integral_factor(state.u, states[0].u, grid, k)
+        return state.theta / (d1 * viscosity_volume_factor(state.v, params.alpha))
+
+    total = np.zeros(grid.n_cells)
+    last = integrand(states[0])
+    for state, dt in zip(states[1:], dts):
+        current = integrand(state)
+        total += (last + current) * (0.5 * dt)
+        last = current
+    return total
+
+
+class TestRunOracle:
+    @pytest.mark.parametrize("n_cells, t_end", [
+        # about 225 steps: full blocks of 63 steps and partial ones at rows
+        pytest.param(64, 2.0, id="64-many_step_blocks"),
+        pytest.param(2048, 0.02, id="2048-one_step_blocks"),
+    ])
+    @pytest.mark.parametrize("name", ["default", "alpha0"])
+    def test_run_instruments_match_state_by_state_oracles(
+        self, monkeypatch, name, n_cells, t_end
+    ):
+        # the instruments fold the derived fields the steps handed on, in
+        # blocks; the oracles evaluate the laws afresh on every accepted
+        # state, one at a time, and must land on the same bits
+        scenario = replace(
+            load_config(CONFIGS / f"{name}.json"),
+            n_cells=n_cells, t_end=t_end, output_every=t_end / 2,
+        )
+        states, dts = [], []
+        advance = driver.step
+
+        def recorded_step(state, dt, *args, **kwargs):
+            new_state = advance(state, dt, *args, **kwargs)
+            if not states:
+                states.append(state)
+            states.append(new_state)
+            dts.append(dt)
+            return new_state
+
+        monkeypatch.setattr(driver, "step", recorded_step)
+        result = run(scenario)
+        assert result.report.status == "completed"
+        assert result.report.halvings == 0 and len(states) > 2
+        grid, params = result.grid, scenario.params
+        scale = max(stress_magnitude_scale(s, params, grid) for s in states)
+        assert repr(result.tracker.sup_stress_scale) == repr(scale)
+        want = reference_time_integral(states, dts, grid, params)
+        assert result.accumulator.time_integral.tobytes() == want.tobytes()
+        # every other functional too, the integrals over the steps that
+        # straddle two blocks included
+        reference = reference_make_tracker(states[0], grid, params)
+        for prev, state, dt in zip(states, states[1:], dts):
+            reference_update_bounds(reference, prev, state, dt, grid)
+        assert_same_fields(result.tracker, reference)
+
+
 class TestEnergyDrift:
     def test_zero_at_start(self, grid, params, uniform_state):
-        tracker = make_tracker(uniform_state, grid, params)
+        tracker = make_tracker(with_derived(uniform_state, params, grid), grid, params)
         energy = total_energy(uniform_state, grid, params.c_v)
         assert energy_drift(tracker, energy) == 0.0
 
     def test_absolute_branch_when_reference_is_zero(self, grid, params, uniform_state):
         # a zero reference energy cannot arise from valid (positive) data,
         # but the drift helper still guards it; force it directly
-        tracker = make_tracker(uniform_state, grid, params)
+        tracker = make_tracker(with_derived(uniform_state, params, grid), grid, params)
         tracker.e0 = 0.0
         energy = total_energy(uniform_state, grid, params.c_v)
         assert energy_drift(tracker, energy) == pytest.approx(energy)
