@@ -1,13 +1,14 @@
 """Command-line surface: run, verify, convergence, sweep.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
-3 solver abort.
+3 solver abort, 141 (128 + SIGPIPE) when stdout's reader goes away.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ABORT = 3
+EXIT_BROKEN_PIPE = 141
 
 MIN_SPATIAL_ORDER = 1.7
 ROUNDING_FLOOR = 1e-12
@@ -218,6 +220,21 @@ def cmd_sweep(config_path: str, alphas: str, betas: str, out_dir: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _dispatch(argv)
+        # flush inside the try, so a reader that has gone away is met here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`lagns verify ... | head -1`): point
+        # stdout at devnull so that the interpreter's flush at exit cannot
+        # raise again, and exit as a process killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _dispatch(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="lagns",
         description="1-D Lagrangian viscous-gas solver with built-in verification",

@@ -6,8 +6,8 @@ and a temperature-power conductivity kappa(theta) = kappa_tilde*theta**beta.
 The laws are plain formulas: they assume specific volume v and temperature
 theta are strictly positive and do not check it. States guarantee it where
 they are made: State.validate checks initial data, and the gates of
-scheme.continuity_step (v) and of the Picard loop of scheme.temperature_step
-(theta) check every stepped state.
+scheme.continuity_step (v) and scheme.temperature_step (theta) check every
+stepped state.
 """
 
 from __future__ import annotations

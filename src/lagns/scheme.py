@@ -8,26 +8,16 @@ Evolved system, per unit mass on the fixed interval (0, 1):
 
 Each step advances u, then v, then theta. The diffusive parts of the
 momentum and temperature updates are backward Euler, pressure coupling is
-explicit, the compression-work term is implicit in theta, and the
-conductivity is lagged through a Picard loop whose limits are the
-constants MAX_PICARD and PICARD_TOL. Both systems are symmetric
-positive-definite tridiagonals, solved through their LDL^T factor (LAPACK
-ptsv).
-The Picard loop's first pass factors the matrix at its starting
-temperature; each later pass is a defect correction with the factor it
-already holds (the chord method), and is redone with a fresh factor when
-the corrected temperature is not positive or the correction does not halve
-the increment. Given the two accepted states before the current one, the
-loop starts from the quadratic extrapolation in time through the last
-three temperatures, an O(dt^3) guess that the stopping test accepts after
-one pass in most steps (at N = 256 and dt = 2/N^2 a step takes 1.04
-passes). With one state of history it starts from the linear
-extrapolation, and with none, or when the guess is not positive
-everywhere, from the current temperature. A step that would lose
-positivity of v or theta, whose temperature matrix is not positive
-definite, or whose Picard loop stalls, is rejected so the driver can retry
-with a halved dt. The step-size limits cfl, dt_min and dt_max arrive as
-plain floats; Scenario is where they are range-checked.
+explicit, and the compression-work term is implicit in theta. The
+conductivity is linearly implicit: it is evaluated once, at the accepted
+temperatures extrapolated to the end of the step, so the temperature
+update is one linear solve (Akrivis & Crouzeix, Math. Comp. 73, 2004).
+Both systems are symmetric positive-definite tridiagonals, solved through
+their LDL^T factor (LAPACK ptsv). A step that would lose positivity of v
+or theta, or whose temperature matrix is not positive definite, is
+rejected so the driver can retry with a halved dt. The step-size limits
+cfl, dt_min and dt_max arrive as plain floats; Scenario is where they are
+range-checked.
 
 Each state that step returns carries its derived fields (grid.DerivedFields),
 made once where the state is made: the strain rate u_x for continuity and
@@ -49,7 +39,7 @@ import enum
 from dataclasses import replace
 
 import numpy as np
-from scipy.linalg.lapack import dptsv, dpttrs
+from scipy.linalg.lapack import dptsv
 
 from .constitutive import (
     MaterialParams,
@@ -64,8 +54,6 @@ from .grid import DerivedFields, Grid, State, du_dx_cells, wall_values
 
 __all__ = [
     "BoundaryKind",
-    "MAX_PICARD",
-    "PICARD_TOL",
     "StepRejected",
     "SolverAbort",
     "tridiagonal_solve",
@@ -78,11 +66,6 @@ __all__ = [
     "with_derived",
 ]
 
-# Picard limits of temperature_step: pass cap and relative max-norm tolerance
-MAX_PICARD = 50
-PICARD_TOL = 1e-11
-
-
 class BoundaryKind(enum.Enum):
     """Boundary family; both variants keep the ends thermally insulated."""
 
@@ -91,7 +74,8 @@ class BoundaryKind(enum.Enum):
 
 
 class StepRejected(Exception):
-    """Raised by a sub-step whose result would violate positivity or stall."""
+    """Raised by a sub-step that cannot be taken at this dt: its system is
+    not positive definite, or its result would violate positivity."""
 
 
 class SolverAbort(Exception):
@@ -105,15 +89,13 @@ class SolverAbort(Exception):
 
 def tridiagonal_solve(
     off: np.ndarray, diag: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+) -> np.ndarray:
     """Solve a symmetric positive-definite tridiagonal system.
 
     off[i] couples rows i and i+1 both ways. Solved by LAPACK ptsv, which
-    copies its inputs, so none is overwritten. Returns the solution and the
-    LDL^T factor (the diagonal of D, the subdiagonal of the unit bidiagonal
-    L), which _factor_solve applies to further right-hand sides. A matrix
-    that is not positive definite is a StepRejected, so a step that builds
-    one is retried with a smaller dt.
+    copies its inputs, so none is overwritten. A matrix that is not
+    positive definite is a StepRejected, so a step that builds one is
+    retried with a smaller dt.
     """
     diag = np.asarray(diag, dtype=float)
     n = diag.shape[0]
@@ -127,22 +109,13 @@ def tridiagonal_solve(
     if n < 2:
         # the LAPACK wrappers reject an empty off-diagonal
         off = np.zeros(1)
-    d, e, x, info = dptsv(diag, off, rhs)
+    _, _, x, info = dptsv(diag, off, rhs)
     if info > 0:
         raise StepRejected(
             f"system not positive definite (leading minor {info})"
         )
     if info < 0:
         raise ValueError(f"ptsv rejected argument {-info}")
-    return x, (d, e)
-
-
-def _factor_solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Solve with an LDL^T factor returned by tridiagonal_solve (LAPACK
-    pttrs), overwriting rhs with the solution."""
-    x, info = dpttrs(*factor, rhs, overwrite_b=True)
-    if info < 0:
-        raise ValueError(f"pttrs rejected argument {-info}")
     return x
 
 
@@ -242,7 +215,7 @@ def momentum_step(
         off[0] = off[-1] = 0.0
         rhs[0] = rhs[-1] = 0.0
 
-    return tridiagonal_solve(off, diag, rhs)[0]
+    return tridiagonal_solve(off, diag, rhs)
 
 
 def continuity_step(
@@ -261,9 +234,12 @@ def continuity_step(
     return new_v
 
 
-def _picard_start(state: State, history: tuple[State, ...], dt: float) -> np.ndarray:
-    """First Picard iterate of temperature_step: the temperature at
-    state.t + dt extrapolated through state and up to two earlier states.
+def _extrapolated_temperature(
+    state: State, history: tuple[State, ...], dt: float
+) -> np.ndarray:
+    """The temperature at which temperature_step evaluates the conductivity:
+    the temperature at state.t + dt extrapolated through state and up to
+    two earlier states.
 
     With history (s1, s2), h1 = state.t - s1.t and h2 = s1.t - s2.t, it is
     the Lagrange quadratic
@@ -281,17 +257,17 @@ def _picard_start(state: State, history: tuple[State, ...], dt: float) -> np.nda
         return theta
     h1 = state.t - history[0].t
     if len(history) == 1:
-        start = theta + (-dt / h1) * (history[0].theta - theta)
+        guess = theta + (-dt / h1) * (history[0].theta - theta)
     else:
         h2 = history[0].t - history[1].t
         w1 = -dt * (dt + h1 + h2) / (h1 * h2)
         w2 = dt * (dt + h1) / ((h1 + h2) * h2)
-        start = (
+        guess = (
             theta
             + w1 * (history[0].theta - theta)
             + w2 * (history[1].theta - theta)
         )
-    return start if start.min() > 0.0 else theta
+    return guess if guess.min() > 0.0 else theta
 
 
 def temperature_step(
@@ -305,75 +281,41 @@ def temperature_step(
     source: np.ndarray | None = None,
     history: tuple[State, ...] = (),
 ) -> np.ndarray:
-    """Backward-Euler temperature update with Picard-lagged conductivity.
+    """Backward-Euler temperature update with linearly implicit conductivity.
 
     u_x and mu are the end-of-step strain rate and the viscosity of new_v.
     The compression-work term is implicit in theta (it enters the diagonal
     with a positive sign when the gas expands), viscous heating is explicit
-    from the end-of-step velocity, and the conductivity is re-evaluated at
-    each Picard iterate, so the pass at theta solves A(theta) theta' = rhs.
-    Zero conductive flux at both walls falls out of omitting the end
-    interfaces.
+    from the end-of-step velocity, and the conductivity is evaluated at
+    theta*, the temperatures of state and of history (the accepted states
+    before it, newest first) extrapolated to state.t + dt; see
+    _extrapolated_temperature. The step is then one solve of
+    A(theta*) theta' = rhs. Zero conductive flux at both walls falls out of
+    omitting the end interfaces.
 
-    The first pass factors A at the starting temperature and solves. Each
-    later pass is a defect correction with the factor M it holds,
-    theta' = theta + M^-1 (rhs - A(theta) theta), whose fixed point is the
-    Picard one. A correction that leaves theta' not positive everywhere, or
-    that is more than half the previous increment, is thrown away, and the
-    pass is redone with a fresh factor of A(theta). A matrix that is not
-    positive definite, which needs 1 + dt R u_x / (c_v v) <= 0 in some cell,
-    rejects the step.
-
-    history holds the accepted states before state, newest first; the loop
-    starts from their extrapolation to state.t + dt (see _picard_start):
-    quadratic through two of them, linear through one, and state.theta
-    when there is none or the guess is not positive everywhere. The start
-    changes only how many passes the loop takes: it stops at the same fixed
-    point to within PICARD_TOL.
+    A matrix that is not positive definite, which needs
+    1 + dt R u_x / (c_v v) <= 0 in some cell, rejects the step, and so does
+    a theta' that is not positive everywhere. Without a source the latter
+    cannot happen: a positive-definite A(theta*) is an M-matrix, and
+    rhs >= state.theta > 0.
     """
-    dx = grid.dx
-    heating = mu * u_x * u_x / new_v
-    s = dt / (params.c_v * dx**2)
-
-    base_diag = 1.0 + dt * params.R * u_x / (params.c_v * new_v)
-    rhs = state.theta + (dt / params.c_v) * heating
+    s = dt / (params.c_v * grid.dx**2)
+    kv = conductivity(_extrapolated_temperature(state, history, dt), params) / new_v
+    # minus s times the interface conductivity: the off-diagonal of A
+    off = (-0.5 * s) * (kv[:-1] + kv[1:])
+    diag = 1.0 + dt * params.R * u_x / (params.c_v * new_v)
+    diag[:-1] -= off
+    diag[1:] -= off
+    rhs = state.theta + (dt / params.c_v) * (mu * u_x * u_x / new_v)
     if source is not None:
         rhs = rhs + (dt / params.c_v) * source
-
-    theta = _picard_start(state, history, dt)
-    factor = None
-    for _ in range(MAX_PICARD):
-        kv = conductivity(theta, params) / new_v
-        # minus s times the interface conductivity: the off-diagonal of A
-        off = (-0.5 * s) * (kv[:-1] + kv[1:])
-        if factor is not None:
-            # (A theta)_j = base_diag_j theta_j + jump_j - jump_j-1
-            jump = off * (theta[1:] - theta[:-1])
-            defect = rhs - base_diag * theta
-            defect[:-1] -= jump
-            defect[1:] += jump
-            correction = _factor_solve(factor, defect)
-            theta_new = theta + correction
-            change = abs(correction).max()
-            # NaN fails both tests
-            if not (change <= 0.5 * increment and theta_new.min() > 0.0):
-                factor = None
-        if factor is None:
-            diag = base_diag.copy()
-            diag[:-1] -= off
-            diag[1:] -= off
-            try:
-                theta_new, factor = tridiagonal_solve(off, diag, rhs)
-            except StepRejected as exc:
-                raise StepRejected(f"temperature {exc}") from None
-            if not theta_new.min() > 0.0:  # also catches NaN
-                raise StepRejected("non-positive temperature")
-            change = abs(theta_new - theta).max()
-        # theta_new > 0 here, so its max is its max-norm
-        if change <= PICARD_TOL * theta_new.max():
-            return theta_new
-        theta, increment = theta_new, change
-    raise StepRejected("conductivity iteration stalled")
+    try:
+        new_theta = tridiagonal_solve(off, diag, rhs)
+    except StepRejected as exc:
+        raise StepRejected(f"temperature {exc}") from None
+    if not new_theta.min() > 0.0:  # also catches NaN
+        raise StepRejected("non-positive temperature")
+    return new_theta
 
 
 def step(
@@ -392,9 +334,9 @@ def step(
     velocity so v' - v = dt * u'_x holds exactly; temperature sees both new
     fields. Optional sources are (cells, nodes, cells) arrays already
     evaluated at the target time. history, the accepted states before
-    state, newest first, seeds the temperature Picard loop (see
-    temperature_step); the driver passes the last two. Raises StepRejected
-    if positivity or the Picard loop fails at this dt.
+    state, newest first, gives the temperature at which the conductivity is
+    evaluated (see temperature_step); the driver passes the last two.
+    Raises StepRejected if positivity fails at this dt.
 
     state must carry its derived fields (see with_derived), and the state
     returned carries its own: u'_x, made once for continuity and

@@ -186,7 +186,7 @@ def test_06_manufactured_convergence_and_solver_oracle():
     diag = 4.0 + rng.random(n)
     rhs = rng.standard_normal(n)
     dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
-    x, _ = tridiagonal_solve(off, diag, rhs)
+    x = tridiagonal_solve(off, diag, rhs)
     err = float(np.max(np.abs(x - np.linalg.solve(dense, rhs))))
     print(f"banded vs dense solve {err:.3e} (<= 1e-12)")
     assert err <= 1e-12

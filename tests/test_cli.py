@@ -23,16 +23,16 @@ SRC = str(Path(lagns.__file__).resolve().parents[1])
 # say which bits moved and why
 GOLDEN = {
     "alpha0": (
-        "ba247b57fd0569df8a226b63d6c03d874dc33966d05d30313c80a1700a64fb59",
-        "fa03e234b0ecf9ea300725870aa4b73edce3c71f50537e6ee3116afdb5ac1e94",
+        "47565b9be393e3947db98e8b9bc921577a8b288295edb44127468cf3e9717518",
+        "ed1f3616b5445362732e65ab29660c2ef6a743b8bfb88cd174ce71b4a7d09949",
     ),
     "default": (
-        "a4c520a3f26e974d9cbe9693099df8cac7137779e7625d0bfe9b36a4654867c3",
-        "a2676fd19738f13ca3e275d37c4475438f8cbcfa2ed43319fa5d459f15871aea",
+        "03570131b0b3339eae3792269f7de61f1c092d56a6b46e14c1b98a02af36b859",
+        "3905b980525cb0f8e4808712caa2f16e771036be44a0179517c02a91aa089086",
     ),
     "mms_default": (
-        "f28165c30e168df68250d84dbbf526a82fd067c8cd64c4982c9dd86bc5353fc8",
-        "84c8aada27e71c9d1fe5bc6bb00182e8597361c666ac5525f5e62f81d07f7054",
+        "485abf73776517992cd944d00e87478bcda2e9f33db8818b3416e825461b3dad",
+        "289e1a032e07ca04117d7c75eb76edf0bb81be2acb4ae15cccda3e21523374aa",
     ),
     # a gas at rest: every non-constant column is rounding noise, so this
     # digest moves with any reordered arithmetic, and
@@ -45,7 +45,7 @@ GOLDEN = {
 
 # sha256 of the stdout of `lagns convergence --config configs/mms_default.json
 # --levels 3`: the observed-order contract, pinned to the printed digits
-CONVERGENCE_DIGEST = "5bb3fa456e5e1e807d46ca73e2d266f8860b9055a037884083e10515b0722a29"
+CONVERGENCE_DIGEST = "b4de6f115417dbed644eaae248961ce0fce337bec2f0c8f24a57f95996a6abca"
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -88,7 +88,7 @@ class TestCmdRun:
     def test_abort_exits_three_with_partial_outputs(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "bc": "no_slip",
-            "profile": {"amplitudes": {"u_amp": 50.0}},
+            "profile": {"amplitudes": {"u_amp": 60.0}},
             "n_cells": 32, "t_end": 2.0, "output_every": 2e-3, "dt_min": 2e-3,
             "cfl": 1.0,
         })
@@ -331,6 +331,21 @@ class TestMain:
         config = small_run_config(tmp_path)
         assert cli.main(["verify", "--config", config]) == 0
         assert "checks passed" in capsys.readouterr().out
+
+    def test_closed_stdout_exits_without_traceback(self, tmp_path):
+        # `lagns verify ... | head -0`: the reader is gone before the first
+        # line is written
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lagns", "verify", "--config",
+             small_run_config(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE, err
+        assert err == ""
 
 
 # runs `lagns.cli.main` on each argv of the JSON list in argv[1], in one

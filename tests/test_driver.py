@@ -79,11 +79,12 @@ class TestRun:
 
     def test_abort_keeps_partial_rows(self):
         # a violent initial velocity drives compression hard enough that
-        # halving bottoms out at dt_min and the run aborts mid-flight,
-        # keeping the rows recorded before the failure
+        # halving bottoms out at dt_min and the run aborts mid-flight (at
+        # t = 0.022), keeping the rows recorded before the failure; with
+        # dt_max 5e-5 and no floor the same run completes
         scenario = Scenario(
             bc=BoundaryKind.NO_SLIP,
-            profile=ProfileSpec(name="cosine", amplitudes=(("u_amp", 50.0),)),
+            profile=ProfileSpec(name="cosine", amplitudes=(("u_amp", 60.0),)),
             n_cells=32,
             t_end=2.0,
             output_every=2e-3,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solveh_banded
 
-from lagns import StepRejected, scheme, tridiagonal_solve
+from lagns import StepRejected, tridiagonal_solve
 
 
 def dense_solve(off, diag, rhs):
@@ -15,12 +15,12 @@ def dense_solve(off, diag, rhs):
 
 def test_identity_matrix_returns_rhs():
     rhs = np.array([3.0, -1.0, 4.5, 0.0])
-    out, _ = tridiagonal_solve(np.zeros(3), np.ones(4), rhs)
+    out = tridiagonal_solve(np.zeros(3), np.ones(4), rhs)
     np.testing.assert_array_equal(out, rhs)
 
 
 def test_symmetric_two_by_two():
-    out, _ = tridiagonal_solve(
+    out = tridiagonal_solve(
         np.array([1.0]), np.array([2.0, 2.0]), np.array([3.0, 3.0])
     )
     np.testing.assert_allclose(out, [1.0, 1.0], atol=1e-15)
@@ -32,7 +32,7 @@ def test_random_dominant_system_matches_dense_oracle():
     off = rng.uniform(-1.0, 1.0, n - 1)
     diag = 3.0 + rng.uniform(0.0, 1.0, n)  # strictly dominant
     rhs = rng.uniform(-5.0, 5.0, n)
-    out, _ = tridiagonal_solve(off, diag, rhs)
+    out = tridiagonal_solve(off, diag, rhs)
     np.testing.assert_allclose(out, dense_solve(off, diag, rhs), atol=1e-12)
 
 
@@ -43,7 +43,7 @@ def test_dominant_systems_match_dense_oracle(seed, n):
     off = rng.uniform(-1.0, 1.0, n - 1)
     diag = 2.5 + rng.uniform(0.0, 1.0, n)
     rhs = rng.uniform(-5.0, 5.0, n)
-    out, _ = tridiagonal_solve(off, diag, rhs)
+    out = tridiagonal_solve(off, diag, rhs)
     residual = diag * out
     residual[1:] += off * out[:-1]
     residual[:-1] += off * out[1:]
@@ -62,26 +62,11 @@ def test_bit_identical_to_solve_banded(seed, n):
     ab[0, 1:] = off
     ab[1, :] = diag
     inputs = [a.copy() for a in (off, diag, rhs)]
-    out, _ = tridiagonal_solve(off, diag, rhs)
+    out = tridiagonal_solve(off, diag, rhs)
     assert np.array_equal(out, solveh_banded(ab, rhs))
-    # the solve must not overwrite its inputs in place: temperature_step
-    # reuses its right-hand side on every Picard pass
+    # the solve must not overwrite its inputs in place
     for before, after in zip(inputs, (off, diag, rhs)):
         assert np.array_equal(before, after)
-
-
-def test_factor_solves_further_right_hand_sides():
-    # the factor returned with a solution is the one pttrs applies, so
-    # solving with it again gives the same bits as a fresh solve
-    rng = np.random.default_rng(7)
-    n = 40
-    off = rng.uniform(-1.0, 1.0, n - 1)
-    diag = 3.0 + rng.uniform(0.0, 1.0, n)
-    first, second = rng.uniform(-5.0, 5.0, (2, n))
-    _, factor = tridiagonal_solve(off, diag, first)
-    expected, _ = tridiagonal_solve(off, diag, second)
-    # _factor_solve overwrites its right-hand side with the solution
-    assert np.array_equal(scheme._factor_solve(factor, second.copy()), expected)
 
 
 def test_shape_mismatch_rejected():
@@ -92,7 +77,7 @@ def test_shape_mismatch_rejected():
 
 
 def test_one_by_one_system_divides():
-    out, _ = tridiagonal_solve(np.empty(0), np.array([4.0]), np.array([2.0]))
+    out = tridiagonal_solve(np.empty(0), np.array([4.0]), np.array([2.0]))
     np.testing.assert_array_equal(out, [0.5])
 
 
