@@ -27,7 +27,7 @@ from .grid import (
     node_weights,
     total_energy,
 )
-from .mms import build_case, manufactured_case, mms_sources
+from .mms import manufactured_case, mms_sources
 from .scenario import (
     ConfigError,
     DiagnosticsReport,

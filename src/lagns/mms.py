@@ -1,265 +1,152 @@
-"""Manufactured solutions: closed-form fields and their symbolic sources.
+"""Manufactured solutions: one closed-form field family and its sources.
 
 A case prescribes smooth v*(x,t) > 0, u*(x,t), theta*(x,t) > 0 and carries
-the residuals of the three evolution equations as additive sources, derived
-symbolically and compiled to numpy callables. Feeding the sources back into
-the scheme makes the manufactured triple the exact solution, which turns
-grid refinement into an order-of-accuracy measurement.
+the residuals of the three evolution equations as additive sources. Feeding
+the sources back into the scheme makes the manufactured triple the exact
+solution, which turns grid refinement into an order-of-accuracy measurement.
 
-The sources are compiled by location, one program per set of points: the
-cell centers (s_v and s_theta), the nodes (s_u) and the two walls (the
-stress that stress-free walls impose; the case's stress at any x runs the
-same program). Each program runs sympy's common-subexpression elimination
-once over its expressions. What depends on x alone (the cos(pi x) and
-sin(pi x) factors) is evaluated once per grid, or once per case at the
-walls, and kept with the case; a call at t evaluates only the rest. Every
-expression is folded with sp.N first: left exact, the order in which the
-printed code adds its terms followed string hashing, so the float sums
-differed between processes.
+The named cases are one family with amplitude a:
 
-sympy is imported on the first case build (build_case or
-manufactured_case) or the first use of the symbols X and T, not with the
-module: the case names, MmsCase and mms_sources run without it, so a
-physical run never loads it.
+    v* = theta* = 1 + a exp(-t) cos(pi x),    u* = a sin(pi t) sin(pi x)
+
+u* vanishes at both walls (exact no-slip data) and theta* has zero wall
+slope. "default" is a = 1/10; "constant" is a = 0, the uniform rest state,
+an exact solution whose sources are zero.
+
+jet_sources turns fields given as jets (value, first and second
+x-derivative, t-derivative) into the sources by the chain rule. For the
+family, the jets are products of the x-only factors cos(pi x) and sin(pi x)
+with three t-scalars. mms_sources keeps the factors per grid and
+MmsCase.wall_stress keeps them at the walls, so a call at t evaluates the
+t-scalars and the arithmetic that follows.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .constitutive import MaterialParams
+from .constitutive import MaterialParams, conductivity, pressure, stress, volume_terms
 from .grid import Grid
 
-if TYPE_CHECKING:
-    import sympy as sp
+__all__ = ["MmsCase", "jet_sources", "manufactured_case", "mms_sources"]
 
-__all__ = ["X", "T", "MmsCase", "build_case", "manufactured_case", "mms_sources"]
-
-FieldFn = Callable[[np.ndarray, float], np.ndarray]
-
-_CASE_NAMES = ("default", "constant")
+# the amplitude a of each named case of the family
+_AMPLITUDES = {"default": 0.1, "constant": 0.0}
 
 
-@functools.cache
-def _symbols() -> tuple[sp.Symbol, sp.Symbol]:
-    """The symbols x and t of every case, made on first use."""
-    import sympy as sp
+def jet_sources(params: MaterialParams, v, u, theta):
+    """The sources (s_v, s_u, s_theta) of fields given as jets, and their
+    stress sigma.
 
-    return sp.symbols("x t", real=True)
+    Each of v, u and theta is a jet (f, f_x, f_xx, f_t): the field and its
+    derivatives at the same points, as arrays or scalars. With
+    mu(v) = mu_tilde*(1 + v**-alpha), kappa(theta) = kappa_tilde*theta**beta
+    and p = R theta / v,
 
+        sigma   = mu u_x / v - p                  (constitutive.stress)
+        s_v     = v_t - u_x
+        s_u     = u_t - sigma_x
+        s_theta = c_v theta_t + p u_x - q_x - mu u_x**2 / v
+                = c_v theta_t - sigma u_x - q_x,   q = kappa theta_x / v,
 
-def __getattr__(name: str):
-    # X and T are made with sympy, so the module resolves them on access
-    if name in ("X", "T"):
-        return _symbols()["XT".index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    where the chain rule gives
 
-
-def _shaped(value, shape: tuple[int, ...]) -> np.ndarray:
-    out = np.asarray(value, dtype=float)
-    # constant and t-only expressions evaluate to scalars; match the x shape
-    return np.broadcast_to(out, shape).copy() if out.shape == () else out
-
-
-def _compile(expr: sp.Expr) -> FieldFn:
-    import sympy as sp
-
-    X, T = _symbols()
-    fn = sp.lambdify((X, T), sp.N(expr), "numpy")
-
-    def evaluate(x: np.ndarray, t: float) -> np.ndarray:
-        return _shaped(fn(x, t), np.shape(x))
-
-    return evaluate
-
-
-def _hoist_x_only(reps, outs):
-    """Split the output of sp.cse into what depends on x alone and the rest.
-
-    Returns (hoisted, per_call, outs). hoisted holds (symbol, expression)
-    pairs in x alone, in evaluation order: the x-only replacements of the
-    elimination, then each largest x-only subexpression left inside the
-    other replacements or the outputs, which per_call and outs now name by
-    its symbol.
+        sigma_x = (mu' v_x u_x + mu u_xx - R theta_x - sigma v_x) / v
+        q_x     = (kappa' theta_x**2 + kappa theta_xx - q v_x) / v.
     """
-    import sympy as sp
-
-    X, _ = _symbols()
-    x_only = {X}
-    hoisted, per_call = [], []
-    for sym, expr in reps:
-        if expr.free_symbols <= x_only:
-            hoisted.append((sym, expr))
-            x_only.add(sym)
-        else:
-            per_call.append((sym, expr))
-    named = x_only - {X}
-    lifted: dict[sp.Expr, sp.Symbol] = {}
-    names = sp.numbered_symbols("h")
-
-    def lift(expr: sp.Expr) -> sp.Expr:
-        free = expr.free_symbols
-        if free and free <= x_only and expr not in named:
-            if expr not in lifted:
-                lifted[expr] = next(names)
-            return lifted[expr]
-        args = tuple(lift(arg) for arg in expr.args)
-        return expr.func(*args) if args != expr.args else expr
-
-    per_call = [(sym, lift(expr)) for sym, expr in per_call]
-    outs = [lift(expr) for expr in outs]
-    hoisted += [(sym, expr) for expr, sym in lifted.items()]
-    return hoisted, per_call, outs
+    v, v_x, v_xx, v_t = v
+    u, u_x, u_xx, u_t = u
+    theta, theta_x, theta_xx, theta_t = theta
+    power, mu = volume_terms(v, params)
+    mu_prime = -params.alpha * params.mu_tilde * power / v
+    kappa = conductivity(theta, params)
+    kappa_prime = params.beta * kappa / theta
+    sigma = mu * u_x / v - pressure(v, theta, params)
+    sigma_x = (mu_prime * v_x * u_x + mu * u_xx - params.R * theta_x - sigma * v_x) / v
+    q = kappa * theta_x / v
+    q_x = (kappa_prime * theta_x**2 + kappa * theta_xx - q * v_x) / v
+    s_v = v_t - u_x
+    s_u = u_t - sigma_x
+    s_theta = params.c_v * theta_t - sigma * u_x - q_x
+    return s_v, s_u, s_theta, sigma
 
 
-class _Program:
-    """Expressions compiled as one program over a set of points.
-
-    at(x) evaluates the x-only factors on x once and returns the program at
-    those points as a function of t, which evaluates only the rest.
-    """
-
-    def __init__(self, exprs: list[sp.Expr]) -> None:
-        import sympy as sp
-
-        X, T = _symbols()
-        self.exprs = tuple(sp.N(expr) for expr in exprs)
-        reps, outs = sp.cse(self.exprs)
-        hoisted, per_call, outs = _hoist_x_only(reps, outs)
-        factors = [sym for sym, _ in hoisted]
-        self._factors = sp.lambdify(
-            (X,), factors, "numpy", cse=lambda _: (hoisted, factors)
-        )
-        self._outputs = sp.lambdify(
-            (T, *factors), outs, "numpy", cse=lambda _: (per_call, outs)
-        )
-        # an output reduced to a bare symbol is a kept factor or another
-        # output's array; it is copied so that no caller writes into those
-        self._copy = tuple(out.is_Symbol for out in outs)
-
-    def __call__(self, x: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
-        """The expressions at any points x, their factors evaluated now."""
-        return self.at(x)(t)
-
-    def at(self, x: np.ndarray) -> Callable[[float], tuple[np.ndarray, ...]]:
-        """The expressions at the fixed points x as a function of t."""
-        return functools.partial(self._run, self._factors(x), np.shape(x))
-
-    def _run(
-        self, factors: list, shape: tuple[int, ...], t: float
-    ) -> tuple[np.ndarray, ...]:
-        return tuple(
-            _shaped(np.array(value) if copy else value, shape)
-            for value, copy in zip(self._outputs(t, *factors), self._copy)
-        )
+def _factors(x) -> tuple[np.ndarray, np.ndarray]:
+    """The x-only factors cos(pi x) and sin(pi x) of the family."""
+    return np.cos(np.pi * x), np.sin(np.pi * x)
 
 
 @dataclass(frozen=True)
 class MmsCase:
-    """Compiled manufactured case: fields and the source programs."""
+    """A named case of the family: its fields and their sources."""
 
     name: str
-    v: FieldFn
-    u: FieldFn
-    theta: FieldFn
-    cells: _Program  # (s_v, s_theta), sampled at the cell centers
-    nodes: _Program  # (s_u,), sampled at the nodes
-    walls: _Program  # (stress,), sampled at x = 0 and x = 1
-    # the cell and node programs at each grid's points, kept by mms_sources
+    amplitude: float
+    params: MaterialParams
+    # the factors at each grid's centers then nodes, kept by mms_sources
     _on_grid: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def stress(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.walls(x, t)[0]
+    def v(self, x: np.ndarray, t: float) -> np.ndarray:
+        return 1.0 + self.amplitude * math.exp(-t) * np.cos(np.pi * x)
 
-    def source_v(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.cells(x, t)[0]
+    def u(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.amplitude * math.sin(math.pi * t) * np.sin(np.pi * x)
 
-    def source_u(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.nodes(x, t)[0]
+    def theta(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.v(x, t)
 
-    def source_theta(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.cells(x, t)[1]
+    def sources(self, x: np.ndarray, t: float):
+        """(s_v, s_u, s_theta, sigma) at any points x."""
+        return self._sources(_factors(x), t)
 
     def wall_stress(self, t: float) -> np.ndarray:
         """The stress at x = 0 and x = 1, from factors evaluated once."""
-        return self._at_walls(t)[0]
+        v, u = self._jets(self._at_walls, t)
+        return stress(v[0], v[0], u[1], self.params)
 
     @functools.cached_property
-    def _at_walls(self) -> Callable[[float], tuple[np.ndarray, ...]]:
-        return self.walls.at(np.array([0.0, 1.0]))
+    def _at_walls(self) -> tuple[np.ndarray, np.ndarray]:
+        return _factors(np.array([0.0, 1.0]))
 
+    def _sources(self, factors: tuple[np.ndarray, np.ndarray], t: float):
+        v, u = self._jets(factors, t)
+        return jet_sources(self.params, v, u, v)
 
-def build_case(
-    name: str,
-    v_expr: sp.Expr,
-    u_expr: sp.Expr,
-    theta_expr: sp.Expr,
-    params: MaterialParams,
-) -> MmsCase:
-    """Derive sources for an arbitrary smooth manufactured triple.
-
-    The sources are the defects of the continuity, momentum, and
-    temperature equations evaluated on the triple; an exact solution yields
-    zero sources.
-    """
-    import sympy as sp
-
-    X, T = _symbols()
-    mu = params.mu_tilde * (1 + v_expr ** (-sp.Float(params.alpha)))
-    kappa = params.kappa_tilde * theta_expr ** sp.Float(params.beta)
-    pressure = params.R * theta_expr / v_expr
-    sigma = mu * sp.diff(u_expr, X) / v_expr - pressure
-
-    s_v = sp.diff(v_expr, T) - sp.diff(u_expr, X)
-    s_u = sp.diff(u_expr, T) - sp.diff(sigma, X)
-    s_theta = (
-        params.c_v * sp.diff(theta_expr, T)
-        + pressure * sp.diff(u_expr, X)
-        - sp.diff(kappa * sp.diff(theta_expr, X) / v_expr, X)
-        - mu * sp.diff(u_expr, X) ** 2 / v_expr
-    )
-
-    return MmsCase(
-        name=name,
-        v=_compile(v_expr),
-        u=_compile(u_expr),
-        theta=_compile(theta_expr),
-        cells=_Program([s_v, s_theta]),
-        nodes=_Program([s_u]),
-        walls=_Program([sigma]),
-    )
+    def _jets(self, factors: tuple[np.ndarray, np.ndarray], t: float):
+        """The jets of v* (which are theta*'s) and of u* at the points of
+        the factors."""
+        cos, sin = factors
+        decay = self.amplitude * math.exp(-t)
+        swing = self.amplitude * math.sin(math.pi * t)
+        v = (
+            1.0 + decay * cos,
+            -math.pi * decay * sin,
+            -math.pi**2 * decay * cos,
+            -decay * cos,
+        )
+        u = (
+            swing * sin,
+            math.pi * swing * cos,
+            -math.pi**2 * swing * sin,
+            math.pi * self.amplitude * math.cos(math.pi * t) * sin,
+        )
+        return v, u
 
 
 @functools.lru_cache(maxsize=None)
 def manufactured_case(name: str, params: MaterialParams) -> MmsCase:
-    """Named manufactured cases.
-
-    "default": decaying cosine/sine triple whose u* vanishes at both walls
-    (exact no-slip data) and whose theta* has zero wall slope. "constant":
-    the uniform steady state, an exact solution with zero sources.
-    """
-    import sympy as sp
-
-    X, T = _symbols()
-    if name == "default":
-        v_expr = 1 + sp.Rational(1, 10) * sp.exp(-T) * sp.cos(sp.pi * X)
-        u_expr = sp.Rational(1, 10) * sp.sin(sp.pi * T) * sp.sin(sp.pi * X)
-        theta_expr = 1 + sp.Rational(1, 10) * sp.exp(-T) * sp.cos(sp.pi * X)
-    elif name == "constant":
-        v_expr = sp.Integer(1)
-        u_expr = sp.Integer(0)
-        theta_expr = sp.Integer(1)
-    else:
+    """The named case of the family (see the module docstring)."""
+    if name not in _AMPLITUDES:
         raise ValueError(
-            f"unknown manufactured case {name!r}; expected one of {_CASE_NAMES}"
+            f"unknown manufactured case {name!r}; expected one of {tuple(_AMPLITUDES)}"
         )
-    return build_case(name, v_expr, u_expr, theta_expr, params)
+    return MmsCase(name, _AMPLITUDES[name], params)
 
 
 def mms_sources(
@@ -267,15 +154,13 @@ def mms_sources(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sources at one time level: (cells, nodes, cells) for (v, u, theta).
 
-    The x-only factors of a grid are evaluated on its first use and kept.
+    One evaluation covers the cell centers followed by the nodes; their
+    x-only factors are evaluated on a grid's first use and kept.
     """
-    kept = case._on_grid.get(grid)
-    if kept is None:
-        kept = case._on_grid[grid] = (
-            case.cells.at(grid.centers),
-            case.nodes.at(grid.nodes),
-        )
-    cells, nodes = kept
-    s_v, s_theta = cells(t)
-    (s_u,) = nodes(t)
-    return s_v, s_u, s_theta
+    factors = case._on_grid.get(grid)
+    if factors is None:
+        points = np.concatenate((grid.centers, grid.nodes))
+        factors = case._on_grid[grid] = _factors(points)
+    s_v, s_u, s_theta, _ = case._sources(factors, t)
+    n = grid.n_cells
+    return s_v[:n], s_u[n:], s_theta[:n]

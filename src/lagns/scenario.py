@@ -22,7 +22,7 @@ import numpy as np
 
 from .constitutive import MaterialParams, viscosity
 from .grid import Grid, State, cumulative_u_integral
-from .mms import _CASE_NAMES
+from .mms import _AMPLITUDES
 from .scheme import BoundaryKind
 
 __all__ = [
@@ -208,9 +208,9 @@ class Scenario:
             raise ConfigError(f"dt_min must be positive, got {self.dt_min}")
         if self.dt_max is not None and not self.dt_max > 0.0:
             raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
-        if self.mms is not None and self.mms not in _CASE_NAMES:
+        if self.mms is not None and self.mms not in _AMPLITUDES:
             raise ConfigError(
-                f"unknown mms case {self.mms!r}; expected one of {_CASE_NAMES}"
+                f"unknown mms case {self.mms!r}; expected one of {tuple(_AMPLITUDES)}"
             )
 
 
