@@ -17,8 +17,8 @@ block saves is the same whatever N is, but the fold's temporaries hold a row
 per step and so grow with N. Capped at BLOCK_VALUES values they stay at
 32 KiB, well below the 128 KiB from which glibc maps and unmaps every
 allocation, which would make a large block slower than its single steps.
-From N = 2048 on a block is one step, and its temporaries are those of the
-per-step calls; its rows are views of the state's own arrays.
+From N = 2048 on a block is one step. The block keeps references to its
+states and stacks their fields into rows when it is folded.
 
 The instruments read each state's derived fields (see lagns.scheme). The
 initial state gets its fields from scheme.with_derived; the states that
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import DerivedFields, Grid, State, total_energy
+from .grid import Grid, State, total_energy
 from .mms import MmsCase, manufactured_case, mms_sources
 from .scenario import (
     DiagnosticsReport,
@@ -125,62 +125,34 @@ def _imposed_wall_stress(
 
 
 class _Block:
-    """Accepted states that the instruments have not folded yet.
-
-    A block holds max(1, BLOCK_VALUES // n_nodes) steps. A block of several
-    copies each state, fields and derived fields alike, into rows allocated
-    once per run, so it allocates no 2-D array per step and keeps no state;
-    only the velocity rows are new for each block, because the tracker
-    keeps a view of the newest velocities (BoundTracker.last_u). A block of
-    one step, from N = 2048 on, keeps the state instead, and the fold reads
-    its arrays as 1-row views (StateBlock.of), so folding it copies nothing.
+    """Accepted states that the instruments have not folded yet, with the
+    steps that made them; full at max(1, BLOCK_VALUES // n_nodes) states.
+    States are never changed once made, so the block keeps the states
+    themselves and stacks them only when it is folded (StateBlock.of).
     """
 
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
-        self.dt = np.empty(max(1, BLOCK_VALUES // grid.n_nodes))
-        self.steps = 0
-        self.state: State | None = None
-        if len(self.dt) > 1:
-            cells = (len(self.dt), grid.n_cells)
-            self.v, self.theta = np.empty(cells), np.empty(cells)
-            self.u = np.empty((len(self.dt), grid.n_nodes))
-            self.derived = DerivedFields(*(np.empty(cells) for _ in range(4)))
+        self.size = max(1, BLOCK_VALUES // grid.n_nodes)
+        self.states: list[State] = []
+        self.dts: list[float] = []
 
     def push(self, state: State, dt: float) -> bool:
         """Add an accepted step; True when the block is full."""
-        row = self.steps
-        self.dt[row] = dt
-        self.steps += 1
-        if len(self.dt) == 1:
-            self.state = state
-        else:
-            self.v[row], self.u[row], self.theta[row] = state.v, state.u, state.theta
-            d, rows = state.derived, self.derived
-            rows.u_x[row], rows.v_power[row] = d.u_x, d.v_power
-            rows.mu[row], rows.p[row] = d.mu, d.p
-        return self.steps == len(self.dt)
+        self.states.append(state)
+        self.dts.append(dt)
+        return len(self.states) == self.size
 
     def flush(
         self, acc: RepresentationAccumulator, tracker: BoundTracker
     ) -> list[float]:
         """Fold the pending steps into the instruments and empty the block;
         returns each step's band margin."""
-        n, self.steps = self.steps, 0
-        if n == 0:
+        if not self.states:
             return []
-        if len(self.dt) == 1:
-            block = StateBlock.of(self.state, float(self.dt[0]))
-        else:
-            d = self.derived
-            block = StateBlock(
-                self.v[:n],
-                self.u[:n],
-                self.theta[:n],
-                DerivedFields(d.u_x[:n], d.v_power[:n], d.mu[:n], d.p[:n]),
-                self.dt[:n],
-            )
-            self.u = np.empty_like(self.u)
+        block = StateBlock.of(self.states, self.dts)
+        self.states.clear()
+        self.dts.clear()
         velocity_factor = acc.velocity_factor(block.u, self.grid)
         update_accumulator(acc, block, velocity_factor)
         update_bounds(tracker, block, self.grid)

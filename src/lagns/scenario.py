@@ -302,9 +302,8 @@ def parse_config(text: str) -> Scenario:
     material = raw.get("material", {})
     if not isinstance(material, dict):
         raise ConfigError("material must be an object")
-    _reject_unknown(
-        material, {"R", "c_v", "mu_tilde", "kappa_tilde", "alpha", "beta"}, "material"
-    )
+    material_keys = {field.name for field in dataclasses.fields(MaterialParams)}
+    _reject_unknown(material, material_keys, "material")
     mat_kwargs = {
         key: _number(material, key, "material.") for key in material
     }
@@ -348,7 +347,11 @@ def parse_config(text: str) -> Scenario:
 
 
 def load_config(path: str | Path) -> Scenario:
-    return parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def _fmt(value: float) -> str:

@@ -92,16 +92,22 @@ class StateBlock:
     dt: np.ndarray
 
     @classmethod
-    def of(cls, state: State, dt: float) -> "StateBlock":
-        """The block of one state, which must carry its derived fields, made
-        by a step of dt: 1-row views of the state's arrays, not copies."""
-        d = state.derived
+    def of(cls, states: list[State], dts: list[float]) -> "StateBlock":
+        """The block of consecutive states, each carrying its derived
+        fields, where dts[i] is the step that made states[i]: each field
+        stacks a copy of the states' arrays, one row per state."""
+        derived = [state.derived for state in states]
         return cls(
-            state.v[None],
-            state.u[None],
-            state.theta[None],
-            DerivedFields(d.u_x[None], d.v_power[None], d.mu[None], d.p[None]),
-            np.array([dt]),
+            np.array([state.v for state in states]),
+            np.array([state.u for state in states]),
+            np.array([state.theta for state in states]),
+            DerivedFields(
+                np.array([d.u_x for d in derived]),
+                np.array([d.v_power for d in derived]),
+                np.array([d.mu for d in derived]),
+                np.array([d.p for d in derived]),
+            ),
+            np.array(dts, dtype=float),
         )
 
 
@@ -359,7 +365,7 @@ def make_tracker(state: State, grid: Grid, params: MaterialParams) -> BoundTrack
         last_uxx_sq=math.nan,
     )
     # the initial state's fold reads no step
-    _fold_states(tracker, StateBlock.of(state, math.nan), grid.dx)
+    _fold_states(tracker, StateBlock.of([state], [math.nan]), grid.dx)
     return tracker
 
 

@@ -157,6 +157,25 @@ class TestCmdRun:
         np.testing.assert_allclose(theta, theta[0], rtol=1e-12)
 
 
+# each command on a config path, writing any output under out
+COMMANDS = {
+    "run": lambda path, out: cli.cmd_run(path, out),
+    "verify": lambda path, out: cli.cmd_verify(path),
+    "convergence": lambda path, out: cli.cmd_convergence(path, 3),
+    "sweep": lambda path, out: cli.cmd_sweep(path, "1", "1", out),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_non_utf8_config_exits_two(command, tmp_path, capsys):
+    # a config that is not UTF-8 text (here it opens with a UTF-16
+    # byte-order mark) is a usage error, reported without a traceback
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert COMMANDS[command](str(path), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("error: config is not valid UTF-8")
+
+
 class TestCmdVerify:
     @pytest.mark.parametrize("name", [
         "default",

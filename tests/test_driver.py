@@ -19,6 +19,19 @@ from lagns import (
 from lagns.scenario import ProfileSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# a violent initial velocity drives compression hard enough that halving
+# bottoms out at dt_min and the run aborts mid-flight (at t = 0.022),
+# keeping the rows recorded before the failure; with dt_max 5e-5 and no
+# floor the same run completes
+ABORT_SCENARIO = Scenario(
+    bc=BoundaryKind.NO_SLIP,
+    profile=ProfileSpec(name="cosine", amplitudes=(("u_amp", 60.0),)),
+    n_cells=32,
+    t_end=2.0,
+    output_every=2e-3,
+    dt_min=2e-3,
+    cfl=1.0,
+)
 
 
 class TestRun:
@@ -78,20 +91,7 @@ class TestRun:
             assert row.boundary_resid_left == row.boundary_resid_right == 0.0
 
     def test_abort_keeps_partial_rows(self):
-        # a violent initial velocity drives compression hard enough that
-        # halving bottoms out at dt_min and the run aborts mid-flight (at
-        # t = 0.022), keeping the rows recorded before the failure; with
-        # dt_max 5e-5 and no floor the same run completes
-        scenario = Scenario(
-            bc=BoundaryKind.NO_SLIP,
-            profile=ProfileSpec(name="cosine", amplitudes=(("u_amp", 60.0),)),
-            n_cells=32,
-            t_end=2.0,
-            output_every=2e-3,
-            dt_min=2e-3,
-            cfl=1.0,
-        )
-        result = run(scenario)
+        result = run(ABORT_SCENARIO)
         assert result.report.status == "aborted"
         assert "volume" in result.report.abort_reason
         assert result.state.t < 2.0
@@ -110,6 +110,44 @@ class TestRun:
         assert result.worst_band_margin >= 0.0
         for row in result.report.rows:
             assert row.band_margin >= result.worst_band_margin
+
+
+def fold_bits(result):
+    """What the instruments' block folds fed into a run's result: equal
+    reprs of floats, and equal bytes of arrays, are equal bits."""
+
+    def bits(value):
+        return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+    acc = result.accumulator
+    return {
+        "rows": repr(result.report.rows),
+        "time_integral": bits(acc.time_integral),
+        "last_integrand": bits(acc.last_integrand),
+        "t": repr(acc.t),
+        "worst_band_margin": repr(result.worst_band_margin),
+        **{
+            field.name: bits(getattr(result.tracker, field.name))
+            for field in dataclasses.fields(verify.BoundTracker)
+        },
+    }
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(Scenario(n_cells=32, t_end=0.2, output_every=0.05), id="short"),
+        pytest.param(ABORT_SCENARIO, id="abort"),
+        pytest.param(
+            Scenario(n_cells=32, t_end=0.25, output_every=0.1), id="t_end_off_rows"
+        ),
+    ])
+    # one step per block, and blocks of 3 steps (99 // 33 nodes) that end
+    # out of step with the output rows
+    @pytest.mark.parametrize("block_values", [1, 3 * 33])
+    def test_results_bit_identical(self, monkeypatch, scenario, block_values):
+        expected = fold_bits(run(scenario))
+        monkeypatch.setattr(driver, "BLOCK_VALUES", block_values)
+        assert fold_bits(run(scenario)) == expected
 
 
 class TestDerivedFieldsOnce:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -74,8 +75,14 @@ class TestParseConfig:
             parse_config('{"viscosity": 2.0}')
 
     def test_unknown_material_key_listed(self):
-        with pytest.raises(ConfigError, match="gamma"):
-            parse_config('{"material": {"gamma": 1.4}}')
+        # every MaterialParams field is a material key; only the unknown
+        # one is listed
+        material = {field.name: 2.0 for field in dataclasses.fields(MaterialParams)}
+        assert parse_config(json.dumps({"material": material})).params == (
+            MaterialParams(**material)
+        )
+        with pytest.raises(ConfigError, match=r"material key\(s\): gamma$"):
+            parse_config(json.dumps({"material": {**material, "gamma": 1.4}}))
 
     def test_unknown_amplitude_key_listed(self):
         with pytest.raises(ConfigError, match="w_amp"):

@@ -35,7 +35,7 @@ from lagns import (
     viscosity_volume_factor,
     with_derived,
 )
-from lagns.grid import DerivedFields, cell_integral, du_dx_cells, node_weights
+from lagns.grid import cell_integral, du_dx_cells, node_weights
 from lagns.scenario import ProfileSpec
 from lagns.verify import BoundTracker
 
@@ -69,18 +69,7 @@ def block_of(states, dts, params, grid):
     """The StateBlock of consecutive states after the one the instruments
     last saw, each given its derived fields; dts[i] is the step that made
     states[i]."""
-    derived = [with_derived(s, params, grid).derived for s in states]
-
-    def rows(name, items):
-        return np.array([getattr(item, name) for item in items])
-
-    return StateBlock(
-        rows("v", states),
-        rows("u", states),
-        rows("theta", states),
-        DerivedFields(*(rows(f.name, derived) for f in dataclasses.fields(DerivedFields))),
-        np.array(dts, dtype=float),
-    )
+    return StateBlock.of([with_derived(s, params, grid) for s in states], dts)
 
 
 def advance(acc, states, dts, grid):
