@@ -9,7 +9,6 @@ boundedness functionals of the underlying theory.
 
 from .constitutive import (
     MaterialParams,
-    branch_weight,
     conductivity,
     pressure,
     sound_speed,

@@ -25,7 +25,6 @@ __all__ = [
     "pressure",
     "stress",
     "sound_speed",
-    "branch_weight",
 ]
 
 
@@ -109,13 +108,3 @@ def sound_speed(theta: np.ndarray, params: MaterialParams) -> np.ndarray:
     """Adiabatic sound speed sqrt(gamma*R*theta) per cell."""
     return np.sqrt(params.gamma * params.R * theta)
 
-
-def branch_weight(alpha: float) -> float:
-    """Weight of the time integral in the closed-form volume representation.
-
-    1 when the viscosity actually depends on volume (alpha > 0), 1/2 when it
-    is constant (alpha = 0).
-    """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must satisfy alpha >= 0, got {alpha}")
-    return 1.0 if alpha > 0.0 else 0.5

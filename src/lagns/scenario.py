@@ -206,6 +206,10 @@ class Scenario:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not self.dt_min > 0.0:
             raise ConfigError(f"dt_min must be positive, got {self.dt_min}")
+        if not self.output_every >= self.dt_min:  # else steps fall below dt_min
+            raise ConfigError(
+                f"output_every = {self.output_every} must be >= dt_min = {self.dt_min}"
+            )
         if self.dt_max is not None and not self.dt_max > 0.0:
             raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
         if self.mms is not None and self.mms not in _AMPLITUDES:
@@ -279,7 +283,8 @@ def parse_config(text: str) -> Scenario:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # the decoder raises RecursionError on nesting deeper than it can follow
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

@@ -1,12 +1,17 @@
 """Runtime verification of the solver's conserved and bounded quantities.
 
 Two instruments ride along with every run. A RepresentationAccumulator
-maintains the ingredients of a closed-form representation of the specific
-volume (an initial-data factor, a factor built from the cumulative velocity
-change, a factor from the volume dependence of the viscosity, and a running
-time integral of temperature over the product of the latter two); its
-residual against the evolved v measures how faithfully the discrete
-trajectory satisfies an identity the continuum solution satisfies exactly.
+maintains the Kazhikhov-Shelukhin representation of the specific volume on
+stress-free walls,
+
+    v = d1 * d2 * (b0 + (R/mu_eff) * integral of theta/(d1*d2) dt),
+
+where d1 = exp(integral from 0 to x of (u - u0)/mu_eff), d2 =
+exp(v**-alpha/alpha) (1 when alpha = 0), b0 = v0/d2(v0), and mu_eff =
+mu(inf) is the viscosity at infinite volume (mu_tilde, or 2*mu_tilde when
+alpha = 0). Its residual against the evolved v measures how faithfully the
+discrete trajectory satisfies an identity the continuum solution
+satisfies exactly.
 A BoundTracker maintains the norm functionals that the continuum theory
 proves bounded: positivity floors, gradient norms, and space-time integrals
 of the acceleration and second velocity differences.
@@ -42,10 +47,9 @@ import numpy as np
 
 from .constitutive import (
     MaterialParams,
-    branch_weight,
     pressure,  # noqa: F401  (bench/spans.py traces lagns.verify.pressure)
     stress,
-    viscosity,  # noqa: F401  (bench/spans.py traces lagns.verify.viscosity)
+    viscosity,
     volume_power,
 )
 from .grid import (
@@ -120,16 +124,16 @@ def initial_volume_factor(v0: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def velocity_integral_factor(
-    u: np.ndarray, u0: np.ndarray, grid: Grid, k: float
+    u: np.ndarray, u0: np.ndarray, grid: Grid, exponent: float
 ) -> np.ndarray:
-    """exp(k * integral of (u - u0) from 0 to x), averaged to cell centers.
+    """exp(exponent * integral of (u - u0) from 0 to x), on cell centers.
 
     The cumulative integral lives on nodes; adjacent node values are
     averaged before exponentiating so the factor is colocated with v. u may
     hold one state per row; the integral runs along the last axis.
     """
     cumulative = cumulative_u_integral(u, u0, grid)
-    return np.exp(k * 0.5 * (cumulative[..., :-1] + cumulative[..., 1:]))
+    return np.exp(exponent * 0.5 * (cumulative[..., :-1] + cumulative[..., 1:]))
 
 
 def viscosity_volume_factor(v: np.ndarray, alpha: float) -> np.ndarray:
@@ -147,18 +151,18 @@ def _power_factor(v_power: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass
 class RepresentationAccumulator:
-    """Running state of the closed-form volume representation.
+    """Running state of the volume representation (module docstring).
 
-    params is the material it was built for; b0 and u0_nodes are frozen
-    at t = 0; time_integral accumulates
-    theta/(velocity factor * viscosity factor) per cell by the trapezoid
+    params is the material it was built for and mu_eff = mu(inf) its
+    viscosity at infinite volume; b0 and u0_nodes are frozen at t = 0;
+    time_integral accumulates theta/(d1*d2) per cell by the trapezoid
     rule; e0 feeds the energy band on the velocity factor.
     """
 
     params: MaterialParams
     b0: np.ndarray
     u0_nodes: np.ndarray
-    k: float
+    mu_eff: float
     time_integral: np.ndarray
     last_integrand: np.ndarray
     t: float
@@ -168,7 +172,7 @@ class RepresentationAccumulator:
     def velocity_factor(self, u: np.ndarray, grid: Grid) -> np.ndarray:
         """The velocity-integral factor of the node velocities u (one state,
         or one state per row) against the frozen u0."""
-        return velocity_integral_factor(u, self.u0_nodes, grid, self.k)
+        return velocity_integral_factor(u, self.u0_nodes, grid, 1.0 / self.mu_eff)
 
 
 def _integrand(
@@ -186,7 +190,7 @@ def make_accumulator(
         params=params,
         b0=initial_volume_factor(state.v, params.alpha),
         u0_nodes=state.u.copy(),
-        k=branch_weight(params.alpha),
+        mu_eff=float(viscosity(np.inf, params)),
         time_integral=np.zeros(grid.n_cells),
         last_integrand=np.empty(grid.n_cells),
         t=state.t,
@@ -244,7 +248,7 @@ def representation_residual(
         )
     d1 = acc.velocity_factor(state.u, grid)
     d2 = viscosity_volume_factor(state.v, acc.params.alpha)
-    predicted = d1 * d2 * (acc.b0 + acc.k * acc.time_integral)
+    predicted = d1 * d2 * (acc.b0 + acc.params.R / acc.mu_eff * acc.time_integral)
     return float(np.max(np.abs(state.v - predicted)) / np.max(state.v))
 
 
@@ -255,13 +259,13 @@ def velocity_band_check(
 
     The cumulative velocity change is bounded through the conserved energy,
     so each row of acc.velocity_factor(u, grid) must stay inside
-    [exp(-k*s), exp(k*s)] with s = sqrt(2*e0). Returns each row's worst
-    absolute margin to either edge: non-negative inside the band, negative
-    outside.
+    [exp(-s/mu_eff), exp(s/mu_eff)] with s = sqrt(2*e0). Returns each row's
+    worst absolute margin to either edge: non-negative inside the band,
+    negative outside.
     """
     s = np.sqrt(2.0 * acc.e0)
-    lo = np.exp(-acc.k * s)
-    hi = np.exp(acc.k * s)
+    lo = np.exp(-s / acc.mu_eff)
+    hi = np.exp(s / acc.mu_eff)
     # rounding is monotone, so the least f - lo is min(f) - lo and the least
     # hi - f is hi - max(f), bit for bit (and NaN whenever f holds one)
     below = (velocity_factor.min(axis=1) - lo).tolist()

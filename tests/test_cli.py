@@ -76,6 +76,17 @@ class TestCmdRun:
     def test_missing_file_exits_two(self, tmp_path):
         assert cli.cmd_run(str(tmp_path / "nope.json"), str(tmp_path)) == 2
 
+    def test_row_interval_below_dt_min_exits_two(self, tmp_path, capsys):
+        # rows this close would force steps below dt_min (h1*h2 underflows
+        # in the temperature extrapolation); rejected before any step
+        path = write_config(
+            tmp_path, {"n_cells": 8, "t_end": 0.5, "output_every": 1e-300}
+        )
+        assert cli.cmd_run(path, str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output_every = 1e-300 must be >= dt_min")
+        assert "Traceback" not in err
+
     def test_unusable_out_takes_no_step(self, tmp_path, capsys, monkeypatch):
         steps = []
         monkeypatch.setattr(driver, "step", lambda *args: steps.append(args))
@@ -176,6 +187,16 @@ def test_non_utf8_config_exits_two(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config is not valid UTF-8")
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_deeply_nested_config_exits_two(command, tmp_path, capsys):
+    # nesting deeper than the JSON decoder can follow is invalid JSON,
+    # reported without a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert COMMANDS[command](str(path), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("error: config is not valid JSON")
+
+
 class TestCmdVerify:
     @pytest.mark.parametrize("name", [
         "default",
@@ -191,6 +212,21 @@ class TestCmdVerify:
         out = capsys.readouterr().out
         assert "8/8 checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("material", [
+        {"mu_tilde": 2.0},
+        {"R": 2.0},
+        {"alpha": 0.0, "mu_tilde": 3.0, "R": 0.5},
+    ], ids=["mu_tilde2", "R2", "alpha0_mu_tilde3_R0.5"])
+    def test_default_config_with_other_material_passes(
+        self, material, tmp_path, capsys
+    ):
+        # the volume representation weighs its factors by the material's
+        # R and mu(inf), so it holds for any R and mu_tilde
+        payload = json.loads((CONFIGS / "default.json").read_text())
+        payload["material"].update(material)
+        assert cli.cmd_verify(write_config(tmp_path, payload)) == 0
+        assert "8/8 checks passed" in capsys.readouterr().out
 
     def test_coarse_grid_cold_profile_passes(self, tmp_path, capsys):
         # admissible initial data with a large discrete wall slope at

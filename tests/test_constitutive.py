@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from lagns import (
     MaterialParams,
-    branch_weight,
     conductivity,
     pressure,
     sound_speed,
@@ -58,6 +57,14 @@ class TestViscosity:
     def test_alpha_zero_is_constant(self, v):
         p = MaterialParams(alpha=0.0, mu_tilde=3.0)
         assert viscosity(np.array([v]), p)[0] == 6.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-300, 0.5, 1.0, 8.0, 1e300])
+    def test_infinite_volume_limit(self, alpha):
+        # mu(inf) is the volume representation's mu_eff: mu_tilde once the
+        # volume term decays (alpha > 0), and 2*mu_tilde when it is constant;
+        # the global filter makes any overflow or invalid warning an error
+        p = MaterialParams(alpha=alpha, mu_tilde=3.0)
+        assert viscosity(np.inf, p) == (3.0 if alpha > 0.0 else 6.0)
 
     def test_non_increasing_in_v(self):
         v = np.linspace(0.1, 10.0, 50)
@@ -122,21 +129,6 @@ class TestStress:
         # a few ulps of the largest of them
         tol = 8 * np.spacing(max(abs(slope * g1), abs(slope * g2), p.R * theta / v))
         assert s2 - s1 == pytest.approx(slope * (g2 - g1), rel=1e-9, abs=tol)
-
-
-class TestBranchWeight:
-    def test_two_point_function(self):
-        assert branch_weight(0.0) == 0.5
-        assert branch_weight(1.0) == 1.0
-        assert branch_weight(0.3) == 1.0
-
-    @given(alpha=st.floats(min_value=1e-12, max_value=100.0))
-    def test_positive_alpha_always_one(self, alpha):
-        assert branch_weight(alpha) == 1.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            branch_weight(-0.1)
 
 
 class TestSoundSpeed:

@@ -179,6 +179,10 @@ class TestParseConfig:
             Scenario(output_every=0.0)
         with pytest.raises(ConfigError, match="output_every"):
             Scenario(output_every=float("nan"))
+        # a row interval below the smallest step; equal to it is allowed
+        with pytest.raises(ConfigError, match="output_every = 1e-11 must be >= dt_min"):
+            Scenario(output_every=1e-11)
+        assert Scenario(output_every=2e-3, dt_min=2e-3).output_every == 2e-3
         with pytest.raises(ConfigError, match="unknown mms case 'vortex'"):
             Scenario(mms="vortex")
         with pytest.raises(ConfigError, match=">= 8"):
