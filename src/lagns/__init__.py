@@ -44,7 +44,6 @@ from .scenario import (
 )
 from .scheme import (
     BoundaryKind,
-    SolverAbort,
     StepRejected,
     compatibility_residual,
     continuity_step,

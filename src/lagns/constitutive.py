@@ -4,7 +4,7 @@ The gas carries a density-dependent shear viscosity mu(v) = mu_tilde*(1 + v**-al
 and a temperature-power conductivity kappa(theta) = kappa_tilde*theta**beta.
 
 The laws are plain formulas: they assume specific volume v and temperature
-theta are strictly positive and do not check it. States guarantee it where
+theta are positive and finite and do not check it. States guarantee it where
 they are made: State.validate checks initial data, and the gates of
 scheme.continuity_step (v) and scheme.temperature_step (theta) check every
 stepped state.

@@ -2,9 +2,9 @@
 
 Every accepted step feeds the representation accumulator, the velocity band
 and the bound tracker; rows are recorded at every multiple of
-output_every. Steps that lose positivity are retried with halved dt down
-to dt_min; hitting the floor aborts the run with whatever diagnostics were
-gathered, which is a reported finding rather than an error.
+output_every. A step that scheme.step rejects is retried with halved dt.
+The one way a run aborts is halving dt below dt_min, which stops it with
+whatever diagnostics were gathered, a reported finding rather than an error.
 
 The accepted states are kept in a block and folded into the instruments in
 one call per block (see lagns.verify). A block is flushed when it is full,
@@ -41,7 +41,6 @@ from .scenario import (
 )
 from .scheme import (
     BoundaryKind,
-    SolverAbort,
     StepRejected,
     compatibility_residual,
     dt_control,
@@ -176,20 +175,15 @@ def run(scenario: Scenario) -> RunResult:
     block = _Block(grid)
     rows: list[DiagnosticsRow] = []
     halvings = 0
-    status = "completed"
     abort_reason: str | None = None
     worst_margin = float("inf")
     out_index = 1
     eps = 1e-12
 
     while state.t < scenario.t_end - eps:
-        try:
-            dt = dt_control(
-                state, grid, params, scenario.cfl, scenario.dt_min, scenario.dt_max
-            )
-        except SolverAbort as exc:
-            status, abort_reason = "aborted", exc.reason
-            break
+        dt = dt_control(
+            state, grid, params, scenario.cfl, scenario.dt_min, scenario.dt_max
+        )
         target = min(scenario.t_end, out_index * scenario.output_every)
         dt = min(dt, target - state.t)
 
@@ -202,15 +196,14 @@ def run(scenario: Scenario) -> RunResult:
                 new_state = step(
                     state, dt, params, bc, grid, sources, stress_bc, history
                 )
+                break
             except StepRejected as exc:
                 halvings += 1
                 dt *= 0.5
-                if dt < scenario.dt_min:
-                    status, abort_reason = "aborted", str(exc)
+                if not dt >= scenario.dt_min:  # a NaN dt aborts too
+                    abort_reason = str(exc)
                     break
-                continue
-            break
-        if status == "aborted":
+        if abort_reason is not None:
             break
 
         # only the newest state needs its derived fields
@@ -254,7 +247,7 @@ def run(scenario: Scenario) -> RunResult:
 
     report = DiagnosticsReport(
         rows=tuple(rows),
-        status=status,
+        status="completed" if abort_reason is None else "aborted",
         abort_reason=abort_reason,
         halvings=halvings,
     )

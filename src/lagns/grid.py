@@ -19,6 +19,7 @@ __all__ = [
     "Grid",
     "State",
     "DerivedFields",
+    "positive_and_finite",
     "node_weights",
     "cell_integral",
     "du_dx_cells",
@@ -74,9 +75,18 @@ class DerivedFields:
         )
 
 
+def positive_and_finite(f: np.ndarray) -> bool:
+    """Whether every value of f lies in (0, inf); a NaN anywhere fails."""
+    return bool(0.0 < f.min() and f.max() < np.inf)
+
+
 @dataclass
 class State:
     """Evolved fields at one time level: u on nodes, v and theta on cells.
+
+    In every state a run holds, v and theta are positive and finite and u
+    is finite: validate checks initial data, and the gates of scheme.step
+    check every stepped state.
 
     derived holds the state's DerivedFields, or None for a state that does
     not carry them: initial data before scheme.with_derived, and the states
@@ -100,23 +110,19 @@ class State:
         )
 
     def validate(self, grid: Grid) -> None:
-        """Check shapes against the grid and positivity of v and theta."""
-        if self.v.shape != (grid.n_cells,):
-            raise ValueError(f"v has shape {self.v.shape}, expected ({grid.n_cells},)")
-        if self.theta.shape != (grid.n_cells,):
-            raise ValueError(
-                f"theta has shape {self.theta.shape}, expected ({grid.n_cells},)"
-            )
-        if self.u.shape != (grid.n_nodes,):
-            raise ValueError(f"u has shape {self.u.shape}, expected ({grid.n_nodes},)")
-        if not np.all(np.isfinite(self.v)) or not np.all(np.isfinite(self.u)):
-            raise ValueError("state contains non-finite values")
-        if not np.all(np.isfinite(self.theta)):
-            raise ValueError("state contains non-finite values")
-        if np.any(self.v <= 0.0):
-            raise ValueError("v must be strictly positive")
-        if np.any(self.theta <= 0.0):
-            raise ValueError("theta must be strictly positive")
+        """Check shapes against the grid, that u is finite, and that v and
+        theta are positive and finite."""
+        n_cells, n_nodes = grid.n_cells, grid.n_nodes
+        for name, n in (("v", n_cells), ("theta", n_cells), ("u", n_nodes)):
+            shape = getattr(self, name).shape
+            if shape != (n,):
+                raise ValueError(f"{name} has shape {shape}, expected ({n},)")
+        if not np.isfinite(self.u).all():
+            raise ValueError("u must be finite")
+        if not positive_and_finite(self.v):
+            raise ValueError("v must be positive and finite")
+        if not positive_and_finite(self.theta):
+            raise ValueError("theta must be positive and finite")
 
 
 def node_weights(grid: Grid) -> np.ndarray:

@@ -32,7 +32,9 @@ import numpy as np
 from .constitutive import MaterialParams, conductivity, pressure, stress, volume_terms
 from .grid import Grid
 
-__all__ = ["MmsCase", "jet_sources", "manufactured_case", "mms_sources"]
+__all__ = [
+    "MmsCase", "check_case_name", "jet_sources", "manufactured_case", "mms_sources"
+]
 
 # the amplitude a of each named case of the family
 _AMPLITUDES = {"default": 0.1, "constant": 0.0}
@@ -139,13 +141,23 @@ class MmsCase:
         return v, u
 
 
-@functools.lru_cache(maxsize=None)
-def manufactured_case(name: str, params: MaterialParams) -> MmsCase:
-    """The named case of the family (see the module docstring)."""
-    if name not in _AMPLITUDES:
+def check_case_name(name: object) -> None:
+    """Raise ValueError unless name is a str naming a case of the family; a
+    name of another type is never looked up, so it cannot be unhashable."""
+    if not isinstance(name, str) or name not in _AMPLITUDES:
         raise ValueError(
-            f"unknown manufactured case {name!r}; expected one of {tuple(_AMPLITUDES)}"
+            f"unknown mms case {name!r}; expected one of {tuple(_AMPLITUDES)}"
         )
+
+
+def manufactured_case(name: str, params: MaterialParams) -> MmsCase:
+    """The named case of the family (see the module docstring), made once."""
+    check_case_name(name)
+    return _cached_case(name, params)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_case(name: str, params: MaterialParams) -> MmsCase:
     return MmsCase(name, _AMPLITUDES[name], params)
 
 

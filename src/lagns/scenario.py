@@ -3,9 +3,10 @@
 ProfileSpec names a closed-form family of initial data and samples it;
 compatible_initial_data turns the samples into the initial State for the
 chosen walls. Configs are flat JSON objects with one level of nesting for
-the material and profile blocks. Unknown keys anywhere are rejected so
-typos cannot silently fall back to defaults. All numeric output uses 17
-significant digits, enough to round-trip float64 bit-exactly.
+the material and profile blocks. Unknown keys anywhere, and keys given
+twice, are rejected so typos cannot silently fall back to defaults. All
+numeric output uses 17 significant digits, enough to round-trip float64
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .constitutive import MaterialParams, viscosity
 from .grid import Grid, State, cumulative_u_integral
-from .mms import _AMPLITUDES
+from .mms import check_case_name
 from .scheme import BoundaryKind
 
 __all__ = [
@@ -212,10 +213,11 @@ class Scenario:
             )
         if self.dt_max is not None and not self.dt_max > 0.0:
             raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
-        if self.mms is not None and self.mms not in _AMPLITUDES:
-            raise ConfigError(
-                f"unknown mms case {self.mms!r}; expected one of {tuple(_AMPLITUDES)}"
-            )
+        if self.mms is not None:
+            try:
+                check_case_name(self.mms)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -272,36 +274,35 @@ def _number(block: dict, key: str, context: str) -> float:
     return float(value)
 
 
+def _object_without_duplicates(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The JSON object of pairs; a key given twice is a ConfigError."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_config(text: str) -> Scenario:
     """Parse and fully validate a JSON scenario config.
 
     Every key is optional; omitted values take the defaults (all material
-    constants 1, stress-free cosine profile). Unknown keys and values of the
-    wrong JSON type are rejected here; every range rule is checked where its
-    value is made (MaterialParams, ProfileSpec, Scenario), and surfaces here
-    as a ConfigError before any stepping.
+    constants 1, stress-free cosine profile). Unknown or repeated keys and
+    values of the wrong JSON type are rejected here; every range rule is
+    checked where its value is made (MaterialParams, ProfileSpec, Scenario),
+    and surfaces here as a ConfigError before any stepping.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object_without_duplicates)
     # the decoder raises RecursionError on nesting deeper than it can follow
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    scalar_keys = ("cfl", "t_end", "dt_min", "output_every")
     _reject_unknown(
-        raw,
-        {
-            "material",
-            "bc",
-            "profile",
-            "n_cells",
-            "cfl",
-            "t_end",
-            "dt_min",
-            "output_every",
-            "mms",
-        },
-        "config",
+        raw, {"material", "bc", "profile", "n_cells", "mms", *scalar_keys}, "config"
     )
 
     material = raw.get("material", {})
@@ -309,9 +310,7 @@ def parse_config(text: str) -> Scenario:
         raise ConfigError("material must be an object")
     material_keys = {field.name for field in dataclasses.fields(MaterialParams)}
     _reject_unknown(material, material_keys, "material")
-    mat_kwargs = {
-        key: _number(material, key, "material.") for key in material
-    }
+    mat_kwargs = {key: _number(material, key, "material.") for key in material}
     try:
         params = MaterialParams(**mat_kwargs)
     except ValueError as exc:
@@ -339,10 +338,9 @@ def parse_config(text: str) -> Scenario:
         name=profile_block.get("name", "cosine"), amplitudes=amp_items
     )
 
-    scalars: dict[str, Any] = {}
-    for key in ("cfl", "t_end", "dt_min", "output_every"):
-        if key in raw:
-            scalars[key] = _number(raw, key, "")
+    scalars: dict[str, Any] = {
+        key: _number(raw, key, "") for key in scalar_keys if key in raw
+    }
     if "n_cells" in raw:
         scalars["n_cells"] = raw["n_cells"]
 

@@ -13,9 +13,9 @@ conductivity is linearly implicit: it is evaluated once, at the accepted
 temperatures extrapolated to the end of the step, so the temperature
 update is one linear solve (Akrivis & Crouzeix, Math. Comp. 73, 2004).
 Both systems are symmetric positive-definite tridiagonals, solved through
-their LDL^T factor (LAPACK ptsv). A step that would lose positivity of v
-or theta, or whose temperature matrix is not positive definite, is
-rejected so the driver can retry with a halved dt. The step-size limits
+their LDL^T factor (LAPACK ptsv). A step whose v or theta would not be
+positive and finite, or whose temperature matrix is not positive definite,
+is rejected so the driver can retry with a halved dt. The step-size limits
 cfl, dt_min and dt_max arrive as plain floats; Scenario is where they are
 range-checked.
 
@@ -50,12 +50,13 @@ from .constitutive import (
     viscosity,  # noqa: F401  (bench/spans.py traces lagns.scheme.viscosity)
     volume_terms,
 )
-from .grid import DerivedFields, Grid, State, du_dx_cells, wall_values
+from .grid import (
+    DerivedFields, Grid, State, du_dx_cells, positive_and_finite, wall_values
+)
 
 __all__ = [
     "BoundaryKind",
     "StepRejected",
-    "SolverAbort",
     "tridiagonal_solve",
     "compatibility_residual",
     "dt_control",
@@ -75,16 +76,7 @@ class BoundaryKind(enum.Enum):
 
 class StepRejected(Exception):
     """Raised by a sub-step that cannot be taken at this dt: its system is
-    not positive definite, or its result would violate positivity."""
-
-
-class SolverAbort(Exception):
-    """Unrecoverable failure of a run; carries the reason and the time reached."""
-
-    def __init__(self, reason: str, t: float) -> None:
-        super().__init__(f"{reason} at t = {t:.6g}")
-        self.reason = reason
-        self.t = t
+    not positive definite, or its v or theta would not be positive and finite."""
 
 
 def tridiagonal_solve(
@@ -152,13 +144,10 @@ def dt_control(
     dt_max: float | None = None,
 ) -> float:
     """Acoustic step limit cfl * min_i(dx * v_i / c_i), capped at dt_max if
-    given, then floored at dt_min.
+    given, then floored at dt_min; state must be positive and finite.
 
     Diffusion is implicit, so only the sound-crossing scale restricts dt.
     """
-    for field in (state.v, state.u, state.theta):
-        if not np.isfinite(field).all():
-            raise SolverAbort("non-finite state in step-size control", state.t)
     c = sound_speed(state.theta, params)
     dt = cfl * grid.dx * float((state.v / c).min())
     if dt_max is not None:
@@ -229,8 +218,10 @@ def continuity_step(
     new_v = state.v + dt * u_x
     if source is not None:
         new_v = new_v + dt * source
-    if not new_v.min() > 0.0:  # also catches NaN
-        raise StepRejected("non-positive volume")
+    # this gate guards u' too: every node bounds a cell, so a u' that is not
+    # finite makes some u'_x infinite or NaN, and with it that cell's v'
+    if not positive_and_finite(new_v):
+        raise StepRejected("non-positive or non-finite volume")
     return new_v
 
 
@@ -295,9 +286,9 @@ def temperature_step(
 
     A matrix that is not positive definite, which needs
     1 + dt R u_x / (c_v v) <= 0 in some cell, rejects the step, and so does
-    a theta' that is not positive everywhere. Without a source the latter
-    cannot happen: a positive-definite A(theta*) is an M-matrix, and
-    rhs >= state.theta > 0.
+    a theta' that is not positive and finite everywhere. Without a source a
+    non-positive theta' cannot happen: a positive-definite A(theta*) is an
+    M-matrix, and rhs >= state.theta > 0.
     """
     s = dt / (params.c_v * grid.dx**2)
     kv = conductivity(_extrapolated_temperature(state, history, dt), params) / new_v
@@ -313,8 +304,8 @@ def temperature_step(
         new_theta = tridiagonal_solve(off, diag, rhs)
     except StepRejected as exc:
         raise StepRejected(f"temperature {exc}") from None
-    if not new_theta.min() > 0.0:  # also catches NaN
-        raise StepRejected("non-positive temperature")
+    if not positive_and_finite(new_theta):
+        raise StepRejected("non-positive or non-finite temperature")
     return new_theta
 
 
@@ -336,7 +327,7 @@ def step(
     evaluated at the target time. history, the accepted states before
     state, newest first, gives the temperature at which the conductivity is
     evaluated (see temperature_step); the driver passes the last two.
-    Raises StepRejected if positivity fails at this dt.
+    Raises StepRejected if v' or theta' is not positive and finite.
 
     state must carry its derived fields (see with_derived), and the state
     returned carries its own: u'_x, made once for continuity and

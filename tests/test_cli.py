@@ -197,6 +197,58 @@ def test_deeply_nested_config_exits_two(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config is not valid JSON")
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", [[], {}], ids=["list", "object"])
+def test_bad_mms_name_exits_two(command, name, tmp_path, capsys):
+    # an mms name that is not a string is a config error, not a TypeError
+    # from the cache of manufactured cases
+    path = write_config(tmp_path, {"mms": name})
+    assert COMMANDS[command](path, str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("error: unknown mms case")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_duplicate_key_exits_two(command, tmp_path, capsys):
+    # the decoder would run with the last t_end and record no row
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"n_cells": 8, "t_end": 0.05, "output_every": 0.05, "t_end": 0.01}'
+    )
+    assert COMMANDS[command](str(path), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("error: duplicate key 't_end'")
+
+
+# finite, positive initial data whose first step overflows the temperature
+OVERFLOWING = {
+    "material": {"alpha": 0.0},
+    "profile": {"name": "cosine", "amplitudes": {
+        "v_base": 1e150, "v_amp": 2e149, "theta_base": 1e300, "theta_amp": 1e299,
+    }},
+    "n_cells": 8, "t_end": 1e-3, "output_every": 1e-3, "dt_min": 1e-6,
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_overflowing_step_aborts(command, tmp_path):
+    # every step would make theta' infinite, so the temperature gate
+    # rejects it down to dt_min and the run aborts at t = 0; neither
+    # command may report a run that completed with an infinite temperature
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "lagns", command, "--config",
+            write_config(tmp_path, OVERFLOWING)]
+    proc = subprocess.run(
+        argv + (["--out", str(out)] if command == "run" else []),
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_ABORT, proc.stdout + proc.stderr
+    assert "aborted: non-positive or non-finite temperature at t = 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    if command == "run":
+        _, v, theta, _, u = parse_snapshot(out / "snapshot.csv")
+        assert np.isfinite(np.concatenate((v, theta, u))).all()
+
+
 class TestCmdVerify:
     @pytest.mark.parametrize("name", [
         "default",

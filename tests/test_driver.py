@@ -9,7 +9,6 @@ from lagns import driver, scheme, verify
 from lagns import (
     BoundaryKind,
     Scenario,
-    SolverAbort,
     load_config,
     parse_config,
     representation_residual,

@@ -57,6 +57,12 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="finite"):
             uniform_state.validate(grid)
 
+    @pytest.mark.parametrize("field", ["v", "u", "theta"])
+    def test_infinite_value(self, grid, uniform_state, field):
+        getattr(uniform_state, field)[1] = np.inf
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            uniform_state.validate(grid)
+
     def test_copy_is_deep(self, grid, uniform_state):
         clone = uniform_state.copy()
         clone.v[0] = 5.0

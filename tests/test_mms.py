@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -48,6 +49,12 @@ def assert_bits_equal(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def fresh_case(name, params):
+    """A new case rather than the one manufactured_case keeps, so that its
+    first grid is a first use."""
+    return dataclasses.replace(manufactured_case(name, params))
 
 
 def residuals(v, u, theta):
@@ -183,8 +190,14 @@ class TestBuildCase:
             assert abs(left) < 1e-5 and abs(right) < 1e-5
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ValueError, match="unknown mms case 'vortex'"):
             manufactured_case("vortex", MaterialParams())
+
+    @pytest.mark.parametrize("name", [[], {}, 1, None], ids=repr)
+    def test_non_string_name_rejected_before_hashing(self, name):
+        # a list or dict would make the case cache raise TypeError
+        with pytest.raises(ValueError, match="unknown mms case"):
+            manufactured_case(name, MaterialParams())
 
     def test_cache_returns_same_object(self):
         params = MaterialParams()
@@ -264,7 +277,7 @@ class TestCompiledSources:
     )
     def test_grid_sources_match_one_shot_and_plain_lambdify(self, name, params, n_cells, t):
         # a fresh case, so that its first grid is a first use
-        case = manufactured_case.__wrapped__(name, params)
+        case = fresh_case(name, params)
         grid = Grid(n_cells)
         s_v, s_u, s_theta = mms_sources(case, grid, t)
         at_centers, at_nodes = case.sources(grid.centers, t), case.sources(grid.nodes, t)
@@ -308,7 +321,7 @@ class TestCompiledSources:
             return jet_sources(params, *jets)
 
         monkeypatch.setattr(lagns.mms, "jet_sources", recording)
-        case = manufactured_case.__wrapped__("default", MaterialParams())
+        case = fresh_case("default", MaterialParams())
         tenth = {A: sp.Rational(1, 10), B: sp.Rational(1, 10)}
         fields = [expr.subs(tenth) for expr in (FAMILY_V, FAMILY_U, FAMILY_THETA)]
         x = Grid(16).nodes
@@ -331,7 +344,7 @@ class TestCompiledSources:
         assert case.sources(0.3, 0.5)[2].shape == ()
 
     def test_grid_order_gives_fresh_values(self):
-        case = manufactured_case.__wrapped__("default", MaterialParams())
+        case = fresh_case("default", MaterialParams())
         for n, t in ((16, 0.1), (32, 0.2), (16, 0.3)):
             grid = Grid(n)
             s_v, s_u, s_theta = mms_sources(case, grid, t)
@@ -342,7 +355,7 @@ class TestCompiledSources:
     def test_x_only_outputs_are_fresh_arrays(self):
         # the case keeps its x-only factors; no array it returns may be one
         # of them, or share memory with an earlier result
-        case = manufactured_case.__wrapped__("default", MaterialParams())
+        case = fresh_case("default", MaterialParams())
         grid = Grid(8)
         first = (case.wall_stress(0.5), *mms_sources(case, grid, 0.5))
         want = [array.copy() for array in first]

@@ -156,6 +156,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mms"):
             parse_config('{"mms": "vortex"}')
 
+    @pytest.mark.parametrize("name", ["[]", "{}", "1", "true"])
+    def test_non_string_mms_name(self, name):
+        # an unhashable name is rejected before the case cache sees it
+        with pytest.raises(ConfigError, match="unknown mms case"):
+            parse_config(f'{{"mms": {name}}}')
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"n_cells": 8, "t_end": 0.05, "output_every": 0.05, "t_end": 0.01}', "t_end"),
+        ('{"material": {"alpha": 1.0, "alpha": 2.0}}', "alpha"),
+        ('{"profile": {"amplitudes": {"v_amp": 0.1, "v_amp": 0.2}}}', "v_amp"),
+    ], ids=["top", "material", "amplitudes"])
+    def test_duplicate_key_rejected(self, text, key):
+        # the decoder would keep the last value without a word
+        with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+            parse_config(text)
+
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"n_cells": 16}')
