@@ -207,6 +207,49 @@ class TestDtControl:
         dt = dt_control(uniform_state, grid, params, 0.8, 1.0)
         assert dt == 1.0
 
+    def test_nan_state_aborts(self, monkeypatch):
+        # dt_control expects a finite state: a NaN u' is rejected by the step
+        # at every dt, so the run aborts on dt_min and keeps its finite state
+        advance = scheme.momentum_step
+
+        def nan_momentum(*args, **kwargs):
+            new_u = advance(*args, **kwargs)
+            new_u[0] = np.nan
+            return new_u
+
+        monkeypatch.setattr(scheme, "momentum_step", nan_momentum)
+        result = run(Scenario(n_cells=16, t_end=0.01, output_every=0.01))
+        assert result.report.status == "aborted"
+        assert "non-finite volume" in result.report.abort_reason
+        assert result.state.t == 0.0
+        result.state.validate(result.grid)
+
+    @pytest.mark.parametrize("field", ["v", "u", "theta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_aborts(
+        self, monkeypatch, grid, params, uniform_state, field, bad
+    ):
+        # a step whose new v, u or theta has one non-finite entry is
+        # rejected, so the state dt_control sees next stays finite. v and
+        # theta get it from their sources; u' gets it at one node from
+        # momentum_step, since the solve would spread a source's over all
+        sources = (np.zeros(grid.n_cells), np.zeros(grid.n_nodes), np.zeros(grid.n_cells))
+        if field == "u":
+            advance = scheme.momentum_step
+
+            def bad_momentum(*args, **kwargs):
+                new_u = advance(*args, **kwargs)
+                new_u[grid.n_nodes // 2] = bad
+                return new_u
+
+            monkeypatch.setattr(scheme, "momentum_step", bad_momentum)
+        else:
+            sources[0 if field == "v" else 2][grid.n_cells // 2] = bad
+        gate = "temperature" if field == "theta" else "volume"
+        state = with_derived(uniform_state, params, grid)
+        with pytest.raises(StepRejected, match=f"non-finite {gate}"):
+            step(state, 1e-3, params, SF, grid, sources)
+
 
 class TestMomentumStep:
     def test_no_slip_steady_stays_zero(self, grid, params, uniform_state):
