@@ -14,10 +14,11 @@ temperatures extrapolated to the end of the step, so the temperature
 update is one linear solve (Akrivis & Crouzeix, Math. Comp. 73, 2004).
 Both systems are symmetric positive-definite tridiagonals, solved through
 their LDL^T factor (LAPACK ptsv). A step whose v or theta would not be
-positive and finite, or whose temperature matrix is not positive definite,
-is rejected so the driver can retry with a halved dt. The step-size limits
-cfl, dt_min and dt_max arrive as plain floats; Scenario is where they are
-range-checked.
+positive and finite, or whose momentum or temperature matrix is not
+positive definite, is rejected so the driver can retry with a halved dt;
+the rejection names the field or the system that refused it. The
+step-size limits cfl, dt_min and dt_max arrive as plain floats; Scenario
+is where they are range-checked.
 
 Each state that step returns carries its derived fields (grid.DerivedFields),
 made once where the state is made: the strain rate u_x for continuity and
@@ -80,14 +81,15 @@ class StepRejected(Exception):
 
 
 def tridiagonal_solve(
-    off: np.ndarray, diag: np.ndarray, rhs: np.ndarray
+    off: np.ndarray, diag: np.ndarray, rhs: np.ndarray, system: str = "system"
 ) -> np.ndarray:
     """Solve a symmetric positive-definite tridiagonal system.
 
     off[i] couples rows i and i+1 both ways. Solved by LAPACK ptsv, which
     copies its inputs, so none is overwritten. A matrix that is not
-    positive definite is a StepRejected, so a step that builds one is
-    retried with a smaller dt.
+    positive definite is a StepRejected, whose message starts with the
+    name of the system, so a step that builds one is retried with a
+    smaller dt and an abort says which solve failed.
     """
     diag = np.asarray(diag, dtype=float)
     n = diag.shape[0]
@@ -104,7 +106,7 @@ def tridiagonal_solve(
     _, _, x, info = dptsv(diag, off, rhs)
     if info > 0:
         raise StepRejected(
-            f"system not positive definite (leading minor {info})"
+            f"{system} not positive definite (leading minor {info})"
         )
     if info < 0:
         raise ValueError(f"ptsv rejected argument {-info}")
@@ -204,7 +206,7 @@ def momentum_step(
         off[0] = off[-1] = 0.0
         rhs[0] = rhs[-1] = 0.0
 
-    return tridiagonal_solve(off, diag, rhs)
+    return tridiagonal_solve(off, diag, rhs, "momentum system")
 
 
 def continuity_step(
@@ -300,10 +302,7 @@ def temperature_step(
     rhs = state.theta + (dt / params.c_v) * (mu * u_x * u_x / new_v)
     if source is not None:
         rhs = rhs + (dt / params.c_v) * source
-    try:
-        new_theta = tridiagonal_solve(off, diag, rhs)
-    except StepRejected as exc:
-        raise StepRejected(f"temperature {exc}") from None
+    new_theta = tridiagonal_solve(off, diag, rhs, "temperature system")
     if not positive_and_finite(new_theta):
         raise StepRejected("non-positive or non-finite temperature")
     return new_theta

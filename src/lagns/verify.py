@@ -33,9 +33,8 @@ overhead. Every row-wise operation computes each row exactly as the 1-D
 operation on that state would: np.vecdot makes one BLAS dot call per row,
 as the 1-D ``@`` does (einsum and a 2-D matrix-vector product round
 differently), and sums, extrema and cumulative sums reduce each row on its
-own. The running sums, extrema and monotone flags are then folded row by
-row in step order, so the results are bit-identical to feeding the steps
-one at a time.
+own. The running sums and extrema are then folded row by row in step
+order, so the results are bit-identical to feeding the steps one at a time.
 """
 
 from __future__ import annotations
@@ -167,7 +166,6 @@ class RepresentationAccumulator:
     last_integrand: np.ndarray
     t: float
     e0: float
-    monotone_ok: bool = True
 
     def velocity_factor(self, u: np.ndarray, grid: Grid) -> np.ndarray:
         """The velocity-integral factor of the node velocities u (one state,
@@ -224,8 +222,6 @@ def update_accumulator(
     increment = np.concatenate((acc.last_integrand[None], integrand[:-1]))
     increment += integrand
     increment *= 0.5 * block.dt[:, None]
-    if not increment.min() >= 0.0:  # also catches NaN
-        acc.monotone_ok = False
     for row in increment:  # one step at a time: the per-step summation order
         acc.time_integral += row
     acc.last_integrand = integrand[-1]
@@ -299,7 +295,6 @@ class BoundTracker:
     int_max_theta: float = 0.0
     int_uxx_sq: float = 0.0
     int_ut_sq: float = 0.0
-    monotone_ok: bool = True
 
 
 def _stress_scale(v: np.ndarray, derived: DerivedFields) -> np.ndarray:
@@ -381,7 +376,7 @@ def update_bounds(
     Sup trackers take each step's new state; time integrals use the
     left-rectangle rule (the state before the step), with the acceleration
     integral built from the difference quotient over the step. The running
-    sums and the monotone check advance one step at a time.
+    sums advance one step at a time.
     """
     dx = grid.dx
     u, dt = block.u, block.dt
@@ -395,15 +390,9 @@ def update_bounds(
         np.vecdot(du_dt * du_dt, tracker.weights).tolist(),
     )
     for step, max_theta, uxx_sq, ut_sq in steps:
-        before = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
         tracker.int_max_theta += step * max_theta
         tracker.int_uxx_sq += step * dx * uxx_sq
         tracker.int_ut_sq += step * ut_sq
-        after = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
-        if not all(map(math.isfinite, after)) or any(
-            a < b for a, b in zip(after, before)
-        ):
-            tracker.monotone_ok = False
     return tracker
 
 

@@ -262,7 +262,7 @@ class TestCmdVerify:
     def test_default_config_all_pass(self, name, capsys):
         assert cli.cmd_verify(str(CONFIGS / f"{name}.json")) == 0
         out = capsys.readouterr().out
-        assert "8/8 checks passed" in out
+        assert "7/7 checks passed" in out
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("material", [
@@ -278,7 +278,7 @@ class TestCmdVerify:
         payload = json.loads((CONFIGS / "default.json").read_text())
         payload["material"].update(material)
         assert cli.cmd_verify(write_config(tmp_path, payload)) == 0
-        assert "8/8 checks passed" in capsys.readouterr().out
+        assert "7/7 checks passed" in capsys.readouterr().out
 
     def test_coarse_grid_cold_profile_passes(self, tmp_path, capsys):
         # admissible initial data with a large discrete wall slope at
@@ -291,7 +291,7 @@ class TestCmdVerify:
             },
         })
         assert cli.cmd_verify(path) == 0
-        assert "8/8 checks passed" in capsys.readouterr().out
+        assert "7/7 checks passed" in capsys.readouterr().out
 
     def test_overflowing_profile_exits_two(self, tmp_path, capsys):
         # the infimum 1.6e308 is fine, the supremum v_base + |v_amp| is not
@@ -333,7 +333,7 @@ class TestCmdVerify:
         assert cli.cmd_verify(small_run_config(tmp_path)) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
-        assert "7/8 checks passed" in out
+        assert "6/7 checks passed" in out
 
 
 class TestCmdConvergence:

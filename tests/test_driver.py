@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -204,13 +205,59 @@ class TestVerificationTable:
     def test_default_config_all_pass(self):
         result = run(parse_config("{}"))
         checks = verification_table(result)
-        assert len(checks) == 8
+        assert len(checks) == 7
         names = [c.name for c in checks]
         assert "volume representation" in names
         assert "energy conservation" in names
         assert all(c.passed for c in checks), [
-            (c.name, c.value, c.threshold) for c in checks if not c.passed
+            (c.name, c.detail) for c in checks if not c.passed
         ]
+
+    def test_readme_lists_the_checks_in_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Verification checks\n", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^- \*\*(.+?)\*\*", section, flags=re.MULTILINE)
+        checks = verification_table(run(parse_config("{}")))
+        assert documented == [c.name for c in checks]
+
+    @pytest.mark.parametrize("field, name", [
+        ("repr_residual", "volume representation"),
+        ("energy_drift", "energy conservation"),
+        ("boundary_resid_right", "boundary compatibility"),
+    ])
+    def test_nan_in_a_later_row_fails_its_check(self, field, name):
+        result = run(parse_config(
+            '{"n_cells": 16, "t_end": 0.2, "output_every": 0.1}'
+        ))
+        first, second = result.report.rows
+        rows = (first, dataclasses.replace(second, **{field: np.nan}))
+        result = dataclasses.replace(
+            result, report=dataclasses.replace(result.report, rows=rows)
+        )
+        checks = {c.name: c for c in verification_table(result)}
+        assert not checks[name].passed
+        assert "nan" in checks[name].detail
+        assert [c for c in checks.values() if not c.passed] == [checks[name]]
+
+    def test_nan_in_a_later_band_margin_fails_its_check(self, monkeypatch):
+        band = driver.velocity_band_check
+        poisoned = []
+
+        def nan_second_margin(*args):
+            margins = band(*args)
+            if len(margins) > 1 and not poisoned:
+                margins[1] = np.nan
+                poisoned.append(margins)
+            return margins
+
+        monkeypatch.setattr(driver, "velocity_band_check", nan_second_margin)
+        result = run(parse_config(
+            '{"n_cells": 16, "t_end": 0.2, "output_every": 0.1}'
+        ))
+        assert poisoned
+        checks = {c.name: c for c in verification_table(result)}
+        assert not checks["velocity-integral band"].passed
+        assert checks["velocity-integral band"].detail == "worst margin nan"
 
     def test_alpha_zero_all_pass(self):
         result = run(parse_config('{"material": {"alpha": 0}}'))

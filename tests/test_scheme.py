@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from lagns import (
     manufactured_case,
     mms_sources,
     momentum_step,
+    parse_config,
     pressure,
     run,
     step,
@@ -301,6 +303,27 @@ class TestMomentumStep:
         assert np.max(np.abs(got - expected)) <= 1e-13 * scale
         if bc is NS:
             assert got[0] == got[-1] == 0.0
+
+    def test_indefinite_system_names_momentum(self):
+        # mu(v)/v is about 5e269 at v = 1e-30 with alpha = 8: the LDL^T
+        # factorisation squares off-diagonals near 1e265 and overflows
+        scenario = parse_config(json.dumps({
+            "material": {"alpha": 8.0},
+            "profile": {
+                "name": "cosine", "amplitudes": {"v_base": 1e-30, "v_amp": 1e-31}
+            },
+            "n_cells": 8, "t_end": 1e-3, "output_every": 1e-3, "dt_min": 1e-6,
+        }))
+        grid = Grid(scenario.n_cells)
+        params = scenario.params
+        state = compatible_initial_data(scenario.profile, params, scenario.bc, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state = with_derived(state, params, grid)
+            with pytest.raises(
+                StepRejected, match="^momentum system not positive definite"
+            ):
+                momentum_step(state, 1e-6, params, scenario.bc, grid)
 
     def test_manufactured_time_order_at_least_one(self):
         # fine grid pins the spatial error; dt refinement shows first order

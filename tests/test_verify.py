@@ -161,15 +161,6 @@ class TestRepresentationAccumulator:
         advance(acc, [later, later2], [0.1], grid)
         np.testing.assert_allclose(acc.time_integral, 0.2 * c, rtol=1e-14)
         assert acc.t == 0.2
-        assert acc.monotone_ok
-
-    def test_negative_increment_clears_monotone_flag(self, grid, params):
-        state = State(0.0, np.ones(grid.n_cells), np.zeros(grid.n_nodes), np.ones(grid.n_cells))
-        acc = make_accumulator(with_derived(state, params, grid), grid, params)
-        chilled = state.copy()
-        chilled.theta = np.full(grid.n_cells, -3.0)  # unphysical, forced by hand
-        advance(acc, [state, chilled], [0.1], grid)
-        assert not acc.monotone_ok
 
     def test_out_of_sync_time_raises(self, grid, params, uniform_state):
         acc = make_accumulator(with_derived(uniform_state, params, grid), grid, params)
@@ -257,7 +248,6 @@ class TestBoundTracker:
         assert tracker.sup_grad_v_sq == 0.0
         assert tracker.min_v == 1.0
         assert tracker.min_theta == 1.0
-        assert tracker.monotone_ok
 
     def test_minima_track_excursions(self, grid, params, uniform_state):
         tracker = make_tracker(with_derived(uniform_state, params, grid), grid, params)
@@ -268,20 +258,6 @@ class TestBoundTracker:
         update_bounds(tracker, block_of([dipped], [0.1], params, grid), grid)
         assert tracker.min_v == pytest.approx(0.4)
         assert tracker.min_theta == pytest.approx(0.7)
-
-    def test_nonfinite_clears_monotone_flag(self, grid, params, uniform_state):
-        tracker = make_tracker(with_derived(uniform_state, params, grid), grid, params)
-        # the theta integral uses the left-rectangle rule, so the state
-        # before a step must carry the bad value for it to enter the running
-        # sums: here the step to later, after broken
-        broken = uniform_state.copy()
-        broken.theta = np.full(grid.n_cells, np.inf)
-        later = broken.copy()
-        later.t = 0.1
-        with np.errstate(invalid="ignore"):
-            block = block_of([broken, later], [0.1, 0.1], params, grid)
-            update_bounds(tracker, block, grid)
-        assert not tracker.monotone_ok
 
     def test_stress_scale_positive_at_rest(self, grid, params, uniform_state):
         # pure pressure: R*theta/v = 1 everywhere
@@ -313,7 +289,6 @@ def reference_update_bounds(tracker, state_prev, state, dt, grid):
     params = tracker.params
     dx = grid.dx
     g = du_dx_cells(state.u, grid)
-    before = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
     tracker.min_v = min(tracker.min_v, float(np.min(state.v)))
     tracker.min_theta = min(tracker.min_theta, float(np.min(state.theta)))
     tracker.sup_grad_v_sq = max(tracker.sup_grad_v_sq, grad_l2_sq(state.v, grid))
@@ -329,9 +304,6 @@ def reference_update_bounds(tracker, state_prev, state, dt, grid):
     tracker.int_uxx_sq += dt * dx * float(uxx @ uxx)
     du_dt = (state.u - state_prev.u) / dt
     tracker.int_ut_sq += dt * float(node_weights(grid) @ (du_dt * du_dt))
-    after = (tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq)
-    if not all(np.isfinite(after)) or any(a < b for a, b in zip(after, before)):
-        tracker.monotone_ok = False
 
 
 ORACLE_CELLS = 12
@@ -421,7 +393,6 @@ class TestBlockFoldOracle:
         for name in ("time_integral", "last_integrand"):
             assert getattr(whole, name).tobytes() == getattr(stepwise, name).tobytes()
         assert repr(whole.t) == repr(stepwise.t)
-        assert whole.monotone_ok == stepwise.monotone_ok
         assert list(map(repr, whole_margins)) == list(map(repr, margins))
         for state, margin in zip(states[1:], margins):
             factor = whole.velocity_factor(state.u, grid)
