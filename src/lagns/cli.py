@@ -111,16 +111,25 @@ def cmd_convergence(config_path: str, levels: int) -> int:
     if levels < 3:
         return _fail_usage(f"need at least 3 refinement levels, got {levels}")
 
-    case = manufactured_case(scenario.mms, scenario.params)
     sizes = [scenario.n_cells * 2**k for k in range(levels)]
-    # max-norm error of each field, one entry per level
-    errors: dict[str, list[float]] = {"v": [], "u": [], "theta": []}
+    # every level is checked before the first runs, so a level whose
+    # dt_max = dx^2 falls below dt_min costs no run
+    studies = []
     for n in sizes:
         dx = 1.0 / n
-        result = run(replace(scenario, n_cells=n, dt_max=dx * dx))
+        try:
+            studies.append(replace(scenario, n_cells=n, dt_max=dx * dx))
+        except ConfigError as exc:
+            return _fail_usage(f"level n_cells = {n}: {exc}")
+    case = manufactured_case(scenario.mms, scenario.params)
+    # max-norm error of each field, one entry per level
+    errors: dict[str, list[float]] = {"v": [], "u": [], "theta": []}
+    for study in studies:
+        result = run(study)
         if result.report.status == "aborted":
             print(
-                f"aborted at level n_cells = {n}: {result.report.abort_reason}",
+                f"aborted at level n_cells = {study.n_cells}: "
+                f"{result.report.abort_reason}",
                 file=sys.stderr,
             )
             return EXIT_ABORT

@@ -21,8 +21,10 @@ From N = 2048 on a block is one step. The block keeps references to its
 states and stacks their fields into rows when it is folded.
 
 The instruments read each state's derived fields (see lagns.scheme). The
-initial state gets its fields from scheme.with_derived; the states that
-move into the history, and the final state of the result, drop them.
+initial state gets its fields from scheme.with_derived; the final state of
+the result drops them. The state before the newest is kept as it is and
+passed to scheme.step, which extrapolates the conductivity's temperature
+through it.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def run(scenario: Scenario) -> RunResult:
         manufactured_case(scenario.mms, params) if scenario.mms is not None else None
     )
     state = with_derived(initial_state(scenario, grid, case), params, grid)
-    history: tuple[State, ...] = ()
+    previous: State | None = None
     initial_residual = compatibility_residual(state, params, bc, grid)
 
     acc = make_accumulator(state, grid, params)
@@ -194,7 +196,7 @@ def run(scenario: Scenario) -> RunResult:
                 )
                 stress_bc = _imposed_wall_stress(case, bc, state.t + dt)
                 new_state = step(
-                    state, dt, params, bc, grid, sources, stress_bc, history
+                    state, dt, params, bc, grid, sources, stress_bc, previous
                 )
                 break
             except StepRejected as exc:
@@ -206,9 +208,7 @@ def run(scenario: Scenario) -> RunResult:
         if abort_reason is not None:
             break
 
-        # only the newest state needs its derived fields
-        history = (State(state.t, state.v, state.u, state.theta), *history[:1])
-        state = new_state
+        previous, state = state, new_state
         full = block.push(state, dt)
         row_due = state.t >= out_index * scenario.output_every - eps
         if full or row_due:

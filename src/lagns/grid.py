@@ -89,9 +89,8 @@ class State:
     check every stepped state.
 
     derived holds the state's DerivedFields, or None for a state that does
-    not carry them: initial data before scheme.with_derived, and the states
-    a run keeps after stepping from them (its history, which seeds the
-    temperature start, and the final state of its result).
+    not carry them: initial data before scheme.with_derived, and the final
+    state of a run's result.
     """
 
     t: float

@@ -11,7 +11,8 @@ The named cases are one family with amplitude a:
 
 u* vanishes at both walls (exact no-slip data) and theta* has zero wall
 slope. "default" is a = 1/10; "constant" is a = 0, the uniform rest state,
-an exact solution whose sources are zero.
+an exact solution whose sources are zero; "deep" is a = 9/10, whose theta*
+reaches down to 0.1, where kappa = kappa_tilde theta**beta degenerates.
 
 jet_sources turns fields given as jets (value, first and second
 x-derivative, t-derivative) into the sources by the chain rule. For the
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 # the amplitude a of each named case of the family
-_AMPLITUDES = {"default": 0.1, "constant": 0.0}
+_AMPLITUDES = {"default": 0.1, "constant": 0.0, "deep": 0.9}
 
 
 def jet_sources(params: MaterialParams, v, u, theta):

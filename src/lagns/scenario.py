@@ -211,8 +211,11 @@ class Scenario:
             raise ConfigError(
                 f"output_every = {self.output_every} must be >= dt_min = {self.dt_min}"
             )
-        if self.dt_max is not None and not self.dt_max > 0.0:
-            raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
+        if self.dt_max is not None and not self.dt_max >= self.dt_min:
+            # dt_control floors at dt_min, so a smaller cap could not hold
+            raise ConfigError(
+                f"dt_max = {self.dt_max} must be >= dt_min = {self.dt_min}"
+            )
         if self.mms is not None:
             try:
                 check_case_name(self.mms)

@@ -9,9 +9,10 @@ Evolved system, per unit mass on the fixed interval (0, 1):
 Each step advances u, then v, then theta. The diffusive parts of the
 momentum and temperature updates are backward Euler, pressure coupling is
 explicit, and the compression-work term is implicit in theta. The
-conductivity is linearly implicit: it is evaluated once, at the accepted
-temperatures extrapolated to the end of the step, so the temperature
-update is one linear solve (Akrivis & Crouzeix, Math. Comp. 73, 2004).
+conductivity is linearly implicit: it is evaluated once, at the
+temperature extrapolated linearly to the end of the step through the last
+two accepted states, so the temperature update is one linear solve
+(Akrivis & Crouzeix, Math. Comp. 73, 2004).
 Both systems are symmetric positive-definite tridiagonals, solved through
 their LDL^T factor (LAPACK ptsv). A step whose v or theta would not be
 positive and finite, or whose momentum or temperature matrix is not
@@ -228,38 +229,22 @@ def continuity_step(
 
 
 def _extrapolated_temperature(
-    state: State, history: tuple[State, ...], dt: float
+    state: State, previous: State | None, dt: float
 ) -> np.ndarray:
     """The temperature at which temperature_step evaluates the conductivity:
-    the temperature at state.t + dt extrapolated through state and up to
-    two earlier states.
+    the temperature at state.t + dt extrapolated linearly through state and
+    the accepted state before it,
 
-    With history (s1, s2), h1 = state.t - s1.t and h2 = s1.t - s2.t, it is
-    the Lagrange quadratic
+        theta + (-dt / h) * (previous.theta - theta),   h = state.t - previous.t,
 
-        theta + w1 * (s1.theta - theta) + w2 * (s2.theta - theta),
-        w1 = -dt (dt + h1 + h2) / (h1 h2),  w2 = dt (dt + h1) / ((h1 + h2) h2),
-
-    with theta = state.theta; with history (s1,) it is the linear
-    theta + (-dt / h1) * (s1.theta - theta), and with none it is theta. A
-    guess that is not positive everywhere falls back to theta, since the
-    conductivity takes a power of it.
+    with theta = state.theta, or theta itself when there is no previous
+    state. A guess that is not positive everywhere falls back to theta,
+    since the conductivity takes a power of it.
     """
     theta = state.theta
-    if not history:
+    if previous is None:
         return theta
-    h1 = state.t - history[0].t
-    if len(history) == 1:
-        guess = theta + (-dt / h1) * (history[0].theta - theta)
-    else:
-        h2 = history[0].t - history[1].t
-        w1 = -dt * (dt + h1 + h2) / (h1 * h2)
-        w2 = dt * (dt + h1) / ((h1 + h2) * h2)
-        guess = (
-            theta
-            + w1 * (history[0].theta - theta)
-            + w2 * (history[1].theta - theta)
-        )
+    guess = theta + (-dt / (state.t - previous.t)) * (previous.theta - theta)
     return guess if guess.min() > 0.0 else theta
 
 
@@ -272,7 +257,7 @@ def temperature_step(
     params: MaterialParams,
     grid: Grid,
     source: np.ndarray | None = None,
-    history: tuple[State, ...] = (),
+    previous: State | None = None,
 ) -> np.ndarray:
     """Backward-Euler temperature update with linearly implicit conductivity.
 
@@ -280,11 +265,10 @@ def temperature_step(
     The compression-work term is implicit in theta (it enters the diagonal
     with a positive sign when the gas expands), viscous heating is explicit
     from the end-of-step velocity, and the conductivity is evaluated at
-    theta*, the temperatures of state and of history (the accepted states
-    before it, newest first) extrapolated to state.t + dt; see
-    _extrapolated_temperature. The step is then one solve of
-    A(theta*) theta' = rhs. Zero conductive flux at both walls falls out of
-    omitting the end interfaces.
+    theta*, the temperatures of state and of previous (the accepted state
+    before it) extrapolated to state.t + dt; see _extrapolated_temperature.
+    The step is then one solve of A(theta*) theta' = rhs. Zero conductive
+    flux at both walls falls out of omitting the end interfaces.
 
     A matrix that is not positive definite, which needs
     1 + dt R u_x / (c_v v) <= 0 in some cell, rejects the step, and so does
@@ -293,7 +277,7 @@ def temperature_step(
     M-matrix, and rhs >= state.theta > 0.
     """
     s = dt / (params.c_v * grid.dx**2)
-    kv = conductivity(_extrapolated_temperature(state, history, dt), params) / new_v
+    kv = conductivity(_extrapolated_temperature(state, previous, dt), params) / new_v
     # minus s times the interface conductivity: the off-diagonal of A
     off = (-0.5 * s) * (kv[:-1] + kv[1:])
     diag = 1.0 + dt * params.R * u_x / (params.c_v * new_v)
@@ -316,16 +300,16 @@ def step(
     grid: Grid,
     sources: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     stress_bc: tuple[float, float] = (0.0, 0.0),
-    history: tuple[State, ...] = (),
+    previous: State | None = None,
 ) -> State:
     """Advance one accepted step: u first, then v, then theta.
 
     Momentum sees the old v and theta; continuity uses the end-of-step
     velocity so v' - v = dt * u'_x holds exactly; temperature sees both new
     fields. Optional sources are (cells, nodes, cells) arrays already
-    evaluated at the target time. history, the accepted states before
-    state, newest first, gives the temperature at which the conductivity is
-    evaluated (see temperature_step); the driver passes the last two.
+    evaluated at the target time. previous, the accepted state before
+    state, gives the temperature at which the conductivity is evaluated
+    (see temperature_step); the driver passes it from the second step on.
     Raises StepRejected if v' or theta' is not positive and finite.
 
     state must carry its derived fields (see with_derived), and the state
@@ -339,7 +323,7 @@ def step(
     new_v = continuity_step(state, u_x, dt, s_v)
     v_power, mu = volume_terms(new_v, params)
     new_theta = temperature_step(
-        state, u_x, new_v, mu, dt, params, grid, s_theta, history
+        state, u_x, new_v, mu, dt, params, grid, s_theta, previous
     )
     derived = DerivedFields(u_x, v_power, mu, pressure(new_v, new_theta, params))
     return State(state.t + dt, new_v, new_u, new_theta, derived)

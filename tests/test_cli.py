@@ -23,29 +23,33 @@ SRC = str(Path(lagns.__file__).resolve().parents[1])
 # say which bits moved and why
 GOLDEN = {
     "alpha0": (
-        "47565b9be393e3947db98e8b9bc921577a8b288295edb44127468cf3e9717518",
-        "ed1f3616b5445362732e65ab29660c2ef6a743b8bfb88cd174ce71b4a7d09949",
+        "c4e4c98d9cc9e68909f1c4b95d8b44bd7f6524ad3c2df09cf06aa6fa667987a6",
+        "f2fe4fb15cb129d4424e6abdcb8bd7809ab991d21062a7e91c4fb75c9bfa241d",
     ),
     "default": (
-        "03570131b0b3339eae3792269f7de61f1c092d56a6b46e14c1b98a02af36b859",
-        "3905b980525cb0f8e4808712caa2f16e771036be44a0179517c02a91aa089086",
+        "1d95a9dd12df4efaf6ba332b4d67b9ac1457770507b22d198beab50d1e964c0a",
+        "b7282d813b2e58654a3ae7705c6685269a97986252355e0686d4079e8aefeca2",
+    ),
+    "mms_deep": (
+        "aa56c7edd37f7af9a4dc568a38a0263b0cbaa318c396bb377fe9208a1f35a865",
+        "c86c84c0af64f5df9102aedd6938ed0e97710cc90a976d4165317b22d01e9ee7",
     ),
     "mms_default": (
-        "432e96ca419157a7bfea2c9f00b694b1aedb7b5f16a49b76447a594428d57b0d",
-        "f828fee5c2e51a11487f3ef1d894aa10875dd321ed16648118b34677b61cba1c",
+        "47cd9bb71511b760d6f7a39299e7f1aee184a0159e557f3828849871f7428b9e",
+        "44dbaf7c2e746dfb560e97b7317f588fba8522614de8f84e5db4856e750938e8",
     ),
     # a gas at rest: every non-constant column is rounding noise, so this
     # digest moves with any reordered arithmetic, and
     # test_noslip_steady_stays_at_rest checks the physics
     "noslip_steady": (
-        "3bf1eec67e384d4acbe1875a183f8433ab2e343d78440434d5e7157cc7c9afa8",
-        "ba649f68488e6ec0955aa48e8cf7ad55895a286534a890eb9e7c7e566064eac1",
+        "a0de3c788b276f2ae9fcc94a7317946713e0b9aa00d541b80fd7b7cc88c2f159",
+        "be566e6ac8bbb785bce5f119be73609ba405374b30f02ea58101f5cb2a20b838",
     ),
 }
 
 # sha256 of the stdout of `lagns convergence --config configs/mms_default.json
 # --levels 3`: the observed-order contract, pinned to the printed digits
-CONVERGENCE_DIGEST = "b4de6f115417dbed644eaae248961ce0fce337bec2f0c8f24a57f95996a6abca"
+CONVERGENCE_DIGEST = "5636e3109338970ee7b685129435218e75354daf9f419f3c043b943fb25fe60a"
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -365,6 +369,21 @@ class TestCmdConvergence:
         out = capsys.readouterr().out
         (line,) = [line for line in out.splitlines() if line.startswith("min observed")]
         assert float(line.split()[3]) >= 1.99
+
+    def test_deep_case_reaches_second_order(self, capsys):
+        # theta* down to 0.1 with beta = 4: kappa spans 1e-4 ... 13
+        assert cli.cmd_convergence(str(CONFIGS / "mms_deep.json"), 3) == 0
+        assert "min observed order" in capsys.readouterr().out
+
+    def test_level_below_dt_min_exits_two_before_any_run(self, monkeypatch, capsys):
+        # from N = 16 * 2^13 on, dt_max = dx^2 is below dt_min = 1e-10; the
+        # study is refused before its first level runs
+        def no_run(scenario):
+            raise AssertionError(f"ran n_cells = {scenario.n_cells}")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        assert cli.cmd_convergence(str(CONFIGS / "mms_default.json"), 20) == 2
+        assert "level n_cells = 131072" in capsys.readouterr().err
 
 
 class TestCmdSweep:

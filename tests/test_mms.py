@@ -371,9 +371,9 @@ class TestStressFreeForcing:
         imposed = []
         real_step = driver.step
 
-        def recording_step(state, dt, params, bc, grid, sources, stress_bc, history):
+        def recording_step(state, dt, params, bc, grid, sources, stress_bc, *args):
             imposed.append((state.t + dt, stress_bc))
-            return real_step(state, dt, params, bc, grid, sources, stress_bc, history)
+            return real_step(state, dt, params, bc, grid, sources, stress_bc, *args)
 
         monkeypatch.setattr(driver, "step", recording_step)
         scenario = Scenario(
@@ -403,3 +403,26 @@ class TestStressFreeForcing:
             err = np.max(np.abs(result.state.theta - case.theta(result.grid.centers, result.state.t)))
             errors.append(float(err))
         assert errors[0] / errors[1] >= 3.0
+
+
+class TestDeepCase:
+    def test_degenerate_conductivity_converges_at_cfl_dt(self):
+        # theta* of the deep case falls to 0.1, where kappa = theta^8 is
+        # 1e-8, so an extrapolated temperature that overshoots where theta
+        # changes fast is amplified by the power and can collapse theta; at
+        # dt = dx/4 every level completes and the temperature error falls
+        # with N (measured 0.298, 0.209, 0.092, 0.049)
+        params = MaterialParams(beta=8.0)
+        case = manufactured_case("deep", params)
+        errors = []
+        for n in (32, 64, 128, 256):
+            result = run(Scenario(
+                params=params, bc=BoundaryKind.NO_SLIP, n_cells=n, t_end=0.25,
+                output_every=0.25, mms="deep", dt_max=0.25 / n,
+            ))
+            assert result.report.status == "completed", (n, result.report.abort_reason)
+            state = result.state
+            errors.append(
+                float(np.max(np.abs(state.theta - case.theta(result.grid.centers, state.t))))
+            )
+        assert all(fine < coarse for coarse, fine in zip(errors, errors[1:])), errors

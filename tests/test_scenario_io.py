@@ -210,6 +210,10 @@ class TestParseConfig:
                 Scenario(n_cells=n_cells)
         with pytest.raises(ConfigError, match="dt_max"):
             Scenario(dt_max=-1.0)
+        # dt_control floors every step at dt_min, so a cap below it cannot hold
+        with pytest.raises(ConfigError, match="dt_max = 1e-12 must be >= dt_min"):
+            Scenario(dt_min=1e-10, dt_max=1e-12)
+        assert Scenario(dt_min=1e-10, dt_max=1e-10).dt_max == 1e-10
         with pytest.raises(ConfigError, match="unknown profile 'bogus'"):
             ProfileSpec(name="bogus")
         with pytest.raises(ConfigError, match="unknown profile.amplitudes key.*w_amp"):

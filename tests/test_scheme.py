@@ -428,57 +428,51 @@ class TestTemperatureStep:
                 grid, source=source,
             )
 
-    def test_start_exact_on_quadratic_data(self):
-        # theta(t) = a + b t + c t^2 per cell, sampled at three times with
-        # unequal steps: the quadratic start reproduces theta(t + dt) to
-        # rounding, the linear start a linear theta, and no history gives
-        # the current temperature
+    def test_start_exact_on_linear_data(self):
+        # theta(t) = a + b t per cell, sampled at two times a step h apart
+        # with the next step dt != h: the linear start reproduces
+        # theta(t + dt) to rounding, and no previous state gives the
+        # current temperature
         rng = np.random.default_rng(5)
-        a, b, c = rng.uniform(1.0, 2.0, (3, 32))
-        t, h1, h2, dt = 0.7, 0.13, 0.29, 0.05
+        a, b = rng.uniform(1.0, 2.0, (2, 32))
+        t, h, dt = 0.7, 0.13, 0.05
 
-        def at(time, c=c):
-            theta = a + b * time + c * time * time
-            return State(time, np.ones(32), np.zeros(33), theta)
+        def at(time):
+            return State(time, np.ones(32), np.zeros(33), a + b * time)
 
         state = at(t)
-        history = (at(t - h1), at(t - h1 - h2))
-        start = scheme._extrapolated_temperature(state, history, dt)
+        start = scheme._extrapolated_temperature(state, at(t - h), dt)
         np.testing.assert_allclose(start, at(t + dt).theta, rtol=1e-14, atol=0)
-        assert scheme._extrapolated_temperature(state, (), dt) is state.theta
-
-        def linear(time):
-            return at(time, c=0.0)
-
-        start = scheme._extrapolated_temperature(linear(t), (linear(t - h1),), dt)
-        np.testing.assert_allclose(start, linear(t + dt).theta, rtol=1e-14, atol=0)
+        assert scheme._extrapolated_temperature(state, None, dt) is state.theta
 
     @staticmethod
-    def _history(params, cosine_profile):
+    def _trajectory(params, cosine_profile):
         # a refinement-like trajectory: N = 256, dt = 2/N^2, a few steps in
         grid = Grid(256)
         dt = 2.0 * grid.dx**2
         state = compatible_initial_data(cosine_profile, params, SF, grid)
         state = with_derived(state, params, grid)
-        history = ()
+        previous = None
         for _ in range(4):
-            new = step(state, dt, params, SF, grid, history=history)
-            history, state = (state, *history[:1]), new
+            new = step(state, dt, params, SF, grid, previous=previous)
+            previous, state = state, new
         new_u = momentum_step(state, dt, params, SF, grid)
         new_v = continuity_step(state, du_dx_cells(new_u, grid), dt)
-        return grid, dt, history, state, new_u, new_v
+        return grid, dt, previous, state, new_u, new_v
 
-    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("depth", [0, 1])
     def test_one_solve_at_the_extrapolated_temperature(
         self, params, cosine_profile, depth
     ):
         # theta' solves A(theta*) theta' = rhs, the system assembled here
         # from its definition, with theta* the extrapolation through depth
-        # earlier states: state.theta, linear, quadratic
-        grid, dt, history, state, new_u, new_v = self._history(params, cosine_profile)
-        history = history[:depth]
-        got = temperature(state, new_u, new_v, dt, params, grid, history=history)
-        theta_star = scheme._extrapolated_temperature(state, history, dt)
+        # earlier states: state.theta, or linear
+        grid, dt, previous, state, new_u, new_v = self._trajectory(
+            params, cosine_profile
+        )
+        previous = previous if depth else None
+        got = temperature(state, new_u, new_v, dt, params, grid, previous=previous)
+        theta_star = scheme._extrapolated_temperature(state, previous, dt)
         g = du_dx_cells(new_u, grid)
         mu = viscosity(new_v, params)
         rhs = state.theta + (dt / params.c_v) * mu * g * g / new_v
@@ -490,17 +484,18 @@ class TestTemperatureStep:
         assert np.max(np.abs(applied - rhs)) <= 1e-14 * np.max(rhs)
 
     def test_non_positive_guess_falls_back(self, params, cosine_profile):
-        grid, dt, history, state, new_u, new_v = self._history(params, cosine_profile)
-        # equal steps give the weights w1 = -3 and w2 = 1, so in cell 7 the
-        # guess is theta - 3 (3 theta - theta) + (theta2 - theta), about
-        # -5 theta: it is unusable
-        bad = history[0].copy()
+        grid, dt, previous, state, new_u, new_v = self._trajectory(
+            params, cosine_profile
+        )
+        # equal steps make the guess 2 theta - theta_prev, so in cell 7 it
+        # is 2 theta - 3 theta = -theta: it is unusable
+        bad = previous.copy()
         bad.theta[7] = 3.0 * state.theta[7]
         cold = temperature(state, new_u, new_v, dt, params, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fallback = temperature(
-                state, new_u, new_v, dt, params, grid, history=(bad, history[1])
+                state, new_u, new_v, dt, params, grid, previous=bad
             )
         np.testing.assert_array_equal(fallback, cold)
 
@@ -528,7 +523,7 @@ class TestTemperatureStep:
 
     @pytest.mark.parametrize("beta", [1.0, 4.0])
     def test_smooth_step_within_dt_squared_of_fixed_point(self, cosine_profile, beta):
-        # with no history the conductivity lags a whole step, so one step
+        # with no previous state the conductivity lags a whole step, so one step
         # differs from the backward-Euler fixed point by O(dt^2): measured
         # err/dt^2 is 1.24-1.30 (beta 1) and 4.7-5.0 (beta 4), and halving
         # dt divides err by 3.6-3.8
@@ -598,22 +593,22 @@ class TestTemperatureStep:
         # without a source A(theta*) is an M-matrix whenever it is positive
         # definite, and rhs >= theta > 0, so a step is either accepted with
         # theta' > 0 or rejected for its volume or its matrix, never for a
-        # non-positive temperature; three steps give the quadratic
-        # extrapolation its history
+        # non-positive temperature; from the second step on the linear
+        # extrapolation has a previous state
         params = MaterialParams(alpha=alpha, beta=beta)
         grid = Grid(16)
         state = compatible_initial_data(profile, params, bc, grid)
         state = with_derived(state, params, grid)
-        history = ()
+        previous = None
         for _ in range(3):
             dt = dt_control(state, grid, params, 0.5, 1e-12)
             try:
-                new = step(state, dt, params, bc, grid, history=history)
+                new = step(state, dt, params, bc, grid, previous=previous)
             except StepRejected as exc:
                 assert "non-positive or non-finite temperature" not in str(exc)
                 return
             assert new.theta.min() > 0.0
-            history, state = (state, *history[:1]), new
+            previous, state = state, new
 
 
 class TestStep:
