@@ -1,7 +1,8 @@
 """Command-line surface: run, verify, convergence, sweep.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error,
-3 solver abort, 141 (128 + SIGPIPE) when stdout's reader goes away.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error
+or an output that cannot be written, 3 solver abort, 141 (128 + SIGPIPE)
+when stdout's reader goes away.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ import numpy as np
 from .driver import run, verification_table
 from .mms import manufactured_case
 from .verify import representation_residual
-from .scenario import ConfigError, emit_snapshot, emit_timeseries, load_config
+from .scenario import (
+    ConfigError,
+    emit_snapshot,
+    emit_timeseries,
+    load_config,
+    write_csv,
+)
 
 __all__ = ["main", "cmd_run", "cmd_verify", "cmd_convergence", "cmd_sweep"]
 
@@ -41,7 +48,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     """Run one scenario; write timeseries.csv and snapshot.csv to out_dir.
 
     out_dir is created before the run, so an unusable one is a usage error
-    that costs no step.
+    that costs no step; an output that cannot be written is one too.
     """
     out = Path(out_dir)
     try:
@@ -50,8 +57,11 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     except (ConfigError, OSError) as exc:
         return _fail_usage(str(exc))
     result = run(scenario)
-    emit_timeseries(result.report, out / "timeseries.csv")
-    emit_snapshot(result.state, result.grid, out / "snapshot.csv")
+    try:
+        emit_timeseries(result.report, out / "timeseries.csv")
+        emit_snapshot(result.state, result.grid, out / "snapshot.csv")
+    except OSError as exc:
+        return _fail_usage(str(exc))
     if result.report.status == "aborted":
         print(
             f"aborted: {result.report.abort_reason} at t = {result.state.t:.6g}; "
@@ -184,7 +194,8 @@ def _file_tag(value: float) -> str:
 
 
 def cmd_sweep(config_path: str, alphas: str, betas: str, out_dir: str) -> int:
-    """Run the alpha x beta grid one pair after another; one timeseries each."""
+    """Run the alpha x beta grid one pair after another; one timeseries each,
+    then summary.csv. An output that cannot be written is a usage error."""
     try:
         scenario = load_config(config_path)
         alpha_list = _parse_float_list(alphas, "alpha")
@@ -206,24 +217,29 @@ def cmd_sweep(config_path: str, alphas: str, betas: str, out_dir: str) -> int:
     except OSError as exc:
         return _fail_usage(str(exc))
 
-    summary = ["alpha,beta,status,min_v,min_theta,repr_residual"]
+    summary = [("alpha", "beta", "status", "min_v", "min_theta", "repr_residual")]
     aborted = 0
     for (a, b), member in zip(pairs, scenarios):
         result = run(member)
-        emit_timeseries(
-            result.report, out / f"run_alpha{_file_tag(a)}_beta{_file_tag(b)}.csv"
-        )
+        try:
+            emit_timeseries(
+                result.report, out / f"run_alpha{_file_tag(a)}_beta{_file_tag(b)}.csv"
+            )
+        except OSError as exc:
+            return _fail_usage(str(exc))
         if result.report.status == "aborted":
             aborted += 1
         residual = representation_residual(
             result.state, result.accumulator, result.grid
         )
-        summary.append(
-            f"{a:.17g},{b:.17g},{result.report.status},"
-            f"{result.tracker.min_v:.17g},{result.tracker.min_theta:.17g},"
-            f"{residual:.17g}"
-        )
-    (out / "summary.csv").write_text("\n".join(summary) + "\n")
+        summary.append((
+            a, b, result.report.status,
+            result.tracker.min_v, result.tracker.min_theta, residual,
+        ))
+    try:
+        write_csv(out / "summary.csv", summary)
+    except OSError as exc:
+        return _fail_usage(str(exc))
     print(f"{len(pairs)} runs, {aborted} aborted; summary in {out / 'summary.csv'}")
     return EXIT_ABORT if aborted else EXIT_OK
 

@@ -4,17 +4,19 @@ ProfileSpec names a closed-form family of initial data and samples it;
 compatible_initial_data turns the samples into the initial State for the
 chosen walls. Configs are flat JSON objects with one level of nesting for
 the material and profile blocks. Unknown keys anywhere, and keys given
-twice, are rejected so typos cannot silently fall back to defaults. All
-numeric output uses 17 significant digits, enough to round-trip float64
-bit-exactly.
+twice, are rejected so typos cannot silently fall back to defaults. Every
+CSV goes through write_csv, whose numbers carry 17 significant digits,
+enough to round-trip float64 bit-exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -36,6 +38,7 @@ __all__ = [
     "TIMESERIES_COLUMNS",
     "parse_config",
     "load_config",
+    "write_csv",
     "emit_timeseries",
     "parse_timeseries",
     "emit_snapshot",
@@ -360,18 +363,23 @@ def load_config(path: str | Path) -> Scenario:
     return parse_config(text)
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
+def _fmt(field: str | float) -> str:
+    """One CSV field: a str as it is, a number in 17 significant digits."""
+    return field if isinstance(field, str) else format(field, ".17g")
+
+
+def write_csv(destination: str | Path, rows: Iterable[Iterable[str | float]]) -> None:
+    """Write rows as CSV lines, each as soon as it is formatted, so a file of
+    any length costs no more memory than the row being written."""
+    with open(destination, "w") as out:
+        for row in rows:
+            out.write(",".join(map(_fmt, row)) + "\n")
 
 
 def emit_timeseries(report: DiagnosticsReport, destination: str | Path) -> None:
     """Write the diagnostics rows as CSV: header first, 17 significant digits."""
-    lines = [",".join(TIMESERIES_COLUMNS)]
-    for row in report.rows:
-        lines.append(
-            ",".join(_fmt(getattr(row, name)) for name in TIMESERIES_COLUMNS)
-        )
-    Path(destination).write_text("\n".join(lines) + "\n")
+    rows = ((getattr(row, name) for name in TIMESERIES_COLUMNS) for row in report.rows)
+    write_csv(destination, itertools.chain([TIMESERIES_COLUMNS], rows))
 
 
 def parse_timeseries(path: str | Path) -> tuple[DiagnosticsRow, ...]:
@@ -390,16 +398,30 @@ def parse_timeseries(path: str | Path) -> tuple[DiagnosticsRow, ...]:
     return tuple(rows)
 
 
+# snapshot rows made into Python floats at a time: they format faster than
+# numpy scalars, and a block keeps the copy small
+_SNAPSHOT_BLOCK = 1024
+
+
+def _float_rows(*columns: np.ndarray) -> Iterator[tuple[float, ...]]:
+    for start in range(0, len(columns[0]), _SNAPSHOT_BLOCK):
+        end = start + _SNAPSHOT_BLOCK
+        yield from zip(*(column[start:end].tolist() for column in columns))
+
+
 def emit_snapshot(state: State, grid: Grid, destination: str | Path) -> None:
     """Write the final fields in two header-tagged sections (cells, nodes)."""
-    lines = ["# cells", "x,v,theta"]
-    for x, v, theta in zip(grid.centers, state.v, state.theta):
-        lines.append(f"{_fmt(x)},{_fmt(v)},{_fmt(theta)}")
-    lines.append("# nodes")
-    lines.append("x,u")
-    for x, u in zip(grid.nodes, state.u):
-        lines.append(f"{_fmt(x)},{_fmt(u)}")
-    Path(destination).write_text("\n".join(lines) + "\n")
+
+    def rows() -> Iterator[tuple[str | float, ...]]:
+        # each section's coordinates are made only while it is written
+        yield ("# cells",)
+        yield ("x", "v", "theta")
+        yield from _float_rows(grid.centers, state.v, state.theta)
+        yield ("# nodes",)
+        yield ("x", "u")
+        yield from _float_rows(grid.nodes, state.u)
+
+    write_csv(destination, rows())
 
 
 def parse_snapshot(

@@ -263,10 +263,12 @@ def velocity_band_check(
     lo = np.exp(-s / acc.mu_eff)
     hi = np.exp(s / acc.mu_eff)
     # rounding is monotone, so the least f - lo is min(f) - lo and the least
-    # hi - f is hi - max(f), bit for bit (and NaN whenever f holds one)
-    below = (velocity_factor.min(axis=1) - lo).tolist()
-    above = (hi - velocity_factor.max(axis=1)).tolist()
-    return [min(a, b) for a, b in zip(below, above)]
+    # hi - f is hi - max(f), bit for bit; np.minimum keeps a NaN from either
+    # side (f holding one, or hi - max(f) = inf - inf), where Python's min
+    # would drop one in its second argument
+    below = velocity_factor.min(axis=1) - lo
+    above = hi - velocity_factor.max(axis=1)
+    return np.minimum(below, above).tolist()
 
 
 @dataclass

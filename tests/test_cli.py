@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,15 @@ class TestCmdRun:
         assert cli.cmd_run(small_run_config(tmp_path), str(taken)) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert steps == []
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "timeseries.csv").mkdir(parents=True)
+        code = cli.main(["run", "--config", small_run_config(tmp_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_abort_exits_three_with_partial_outputs(self, tmp_path, capsys):
         path = write_config(tmp_path, {
@@ -437,6 +447,39 @@ class TestCmdSweep:
         taken.write_text("")
         assert cli.cmd_sweep(config, "1", "1", str(taken / "sub")) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_summary_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        (out / "summary.csv").mkdir(parents=True)
+        code = cli.main([
+            "sweep", "--config", small_run_config(tmp_path),
+            "--alpha", "1", "--beta", "1", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_summary_matches_joined_writer(self, tmp_path):
+        # the f-string lines the summary was once built from are the byte
+        # oracle of the shared writer
+        config = small_run_config(tmp_path)
+        out = tmp_path / "s"
+        assert cli.cmd_sweep(config, "0,2", "1", str(out)) == 0
+        lines = ["alpha,beta,status,min_v,min_theta,repr_residual"]
+        scenario = lagns.load_config(config)
+        for a in (0.0, 2.0):
+            params = replace(scenario.params, alpha=a, beta=1.0)
+            result = lagns.run(replace(scenario, params=params))
+            residual = lagns.representation_residual(
+                result.state, result.accumulator, result.grid
+            )
+            lines.append(
+                f"{a:.17g},{1.0:.17g},{result.report.status},"
+                f"{result.tracker.min_v:.17g},{result.tracker.min_theta:.17g},"
+                f"{residual:.17g}"
+            )
+        assert (out / "summary.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_garbled_list_exits_two(self, tmp_path, capsys):
         config = small_run_config(tmp_path)

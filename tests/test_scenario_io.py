@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,6 +293,91 @@ class TestSnapshotRoundTrip:
         path.write_text("x,v,theta\n0.5,1.0,1.0\n")
         with pytest.raises(ValueError, match="section tag"):
             parse_snapshot(path)
+
+
+# the join-based writers that write_csv replaced, kept as the byte oracle:
+# every line built in a list, joined into one string, written at once
+def joined_timeseries(report):
+    lines = [",".join(TIMESERIES_COLUMNS)]
+    for row in report.rows:
+        lines.append(
+            ",".join(format(getattr(row, name), ".17g") for name in TIMESERIES_COLUMNS)
+        )
+    return "\n".join(lines) + "\n"
+
+
+def joined_snapshot(state, grid):
+    lines = ["# cells", "x,v,theta"]
+    for x, v, theta in zip(grid.centers, state.v, state.theta):
+        lines.append(f"{x:.17g},{v:.17g},{theta:.17g}")
+    lines.append("# nodes")
+    lines.append("x,u")
+    for x, u in zip(grid.nodes, state.u):
+        lines.append(f"{x:.17g},{u:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+# values whose 17-digit forms are easy to get wrong: a signed zero, the
+# least subnormal, a value near the top of the range, inexact decimals
+EDGE_VALUES = np.array([-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, -2.5, -1e-300])
+
+
+class TestStreamedWriterBytes:
+    @pytest.mark.parametrize("n", [8, 8192])
+    def test_snapshot_matches_joined_writer(self, n, tmp_path):
+        grid = Grid(n)
+        rng = np.random.default_rng(n)
+
+        def field(size, offset):
+            values = rng.standard_normal(size)
+            values[: len(EDGE_VALUES)] = np.roll(EDGE_VALUES, offset)
+            return values
+
+        state = State(
+            1.0 / 3.0,
+            field(grid.n_cells, 0),
+            -np.abs(field(grid.n_nodes, 1)),
+            field(grid.n_cells, 2),
+        )
+        path = tmp_path / "snap.csv"
+        emit_snapshot(state, grid, path)
+        assert path.read_bytes() == joined_snapshot(state, grid).encode()
+
+    @pytest.mark.parametrize("n_rows", [0, 3])
+    def test_timeseries_matches_joined_writer(self, n_rows, tmp_path):
+        edge = EDGE_VALUES.tolist()
+        rows = tuple(
+            make_row(
+                float(k),
+                **{
+                    name: edge[(i + k) % len(edge)]
+                    for i, name in enumerate(TIMESERIES_COLUMNS[1:])
+                },
+            )
+            for k in range(n_rows)
+        )
+        report = DiagnosticsReport(rows=rows, status="completed")
+        path = tmp_path / "ts.csv"
+        emit_timeseries(report, path)
+        assert path.read_bytes() == joined_timeseries(report).encode()
+
+
+def test_snapshot_writer_memory_does_not_grow_with_the_file(tmp_path):
+    # the joined writer held every line and then one string of the whole
+    # file, 26 MB here; streamed, the peak is the coordinate arrays and one
+    # block of rows, about 1.1 MB
+    grid = Grid(65536)
+    state = State(
+        0.5, np.full(grid.n_cells, 1.0 / 3.0), np.full(grid.n_nodes, -0.1),
+        np.full(grid.n_cells, 0.7),
+    )
+    tracemalloc.start()
+    try:
+        emit_snapshot(state, grid, tmp_path / "snap.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 class TestSteadyRunColumns:

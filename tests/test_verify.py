@@ -229,6 +229,16 @@ class TestVelocityBand:
         (margin,) = velocity_band_check(acc, acc.velocity_factor(wild.u[None], grid))
         assert margin < 0.0
 
+    def test_nan_above_the_band_survives_the_fold(self, grid, params, uniform_state):
+        # e0 = 1e7 and mu_eff = 1 put the upper edge exp(sqrt(2 e0)) at inf,
+        # so the factor inf lies at inf - inf = NaN from it: the row's margin
+        # is NaN, not the finite margin below
+        acc = make_accumulator(with_derived(uniform_state, params, grid), grid, params)
+        acc = replace(acc, e0=1e7, mu_eff=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (margin,) = velocity_band_check(acc, np.array([[1.0, np.inf]]))
+        assert np.isnan(margin)
+
 
 class TestBoundTracker:
     def test_steady_state_integrals(self, grid, params, uniform_state):
