@@ -58,15 +58,14 @@ from .verify import (
     StateBlock,
     boundary_stress_residual,
     energy_drift,
-    initial_volume_factor,
     make_accumulator,
     make_tracker,
+    relative_volume_factor,
     representation_residual,
     update_accumulator,
     update_bounds,
     velocity_band_check,
     velocity_integral_factor,
-    viscosity_volume_factor,
 )
 
 __version__ = "0.1.0"

@@ -121,11 +121,12 @@ def cmd_convergence(config_path: str, levels: int) -> int:
     if levels < 3:
         return _fail_usage(f"need at least 3 refinement levels, got {levels}")
 
-    sizes = [scenario.n_cells * 2**k for k in range(levels)]
-    # every level is checked before the first runs, so a level whose
-    # dt_max = dx^2 falls below dt_min costs no run
+    # every level is built and checked before the first runs, so a level
+    # whose dt_max = dx^2 falls below dt_min costs no run; the first such
+    # level ends the study, however many levels were asked for
     studies = []
-    for n in sizes:
+    for k in range(levels):
+        n = scenario.n_cells * 2**k
         dx = 1.0 / n
         try:
             studies.append(replace(scenario, n_cells=n, dt_max=dx * dx))
@@ -155,10 +156,9 @@ def cmd_convergence(config_path: str, levels: int) -> int:
         )
 
     print(f"{'n_cells':>8} {'dt':>12} {'err_v':>12} {'err_u':>12} {'err_theta':>12}")
-    for n, err_v, err_u, err_theta in zip(sizes, *errors.values()):
-        dx = 1.0 / n
+    for study, err_v, err_u, err_theta in zip(studies, *errors.values()):
         print(
-            f"{n:>8} {dx * dx:>12.4e} {err_v:>12.4e} "
+            f"{study.n_cells:>8} {study.dt_max:>12.4e} {err_v:>12.4e} "
             f"{err_u:>12.4e} {err_theta:>12.4e}"
         )
     if all(max(level) < ROUNDING_FLOOR for level in zip(*errors.values())):

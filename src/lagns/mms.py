@@ -152,13 +152,8 @@ def check_case_name(name: object) -> None:
 
 
 def manufactured_case(name: str, params: MaterialParams) -> MmsCase:
-    """The named case of the family (see the module docstring), made once."""
+    """The named case of the family (see the module docstring)."""
     check_case_name(name)
-    return _cached_case(name, params)
-
-
-@functools.lru_cache(maxsize=None)
-def _cached_case(name: str, params: MaterialParams) -> MmsCase:
     return MmsCase(name, _AMPLITUDES[name], params)
 
 

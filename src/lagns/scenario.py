@@ -178,8 +178,7 @@ class Scenario:
     dt_max is a library-level cap used by refinement studies; it is not a
     config key and defaults to the acoustic limit alone. Scenario is the one
     validator of the run's controls (n_cells, t_end, output_every, cfl,
-    dt_min, dt_max, mms). The temperature update is one linear solve per
-    step, so there are no iteration limits to set.
+    dt_min, dt_max, mms).
     """
 
     params: MaterialParams = MaterialParams()

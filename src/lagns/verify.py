@@ -2,16 +2,17 @@
 
 Two instruments ride along with every run. A RepresentationAccumulator
 maintains the Kazhikhov-Shelukhin representation of the specific volume on
-stress-free walls,
+stress-free walls, written relative to the initial state,
 
-    v = d1 * d2 * (b0 + (R/mu_eff) * integral of theta/(d1*d2) dt),
+    v = d1 * D * (v0 + (R/mu_eff) * integral of theta/(d1*D) dt),
 
-where d1 = exp(integral from 0 to x of (u - u0)/mu_eff), d2 =
-exp(v**-alpha/alpha) (1 when alpha = 0), b0 = v0/d2(v0), and mu_eff =
+where d1 = exp(integral from 0 to x of (u - u0)/mu_eff), D =
+exp((v**-alpha - v0**-alpha)/alpha) (1 when alpha = 0), and mu_eff =
 mu(inf) is the viscosity at infinite volume (mu_tilde, or 2*mu_tilde when
-alpha = 0). Its residual against the evolved v measures how faithfully the
-discrete trajectory satisfies an identity the continuum solution
-satisfies exactly.
+alpha = 0). Both factors are exactly 1 at t = 0, and D stays finite where
+exp(v**-alpha/alpha) alone would overflow. The residual against the evolved
+v measures how faithfully the discrete trajectory satisfies an identity
+the continuum solution satisfies exactly.
 A BoundTracker maintains the norm functionals that the continuum theory
 proves bounded: positivity floors, gradient norms, and space-time integrals
 of the acceleration and second velocity differences.
@@ -64,9 +65,8 @@ from .grid import (
 from .scheme import BoundaryKind
 
 __all__ = [
-    "initial_volume_factor",
+    "relative_volume_factor",
     "velocity_integral_factor",
-    "viscosity_volume_factor",
     "StateBlock",
     "RepresentationAccumulator",
     "make_accumulator",
@@ -114,14 +114,6 @@ class StateBlock:
         )
 
 
-def initial_volume_factor(v0: np.ndarray, alpha: float) -> np.ndarray:
-    """Frozen initial-data factor: exp(ln v0 - 1/(alpha*v0**alpha)), or v0 itself
-    when alpha = 0."""
-    if alpha == 0.0:
-        return v0.copy()
-    return np.exp(np.log(v0) - np.exp(-alpha * np.log(v0)) / alpha)
-
-
 def velocity_integral_factor(
     u: np.ndarray, u0: np.ndarray, grid: Grid, exponent: float
 ) -> np.ndarray:
@@ -135,17 +127,15 @@ def velocity_integral_factor(
     return np.exp(exponent * 0.5 * (cumulative[..., :-1] + cumulative[..., 1:]))
 
 
-def viscosity_volume_factor(v: np.ndarray, alpha: float) -> np.ndarray:
-    """exp(1/(alpha*v**alpha)) from the volume term of the viscosity; ones
-    when alpha = 0."""
-    return _power_factor(volume_power(v, alpha), alpha)
-
-
-def _power_factor(v_power: np.ndarray, alpha: float) -> np.ndarray:
-    """viscosity_volume_factor from the volume power v**-alpha."""
+def relative_volume_factor(
+    v_power: np.ndarray, v0_power: np.ndarray, alpha: float
+) -> np.ndarray:
+    """D = exp((v**-alpha - v0**-alpha)/alpha) from the volume powers of a
+    state (one per row, or one) and of the initial state: the volume term of
+    the viscosity relative to the initial state; ones when alpha = 0."""
     if alpha == 0.0:
         return np.ones_like(v_power)
-    return np.exp(v_power / alpha)
+    return np.exp((v_power - v0_power) / alpha)
 
 
 @dataclass
@@ -153,13 +143,15 @@ class RepresentationAccumulator:
     """Running state of the volume representation (module docstring).
 
     params is the material it was built for and mu_eff = mu(inf) its
-    viscosity at infinite volume; b0 and u0_nodes are frozen at t = 0;
-    time_integral accumulates theta/(d1*d2) per cell by the trapezoid
+    viscosity at infinite volume; the initial volume v0, its power
+    v0_power = v0**-alpha and the node velocities u0_nodes are frozen at
+    t = 0; time_integral accumulates theta/(d1*D) per cell by the trapezoid
     rule; e0 feeds the energy band on the velocity factor.
     """
 
     params: MaterialParams
-    b0: np.ndarray
+    v0: np.ndarray
+    v0_power: np.ndarray
     u0_nodes: np.ndarray
     mu_eff: float
     time_integral: np.ndarray
@@ -173,34 +165,23 @@ class RepresentationAccumulator:
         return velocity_integral_factor(u, self.u0_nodes, grid, 1.0 / self.mu_eff)
 
 
-def _integrand(
-    theta: np.ndarray, v_power: np.ndarray, alpha: float, d1: np.ndarray
-) -> np.ndarray:
-    return theta / (d1 * _power_factor(v_power, alpha))
-
-
 def make_accumulator(
     state: State, grid: Grid, params: MaterialParams
 ) -> RepresentationAccumulator:
     """Freeze the initial data and start the time integral at zero; state
-    must carry its derived fields."""
-    acc = RepresentationAccumulator(
+    must carry its derived fields. d1 and D are exactly 1 at t = 0, so the
+    first integrand is theta0."""
+    return RepresentationAccumulator(
         params=params,
-        b0=initial_volume_factor(state.v, params.alpha),
+        v0=state.v.copy(),
+        v0_power=state.derived.v_power.copy(),
         u0_nodes=state.u.copy(),
         mu_eff=float(viscosity(np.inf, params)),
         time_integral=np.zeros(grid.n_cells),
-        last_integrand=np.empty(grid.n_cells),
+        last_integrand=state.theta.copy(),
         t=state.t,
         e0=total_energy(state, grid, params.c_v),
     )
-    acc.last_integrand = _integrand(
-        state.theta,
-        state.derived.v_power,
-        params.alpha,
-        acc.velocity_factor(state.u, grid),
-    )
-    return acc
 
 
 def update_accumulator(
@@ -215,9 +196,10 @@ def update_accumulator(
     step, computed once per block by the caller and shared with
     velocity_band_check.
     """
-    integrand = _integrand(
-        block.theta, block.derived.v_power, acc.params.alpha, velocity_factor
+    d = relative_volume_factor(
+        block.derived.v_power, acc.v0_power, acc.params.alpha
     )
+    integrand = block.theta / (velocity_factor * d)
     # each step's trapezoid pairs its integrand with the one before it
     increment = np.concatenate((acc.last_integrand[None], integrand[:-1]))
     increment += integrand
@@ -235,16 +217,17 @@ def representation_residual(
 ) -> float:
     """Relative max-norm defect of the closed-form volume representation.
 
-    Zero to rounding at t = 0 for any positive v0 and either alpha branch,
-    since the two exponential factors cancel algebraically there.
+    Exactly zero at t = 0 for any positive v0 and either alpha branch,
+    since both factors are exactly 1 there.
     """
     if abs(acc.t - state.t) > 1e-9 * max(1.0, abs(state.t)):
         raise ValueError(
             f"accumulator at t = {acc.t} is out of sync with state at t = {state.t}"
         )
     d1 = acc.velocity_factor(state.u, grid)
-    d2 = viscosity_volume_factor(state.v, acc.params.alpha)
-    predicted = d1 * d2 * (acc.b0 + acc.params.R / acc.mu_eff * acc.time_integral)
+    alpha = acc.params.alpha
+    d = relative_volume_factor(volume_power(state.v, alpha), acc.v0_power, alpha)
+    predicted = d1 * d * (acc.v0 + acc.params.R / acc.mu_eff * acc.time_integral)
     return float(np.max(np.abs(state.v - predicted)) / np.max(state.v))
 
 

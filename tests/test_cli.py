@@ -28,7 +28,7 @@ GOLDEN = {
         "f2fe4fb15cb129d4424e6abdcb8bd7809ab991d21062a7e91c4fb75c9bfa241d",
     ),
     "default": (
-        "1d95a9dd12df4efaf6ba332b4d67b9ac1457770507b22d198beab50d1e964c0a",
+        "82c5c0f27248e8f7f74a57fb9a0249fc9031c79ebea1294694ab7976e8fa3373",
         "b7282d813b2e58654a3ae7705c6685269a97986252355e0686d4079e8aefeca2",
     ),
     "mms_deep": (
@@ -43,7 +43,7 @@ GOLDEN = {
     # digest moves with any reordered arithmetic, and
     # test_noslip_steady_stays_at_rest checks the physics
     "noslip_steady": (
-        "a0de3c788b276f2ae9fcc94a7317946713e0b9aa00d541b80fd7b7cc88c2f159",
+        "2c00d2532c2014a088186310ac84a7498a845b80147649a9a1436427dfd61b27",
         "be566e6ac8bbb785bce5f119be73609ba405374b30f02ea58101f5cb2a20b838",
     ),
 }
@@ -215,7 +215,7 @@ def test_deeply_nested_config_exits_two(command, tmp_path, capsys):
 @pytest.mark.parametrize("name", [[], {}], ids=["list", "object"])
 def test_bad_mms_name_exits_two(command, name, tmp_path, capsys):
     # an mms name that is not a string is a config error, not a TypeError
-    # from the cache of manufactured cases
+    # from the lookup of the case name
     path = write_config(tmp_path, {"mms": name})
     assert COMMANDS[command](path, str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.startswith("error: unknown mms case")
@@ -385,14 +385,18 @@ class TestCmdConvergence:
         assert cli.cmd_convergence(str(CONFIGS / "mms_deep.json"), 3) == 0
         assert "min observed order" in capsys.readouterr().out
 
-    def test_level_below_dt_min_exits_two_before_any_run(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("levels", [20, 10**6])
+    def test_level_below_dt_min_exits_two_before_any_run(
+        self, monkeypatch, capsys, levels
+    ):
         # from N = 16 * 2^13 on, dt_max = dx^2 is below dt_min = 1e-10; the
-        # study is refused before its first level runs
+        # study is refused before its first level runs, and the levels past
+        # that one are never built
         def no_run(scenario):
             raise AssertionError(f"ran n_cells = {scenario.n_cells}")
 
         monkeypatch.setattr(cli, "run", no_run)
-        assert cli.cmd_convergence(str(CONFIGS / "mms_default.json"), 20) == 2
+        assert cli.cmd_convergence(str(CONFIGS / "mms_default.json"), levels) == 2
         assert "level n_cells = 131072" in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
-import dataclasses
 import functools
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,12 +50,6 @@ def assert_bits_equal(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-
-
-def fresh_case(name, params):
-    """A new case rather than the one manufactured_case keeps, so that its
-    first grid is a first use."""
-    return dataclasses.replace(manufactured_case(name, params))
 
 
 def residuals(v, u, theta):
@@ -195,13 +190,32 @@ class TestBuildCase:
 
     @pytest.mark.parametrize("name", [[], {}, 1, None], ids=repr)
     def test_non_string_name_rejected_before_hashing(self, name):
-        # a list or dict would make the case cache raise TypeError
+        # a list or dict would make the lookup of the name raise TypeError
         with pytest.raises(ValueError, match="unknown mms case"):
             manufactured_case(name, MaterialParams())
 
-    def test_cache_returns_same_object(self):
-        params = MaterialParams()
-        assert manufactured_case("default", params) is manufactured_case("default", params)
+    def test_runs_do_not_retain_their_cases(self):
+        # each case keeps its factors per grid, 33 KB at N = 1024; a run's
+        # case must go with the run, not stay alive for the process
+        def run_with_beta(beta):
+            scenario = Scenario(
+                params=MaterialParams(beta=beta), mms="default", n_cells=1024,
+                t_end=1e-4, output_every=1e-4,
+            )
+            assert run(scenario).report.status == "completed"
+
+        run_with_beta(0.5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for k in range(50):
+                run_with_beta(1.0 + k / 64)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 500_000
 
 
 class TestSourcesAgainstFiniteDifferences:
@@ -276,8 +290,8 @@ class TestCompiledSources:
         t=st.floats(0.0, 1.0),
     )
     def test_grid_sources_match_one_shot_and_plain_lambdify(self, name, params, n_cells, t):
-        # a fresh case, so that its first grid is a first use
-        case = fresh_case(name, params)
+        # every call makes a new case, so its first grid is a first use
+        case = manufactured_case(name, params)
         grid = Grid(n_cells)
         s_v, s_u, s_theta = mms_sources(case, grid, t)
         at_centers, at_nodes = case.sources(grid.centers, t), case.sources(grid.nodes, t)
@@ -321,7 +335,7 @@ class TestCompiledSources:
             return jet_sources(params, *jets)
 
         monkeypatch.setattr(lagns.mms, "jet_sources", recording)
-        case = fresh_case("default", MaterialParams())
+        case = manufactured_case("default", MaterialParams())
         tenth = {A: sp.Rational(1, 10), B: sp.Rational(1, 10)}
         fields = [expr.subs(tenth) for expr in (FAMILY_V, FAMILY_U, FAMILY_THETA)]
         x = Grid(16).nodes
@@ -344,7 +358,7 @@ class TestCompiledSources:
         assert case.sources(0.3, 0.5)[2].shape == ()
 
     def test_grid_order_gives_fresh_values(self):
-        case = fresh_case("default", MaterialParams())
+        case = manufactured_case("default", MaterialParams())
         for n, t in ((16, 0.1), (32, 0.2), (16, 0.3)):
             grid = Grid(n)
             s_v, s_u, s_theta = mms_sources(case, grid, t)
@@ -355,7 +369,7 @@ class TestCompiledSources:
     def test_x_only_outputs_are_fresh_arrays(self):
         # the case keeps its x-only factors; no array it returns may be one
         # of them, or share memory with an earlier result
-        case = fresh_case("default", MaterialParams())
+        case = manufactured_case("default", MaterialParams())
         grid = Grid(8)
         first = (case.wall_stress(0.5), *mms_sources(case, grid, 0.5))
         want = [array.copy() for array in first]

@@ -159,7 +159,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("name", ["[]", "{}", "1", "true"])
     def test_non_string_mms_name(self, name):
-        # an unhashable name is rejected before the case cache sees it
+        # an unhashable name is rejected before any lookup hashes it
         with pytest.raises(ConfigError, match="unknown mms case"):
             parse_config(f'{{"mms": {name}}}')
 

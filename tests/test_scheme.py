@@ -33,7 +33,6 @@ from lagns import (
     temperature_step,
     total_energy,
     viscosity,
-    viscosity_volume_factor,
     with_derived,
 )
 from lagns.constitutive import volume_power
@@ -711,13 +710,8 @@ class TestDerivedFields:
             assert self._same_bits(d.u_x, du_dx_cells(state.u, grid))
             assert self._same_bits(d.mu, viscosity(state.v, params))
             assert self._same_bits(d.p, pressure(state.v, state.theta, params))
-            # the inner power of viscosity_volume_factor
+            # the volume power the representation accumulator reads
             assert self._same_bits(d.v_power, volume_power(state.v, alpha))
-            factor = viscosity_volume_factor(state.v, alpha)
-            if alpha == 0.0:
-                assert np.all(d.v_power == 1.0) and np.all(factor == 1.0)
-            else:
-                assert self._same_bits(np.exp(d.v_power / alpha), factor)
 
     def test_copy_does_not_alias_them(self, grid, params, cosine_profile):
         state = compatible_initial_data(cosine_profile, params, SF, grid)

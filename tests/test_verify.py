@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lagns import driver
+from lagns import driver, verify
 from lagns import (
     BoundaryKind,
     Grid,
@@ -20,11 +21,12 @@ from lagns import (
     boundary_stress_residual,
     compatible_initial_data,
     energy_drift,
-    initial_volume_factor,
     load_config,
     make_accumulator,
     make_tracker,
+    parse_config,
     pressure,
+    relative_volume_factor,
     representation_residual,
     run,
     total_energy,
@@ -34,9 +36,9 @@ from lagns import (
     velocity_integral_factor,
     verification_table,
     viscosity,
-    viscosity_volume_factor,
     with_derived,
 )
+from lagns.constitutive import volume_power
 from lagns.grid import cell_integral, du_dx_cells, node_weights
 from lagns.scenario import ProfileSpec
 from lagns.verify import BoundTracker
@@ -89,38 +91,29 @@ def advance(acc, states, dts, grid):
     return velocity_band_check(acc, velocity_factor)
 
 
-class TestInitialVolumeFactor:
-    def test_alpha_zero_returns_copy(self):
-        v0 = np.array([0.5, 1.0, 2.0])
-        out = initial_volume_factor(v0, 0.0)
-        np.testing.assert_array_equal(out, v0)
-        assert out is not v0
-
-    def test_unit_volume_alpha_one(self):
-        np.testing.assert_allclose(
-            initial_volume_factor(np.array([1.0]), 1.0), np.exp(-1.0)
-        )
-
-    def test_unit_volume_alpha_two(self):
-        np.testing.assert_allclose(
-            initial_volume_factor(np.array([1.0]), 2.0), np.exp(-0.5)
-        )
-
-
-class TestViscosityVolumeFactor:
-    def test_unit_volume_alpha_one(self):
-        np.testing.assert_allclose(
-            viscosity_volume_factor(np.array([1.0]), 1.0), np.e
-        )
-
-    def test_large_volume_tends_to_one(self):
-        out = viscosity_volume_factor(np.array([1e8]), 1.0)
-        assert out[0] == pytest.approx(1.0, abs=1e-7)
-
+class TestRelativeVolumeFactor:
     def test_alpha_zero_is_ones(self):
+        ones = np.ones(2)
         np.testing.assert_array_equal(
-            viscosity_volume_factor(np.array([0.3, 7.0]), 0.0), np.ones(2)
+            relative_volume_factor(ones, ones, 0.0), ones
         )
+
+    def test_initial_volume_gives_exact_ones(self):
+        v = np.array([0.2, 1.0, 5.0])
+        for alpha in (1e-3, 0.7, 8.0):
+            power = volume_power(v, alpha)
+            assert np.all(relative_volume_factor(power, power, alpha) == 1.0)
+
+    def test_small_alpha_stays_finite(self):
+        # exp(v**-alpha/alpha) is exp(1001.6) at v = 0.2, alpha = 1e-3, which
+        # overflows; relative to v0 = 1 the factor is about exp(-1.6)
+        alpha = 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (out,) = relative_volume_factor(
+                volume_power(np.array([0.2]), alpha), np.ones(1), alpha
+            )
+        assert out == pytest.approx(np.exp((0.2**-alpha - 1.0) / alpha), rel=1e-12)
 
 
 class TestVelocityIntegralFactor:
@@ -175,16 +168,37 @@ class TestRepresentationAccumulator:
             np.float64, 16,
             elements=st.floats(0.2, 5.0, allow_nan=False, allow_infinity=False),
         ),
-        alpha=st.sampled_from([0.0, 0.7, 1.0, 2.0]),
+        u0=hnp.arrays(
+            np.float64, 17,
+            elements=st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
+        ),
+        alpha=st.sampled_from([0.0, 1e-3, 0.7, 1.0, 2.0, 8.0]),
     )
-    def test_initial_residual_vanishes(self, v0, alpha):
-        # the representation is an algebraic identity at t = 0: the factors
-        # cancel against b0 for any positive initial volume
+    def test_initial_residual_vanishes(self, v0, u0, alpha):
+        # both factors are exactly 1 at t = 0, so the representation returns
+        # v0 itself for any positive initial volume and any velocity
         grid = Grid(16)
         params = MaterialParams(alpha=alpha)
-        state = State(0.0, v0, np.zeros(grid.n_nodes), np.ones(grid.n_cells))
+        state = State(0.0, v0, u0, np.ones(grid.n_cells))
         acc = make_accumulator(with_derived(state, params, grid), grid, params)
-        assert representation_residual(state, acc, grid) <= 1e-12
+        assert representation_residual(state, acc, grid) == 0.0
+
+    def test_large_alpha_initial_state_does_not_overflow(self):
+        # v0 ~ 1e-30 at alpha = 8 puts v0**-alpha near 1e240, whose
+        # exp(v0**-alpha/alpha) alone overflows
+        scenario = parse_config(json.dumps({
+            "material": {"alpha": 8.0},
+            "profile": {"name": "cosine",
+                        "amplitudes": {"v_base": 1e-30, "v_amp": 1e-31}},
+            "n_cells": 8, "t_end": 1e-3, "output_every": 1e-3, "dt_min": 1e-6,
+        }))
+        grid, params = Grid(scenario.n_cells), scenario.params
+        state = compatible_initial_data(scenario.profile, params, SF, grid)
+        state = with_derived(state, params, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            acc = make_accumulator(state, grid, params)
+        assert np.array_equal(acc.last_integrand, state.theta)
 
 
 class TestVelocityBand:
@@ -411,13 +425,20 @@ class TestBlockFoldOracle:
 
 def reference_time_integral(states, dts, grid, params):
     """The accumulator's time integral folded one state at a time, each
-    integrand evaluated from the state's fields with
-    viscosity_volume_factor: the oracle of the run's accumulator."""
+    integrand theta/(d1*D) evaluated afresh from the state's fields, with
+    D = exp((v**-alpha - v0**-alpha)/alpha) written out: the oracle of the
+    run's accumulator."""
     exponent = 1.0 / mu_eff(params)
+    alpha = params.alpha
+    v0_power = volume_power(states[0].v, alpha)
 
     def integrand(state):
         d1 = velocity_integral_factor(state.u, states[0].u, grid, exponent)
-        return state.theta / (d1 * viscosity_volume_factor(state.v, params.alpha))
+        d = (
+            np.exp((volume_power(state.v, alpha) - v0_power) / alpha)
+            if alpha > 0.0 else 1.0
+        )
+        return state.theta / (d1 * d)
 
     total = np.zeros(grid.n_cells)
     last = integrand(states[0])
@@ -486,7 +507,9 @@ class TestRepresentationForAnyMaterial:
         # below 0.5, N = 64 under-resolves the run: at mu_tilde 0.1 the
         # residual is 7.2e-3, 1.8e-3 and 4.4e-4 at N = 32, 64 and 128
         mu_tilde=st.floats(0.5, 10.0),
-        alpha=st.just(0.0) | st.floats(0.01, 4.0),
+        # below about 1e-13, v**-alpha - v0**-alpha cancels to rounding
+        # and D loses its digits
+        alpha=st.just(0.0) | st.floats(1e-9, 8.0),
         beta=st.floats(0.1, 4.0),
     )
     def test_short_cosine_run_keeps_residual_inside_tolerance(
@@ -507,12 +530,8 @@ class TestRepresentationForAnyMaterial:
         (row,) = result.report.rows
         assert row.repr_residual <= driver.REPR_TOL
 
-    @pytest.mark.xfail(
-        strict=True, raises=RuntimeWarning,
-        reason="exp(v**-alpha/alpha) overflows for alpha below about 1/709; "
-        "ROADMAP item 2's log-space accumulation mends it",
-    )
     def test_small_alpha_stays_finite(self):
+        # exp(v**-alpha/alpha) alone overflows for alpha below about 1/709
         scenario = load_config(CONFIGS / "default.json")
         scenario = replace(scenario, params=replace(scenario.params, alpha=1e-3))
         with warnings.catch_warnings():
@@ -522,6 +541,68 @@ class TestRepresentationForAnyMaterial:
             c for c in verification_table(result) if c.name == "volume representation"
         ]
         assert check.passed, check.detail
+
+
+def left_rectangle_update(acc, block, velocity_factor):
+    """update_accumulator with a left-rectangle time quadrature: each step
+    adds dt times the integrand of the state before it."""
+    d = verify.relative_volume_factor(
+        block.derived.v_power, acc.v0_power, acc.params.alpha
+    )
+    integrand = block.theta / (velocity_factor * d)
+    before = np.concatenate((acc.last_integrand[None], integrand[:-1]))
+    for row, dt in zip(before, block.dt.tolist()):
+        acc.time_integral += dt * row
+        acc.t += dt
+    acc.last_integrand = integrand[-1]
+    return acc
+
+
+def half_weight_residual(state, acc, grid):
+    """representation_residual with the time-integral weight R/(2 mu_eff)."""
+    halved = replace(acc, time_integral=0.5 * acc.time_integral)
+    return verify.representation_residual(state, halved, grid)
+
+
+class TestRepresentationMutants:
+    """Instrument mutants of the volume representation, each run on the
+    default config at N = 32: the row must fail for each (the clean run
+    reads 9.98e-4 against the tolerance 5e-3)."""
+
+    @pytest.mark.parametrize("module, name, mutant, caught", [
+        pytest.param(None, None, None, False, id="none"),
+        # residual 1.72e-1
+        pytest.param(
+            verify, "relative_volume_factor",
+            lambda v_power, v0_power, alpha: np.ones_like(v_power), True,
+            id="volume_factor_one",
+        ),
+        # residual 1.59e-1
+        pytest.param(
+            driver, "representation_residual", half_weight_residual, True,
+            id="half_time_weight",
+        ),
+        # residual 6.54e-4
+        pytest.param(
+            driver, "update_accumulator", left_rectangle_update, True,
+            id="left_rectangle",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="a first-order time quadrature stays inside the row's "
+                "tolerance; ROADMAP item 1's exact discrete identities are to "
+                "catch it, and today only the accumulator oracles do",
+            ),
+        ),
+    ])
+    def test_row_catches_mutant(self, monkeypatch, module, name, mutant, caught):
+        if module is not None:
+            monkeypatch.setattr(module, name, mutant)
+        scenario = replace(load_config(CONFIGS / "default.json"), n_cells=32)
+        result = run(scenario)
+        (check,) = [
+            c for c in verification_table(result) if c.name == "volume representation"
+        ]
+        assert check.passed is not caught, check.detail
 
 
 class TestEnergyDrift:
