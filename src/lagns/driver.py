@@ -20,6 +20,18 @@ allocation, which would make a large block slower than its single steps.
 From N = 2048 on a block is one step. The block keeps references to its
 states and stacks their fields into rows when it is folded.
 
+A manufactured run evaluates its sources ahead, in a queue of (time,
+sources) rows. A step takes the head row only when its time state.t + dt is
+bit-equal to the row's; otherwise the queue is refilled with one
+mms_sources call that starts at the step's time. When the cap binds (dt ==
+dt_max), that call also covers the times the following capped steps form,
+t + dt_max while dt_max <= target - t, the same floats the loop will make;
+CFL-limited steps, halved retries and the truncated step before a row
+evaluate their one time. A call holds at most max(1, BLOCK_VALUES //
+(2N + 1)) times, the limit on one row-stacked temporary of the block fold:
+124, 63, 31 and 15 times at N = 16, 32, 64 and 128. A row is used only at
+its exact time, so the results never depend on the prediction.
+
 The instruments read each state's derived fields (see lagns.scheme). The
 initial state gets its fields from scheme.with_derived; the final state of
 the result drops them. The state before the newest is kept as it is and
@@ -29,6 +41,7 @@ through it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,7 +86,8 @@ BOUNDARY_FACTOR = 10.0
 COMPAT_FACTOR = 10.0
 # the checks of verification_table that read the recorded output rows
 ROW_CHECKS = ("volume representation", "energy conservation", "boundary compatibility")
-# values in one row-stacked temporary of the instruments' block fold (32 KiB)
+# values in one row-stacked temporary of the instruments' block fold, and in
+# the rows of one mms_sources call (32 KiB)
 BLOCK_VALUES = 4096
 
 
@@ -125,6 +139,30 @@ def _imposed_wall_stress(
     return float(values[0]), float(values[1])
 
 
+class _SourceQueue:
+    """Manufactured sources evaluated ahead, as (time, sources) rows; see
+    the module docstring."""
+
+    def __init__(self, case: MmsCase, grid: Grid, dt_max: float | None) -> None:
+        self.case = case
+        self.grid = grid
+        self.dt_max = dt_max
+        self.size = max(1, BLOCK_VALUES // (grid.n_cells + grid.n_nodes))
+        self.rows: deque[tuple[float, tuple[np.ndarray, ...]]] = deque()
+
+    def at(self, t: float, dt: float, target: float) -> tuple[np.ndarray, ...]:
+        """The sources of the step of size dt from t toward target."""
+        time = t + dt
+        if not self.rows or self.rows[0][0] != time:
+            times = [time]
+            if dt == self.dt_max:
+                while len(times) < self.size and self.dt_max <= target - times[-1]:
+                    times.append(times[-1] + self.dt_max)
+            rows = zip(*mms_sources(self.case, self.grid, times))
+            self.rows = deque(zip(times, rows))
+        return self.rows.popleft()[1]
+
+
 class _Block:
     """Accepted states that the instruments have not folded yet, with the
     steps that made them; full at max(1, BLOCK_VALUES // n_nodes) states.
@@ -168,6 +206,7 @@ def run(scenario: Scenario) -> RunResult:
     case = (
         manufactured_case(scenario.mms, params) if scenario.mms is not None else None
     )
+    queue = _SourceQueue(case, grid, scenario.dt_max) if case is not None else None
     state = with_derived(initial_state(scenario, grid, case), params, grid)
     previous: State | None = None
     initial_residual = compatibility_residual(state, params, bc, grid)
@@ -191,9 +230,7 @@ def run(scenario: Scenario) -> RunResult:
 
         while True:
             try:
-                sources = (
-                    mms_sources(case, grid, state.t + dt) if case is not None else None
-                )
+                sources = queue.at(state.t, dt, target) if queue is not None else None
                 stress_bc = _imposed_wall_stress(case, bc, state.t + dt)
                 new_state = step(
                     state, dt, params, bc, grid, sources, stress_bc, previous

@@ -16,16 +16,22 @@ reaches down to 0.1, where kappa = kappa_tilde theta**beta degenerates.
 
 jet_sources turns fields given as jets (value, first and second
 x-derivative, t-derivative) into the sources by the chain rule. For the
-family, the jets are products of the x-only factors cos(pi x) and sin(pi x)
-with three t-scalars. mms_sources keeps the factors per grid and
-MmsCase.wall_stress keeps them at the walls, so a call at t evaluates the
-t-scalars and the arithmetic that follows.
+family, each part of a jet is an x-only factor, cos(pi x) or sin(pi x),
+times a coefficient made from three t-scalars. mms_sources keeps the
+factors per grid and MmsCase.wall_stress keeps them at the walls.
+
+One mms_sources call covers many times, one row per time: the coefficients
+are computed with math one time at a time and stacked into columns, and the
+arithmetic that follows runs once on the rows. math.exp and a vectorized
+np.exp can differ in the last bit, so the t-scalars are never vectorized;
+each row is then bit-identical to a call at its time alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,40 +112,49 @@ class MmsCase:
 
     def sources(self, x: np.ndarray, t: float):
         """(s_v, s_u, s_theta, sigma) at any points x."""
-        return self._sources(_factors(x), t)
+        return self._sources(_factors(x), self._coefficients(t))
 
     def wall_stress(self, t: float) -> np.ndarray:
         """The stress at x = 0 and x = 1, from factors evaluated once."""
-        v, u = self._jets(self._at_walls, t)
+        v, u = self._jets(self._at_walls, self._coefficients(t))
         return stress(v[0], v[0], u[1], self.params)
 
     @functools.cached_property
     def _at_walls(self) -> tuple[np.ndarray, np.ndarray]:
         return _factors(np.array([0.0, 1.0]))
 
-    def _sources(self, factors: tuple[np.ndarray, np.ndarray], t: float):
-        v, u = self._jets(factors, t)
+    def _sources(self, factors: tuple[np.ndarray, np.ndarray], coefficients):
+        v, u = self._jets(factors, coefficients)
         return jet_sources(self.params, v, u, v)
 
-    def _jets(self, factors: tuple[np.ndarray, np.ndarray], t: float):
-        """The jets of v* (which are theta*'s) and of u* at the points of
-        the factors."""
-        cos, sin = factors
+    def _coefficients(self, t: float) -> tuple[float, ...]:
+        """The coefficients at t of the factors in the jets of v* and of
+        u*, in the order _jets reads them, from the t-scalars decay, swing
+        and the u_t factor."""
         decay = self.amplitude * math.exp(-t)
         swing = self.amplitude * math.sin(math.pi * t)
-        v = (
-            1.0 + decay * cos,
-            -math.pi * decay * sin,
-            -math.pi**2 * decay * cos,
-            -decay * cos,
+        return (
+            decay,
+            -math.pi * decay,
+            -math.pi**2 * decay,
+            -decay,
+            swing,
+            math.pi * swing,
+            -math.pi**2 * swing,
+            math.pi * self.amplitude * math.cos(math.pi * t),
         )
-        u = (
-            swing * sin,
-            math.pi * swing * cos,
-            -math.pi**2 * swing * sin,
-            math.pi * self.amplitude * math.cos(math.pi * t) * sin,
+
+    @staticmethod
+    def _jets(factors: tuple[np.ndarray, np.ndarray], coefficients):
+        """The jets of v* (which are theta*'s) and of u* at the points of
+        the factors. The coefficients are floats, or columns with a row per
+        time that multiply the factor rows."""
+        cos, sin = factors
+        c = coefficients
+        return (
+            (1.0 + c[0] * cos, c[1] * sin, c[2] * cos, c[3] * cos),
+            (c[4] * sin, c[5] * cos, c[6] * sin, c[7] * sin),
         )
-        return v, u
 
 
 def check_case_name(name: object) -> None:
@@ -158,17 +173,20 @@ def manufactured_case(name: str, params: MaterialParams) -> MmsCase:
 
 
 def mms_sources(
-    case: MmsCase, grid: Grid, t: float
+    case: MmsCase, grid: Grid, times: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sources at one time level: (cells, nodes, cells) for (v, u, theta).
+    """Sources at each of the times: (cells, nodes, cells) for (v, u,
+    theta), one row per time.
 
-    One evaluation covers the cell centers followed by the nodes; their
-    x-only factors are evaluated on a grid's first use and kept.
+    One evaluation covers every time, and the cell centers followed by the
+    nodes; their x-only factors are evaluated on a grid's first use and
+    kept. Each row has the bits of a call at its time alone.
     """
     factors = case._on_grid.get(grid)
     if factors is None:
         points = np.concatenate((grid.centers, grid.nodes))
         factors = case._on_grid[grid] = _factors(points)
-    s_v, s_u, s_theta, _ = case._sources(factors, t)
+    columns = np.array([case._coefficients(t) for t in times]).T[..., None]
+    s_v, s_u, s_theta, _ = case._sources(factors, columns)
     n = grid.n_cells
-    return s_v[:n], s_u[n:], s_theta[:n]
+    return s_v[:, :n], s_u[:, n:], s_theta[:, :n]

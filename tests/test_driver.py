@@ -9,6 +9,7 @@ import pytest
 from lagns import driver, scheme, verify
 from lagns import (
     BoundaryKind,
+    MaterialParams,
     Scenario,
     load_config,
     parse_config,
@@ -112,13 +113,13 @@ class TestRun:
             assert row.band_margin >= result.worst_band_margin
 
 
+def bits(value):
+    """Equal reprs of floats, and equal bytes of arrays, are equal bits."""
+    return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+
 def fold_bits(result):
-    """What the instruments' block folds fed into a run's result: equal
-    reprs of floats, and equal bytes of arrays, are equal bits."""
-
-    def bits(value):
-        return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
-
+    """What the instruments' block folds fed into a run's result."""
     acc = result.accumulator
     return {
         "rows": repr(result.report.rows),
@@ -199,6 +200,106 @@ class TestDerivedFieldsOnce:
         # the one law evaluated is mu(inf), once per run, which weighs the
         # volume representation
         assert law_volumes == [np.inf]
+
+
+def mms_scenario(n_cells):
+    """configs/mms_default.json at n_cells, capped at dt_max = dx^2 as the
+    levels of a convergence study are."""
+    return dataclasses.replace(
+        load_config(CONFIGS / "mms_default.json"), n_cells=n_cells,
+        dt_max=1.0 / n_cells**2,
+    )
+
+
+# the degenerate deep case (beta = 8) at dt_max = dx/4: at N = 32, 20 step
+# attempts are rejected and halved and 33 of the 64 run at the cap
+DEEP_DX4 = Scenario(
+    params=MaterialParams(beta=8.0), bc=BoundaryKind.NO_SLIP, n_cells=32,
+    t_end=0.25, output_every=0.25, mms="deep", dt_max=0.25 / 32,
+)
+
+
+class TestSourceQueue:
+    """The run evaluates the sources of predicted step times ahead, many
+    times per mms_sources call; a row is used only at its exact time."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Count the mms_sources calls, the rows they evaluate and the step
+        attempts of the runs that follow."""
+        counts = {"calls": 0, "rows": 0, "attempts": 0}
+        sources, advance = driver.mms_sources, driver.step
+
+        def counted_sources(case, grid, times):
+            counts["calls"] += 1
+            counts["rows"] += np.size(times)
+            return sources(case, grid, times)
+
+        def counted_step(*args, **kwargs):
+            counts["attempts"] += 1
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "mms_sources", counted_sources)
+        monkeypatch.setattr(driver, "step", counted_step)
+        return counts
+
+    @pytest.mark.parametrize("scenario, halvings", [
+        pytest.param(mms_scenario(16), 0, id="default_n16_dx2"),
+        pytest.param(mms_scenario(64), 0, id="default_n64_dx2"),
+        pytest.param(DEEP_DX4, 20, id="deep_n32_dx4"),
+    ])
+    def test_run_bit_identical_to_one_call_per_time(
+        self, monkeypatch, scenario, halvings
+    ):
+        def run_bits(result):
+            acc, state = result.accumulator, result.state
+            return {
+                **fold_bits(result),
+                **{f"acc.{field.name}": bits(getattr(acc, field.name))
+                   for field in dataclasses.fields(verify.RepresentationAccumulator)},
+                **{f"state.{name}": bits(getattr(state, name))
+                   for name in ("t", "v", "u", "theta")},
+            }
+
+        result = run(scenario)
+        assert result.report.status == "completed"
+        assert result.report.halvings == halvings
+        batched = run_bits(result)
+        sources = driver.mms_sources
+
+        def one_call_per_time(case, grid, times):
+            rows = [sources(case, grid, [t]) for t in times]
+            return tuple(np.concatenate(parts) for parts in zip(*rows))
+
+        monkeypatch.setattr(driver, "mms_sources", one_call_per_time)
+        assert run_bits(run(scenario)) == batched
+
+    def test_capped_levels_share_their_calls(self, monkeypatch):
+        # the levels of a convergence study step at the cap dt_max = dx^2, so
+        # one call covers up to BLOCK_VALUES // (2N + 1) steps: 124, 63, 31
+        # and 15 at N = 16, 32, 64 and 128
+        counts = self.counted(monkeypatch)
+        calls = []
+        for n in (16, 32, 64, 128):
+            counts.update(calls=0, rows=0, attempts=0)
+            result = run(mms_scenario(n))
+            assert result.report.halvings == 0
+            # every evaluated row is used, by exactly one step
+            assert counts["rows"] == counts["attempts"] == n * n // 4
+            calls.append(counts["calls"])
+        assert calls == [1, 5, 34, 274]
+
+    @pytest.mark.parametrize("name, halvings", [
+        ("mms_default.json", 0), ("mms_deep.json", 52),
+    ])
+    def test_cfl_limited_runs_evaluate_one_row_per_attempt(
+        self, monkeypatch, name, halvings
+    ):
+        counts = self.counted(monkeypatch)
+        result = run(load_config(CONFIGS / name))
+        assert result.report.status == "completed"
+        assert result.report.halvings == halvings
+        assert counts["calls"] == counts["rows"] == counts["attempts"]
 
 
 class TestVerificationTable:

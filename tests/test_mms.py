@@ -164,7 +164,7 @@ class TestBuildCase:
             s_v, s_u, s_theta, sigma = case.sources(x, t)
             assert np.all(s_v == 0.0) and np.all(s_u == 0.0) and np.all(s_theta == 0.0)
             assert np.all(sigma == -params.R)
-            for source in mms_sources(case, Grid(8), t):
+            for source in mms_sources(case, Grid(8), [t]):
                 assert np.all(source == 0.0)
             assert np.all(case.wall_stress(t) == -params.R)
 
@@ -272,7 +272,7 @@ class TestSourcesAgainstFiniteDifferences:
     def test_mms_sources_sampled_on_grid(self):
         case = manufactured_case("default", MaterialParams())
         grid = Grid(2)
-        s_v, s_u, s_theta = mms_sources(case, grid, 0.2)
+        (s_v,), (s_u,), (s_theta,) = mms_sources(case, grid, [0.2])
         at_centers, at_nodes = case.sources(grid.centers, 0.2), case.sources(grid.nodes, 0.2)
         assert_bits_equal(s_v, at_centers[0])
         assert_bits_equal(s_u, at_nodes[1])
@@ -287,29 +287,35 @@ class TestCompiledSources:
         name=st.sampled_from(["default", "constant"]),
         params=material,
         n_cells=st.integers(8, 256),
-        t=st.floats(0.0, 1.0),
+        # unsorted, repeated and 0.0 included: each row stands alone
+        times=st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1, max_size=8),
     )
-    def test_grid_sources_match_one_shot_and_plain_lambdify(self, name, params, n_cells, t):
+    def test_grid_sources_match_one_shot_and_plain_lambdify(
+        self, name, params, n_cells, times
+    ):
         # every call makes a new case, so its first grid is a first use
         case = manufactured_case(name, params)
         grid = Grid(n_cells)
-        s_v, s_u, s_theta = mms_sources(case, grid, t)
-        at_centers, at_nodes = case.sources(grid.centers, t), case.sources(grid.nodes, t)
-        want_centers = family_oracle(case, grid.centers, t)
-        want_nodes = family_oracle(case, grid.nodes, t)
-        checks = (
-            (s_v, grid.centers, at_centers[0], want_centers[0]),
-            (s_u, grid.nodes, at_nodes[1], want_nodes[1]),
-            (s_theta, grid.centers, at_centers[2], want_centers[2]),
-        )
-        for got, x, one_shot, (want, scale) in checks:
-            assert got.shape == x.shape
-            assert_bits_equal(got, one_shot)
-            assert_within_rounding(got, want, scale)
-        walls = np.array([0.0, 1.0])
-        stress = case.wall_stress(t)
-        assert_bits_equal(stress, case.sources(walls, t)[3])
-        assert_within_rounding(stress, *family_oracle(case, walls, t)[3])
+        rows = mms_sources(case, grid, times)
+        for source, x in zip(rows, (grid.centers, grid.nodes, grid.centers)):
+            assert source.shape == (len(times), x.size)
+        for t, s_v, s_u, s_theta in zip(times, *rows):
+            at_centers, at_nodes = case.sources(grid.centers, t), case.sources(grid.nodes, t)
+            want_centers = family_oracle(case, grid.centers, t)
+            want_nodes = family_oracle(case, grid.nodes, t)
+            checks = (
+                (s_v, grid.centers, at_centers[0], want_centers[0]),
+                (s_u, grid.nodes, at_nodes[1], want_nodes[1]),
+                (s_theta, grid.centers, at_centers[2], want_centers[2]),
+            )
+            for got, x, one_shot, (want, scale) in checks:
+                assert got.shape == x.shape
+                assert_bits_equal(got, one_shot)
+                assert_within_rounding(got, want, scale)
+            walls = np.array([0.0, 1.0])
+            stress = case.wall_stress(t)
+            assert_bits_equal(stress, case.sources(walls, t)[3])
+            assert_within_rounding(stress, *family_oracle(case, walls, t)[3])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -352,8 +358,8 @@ class TestCompiledSources:
         assert_bits_equal(s_u, np.zeros(9))
         assert_bits_equal(s_theta, np.full(9, 0.5))
         case = manufactured_case("constant", MaterialParams())
-        for source, n in zip(mms_sources(case, grid, 0.25), (8, 9, 8)):
-            assert source.shape == (n,)
+        for source, n in zip(mms_sources(case, grid, [0.25, 0.5]), (8, 9, 8)):
+            assert source.shape == (2, n)
         assert case.sources(np.zeros((2, 3)), 0.5)[2].shape == (2, 3)
         assert case.sources(0.3, 0.5)[2].shape == ()
 
@@ -361,7 +367,7 @@ class TestCompiledSources:
         case = manufactured_case("default", MaterialParams())
         for n, t in ((16, 0.1), (32, 0.2), (16, 0.3)):
             grid = Grid(n)
-            s_v, s_u, s_theta = mms_sources(case, grid, t)
+            (s_v,), (s_u,), (s_theta,) = mms_sources(case, grid, [t])
             assert_bits_equal(s_v, case.sources(grid.centers, t)[0])
             assert_bits_equal(s_u, case.sources(grid.nodes, t)[1])
             assert_bits_equal(s_theta, case.sources(grid.centers, t)[2])
@@ -371,11 +377,11 @@ class TestCompiledSources:
         # of them, or share memory with an earlier result
         case = manufactured_case("default", MaterialParams())
         grid = Grid(8)
-        first = (case.wall_stress(0.5), *mms_sources(case, grid, 0.5))
+        first = (case.wall_stress(0.5), *mms_sources(case, grid, [0.5]))
         want = [array.copy() for array in first]
         for array in first:
             array[:] = 0.0
-        again = (case.wall_stress(0.5), *mms_sources(case, grid, 0.5))
+        again = (case.wall_stress(0.5), *mms_sources(case, grid, [0.5]))
         for got, expected in zip(again, want):
             assert_bits_equal(got, expected)
 

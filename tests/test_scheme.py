@@ -703,7 +703,9 @@ class TestDerivedFields:
         state = with_derived(driver.initial_state(scenario, grid, case), params, grid)
         for _ in range(2):
             t = state.t + dt
-            sources = mms_sources(case, grid, t) if forced else None
+            sources = (
+                [rows[0] for rows in mms_sources(case, grid, [t])] if forced else None
+            )
             stress_bc = driver._imposed_wall_stress(case, bc, t)
             state = step(state, dt, params, bc, grid, sources, stress_bc)
             d = state.derived
