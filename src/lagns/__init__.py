@@ -15,7 +15,7 @@ from .constitutive import (
     stress,
     viscosity,
 )
-from .driver import run, verification_table
+from .driver import advance, run, verification_table
 from .grid import (
     DerivedFields,
     Grid,

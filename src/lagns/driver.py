@@ -1,16 +1,26 @@
-"""Run loop: advance a scenario from t = 0 to t_end with diagnostics.
+"""Run loop: advance a scenario from t = 0 to t_end.
 
-Every accepted step feeds the representation accumulator, the velocity band
-and the bound tracker; rows are recorded at every multiple of
-output_every. A step that scheme.step rejects is retried with halved dt.
-The one way a run aborts is halving dt below dt_min, which stops it with
-whatever diagnostics were gathered, a reported finding rather than an error.
+One stepping loop (_Stepper) advances every run. It picks each dt with
+dt_control, snaps it down so that steps land on every multiple of
+output_every, feeds a manufactured run its sources and imposed wall stress,
+and retries a step that scheme.step rejects with halved dt. The one way a
+run aborts is halving dt below dt_min, which stops it with whatever was
+gathered, a reported finding rather than an error. The loop yields each
+accepted step, and two consumers read it:
 
-The accepted states are kept in a block and folded into the instruments in
-one call per block (see lagns.verify). A block is flushed when it is full,
-when an output row is due (a row reads the tracker, the time integral and
-its step's band margin), and when the run completes or aborts, so the
-instruments are in step with the state at every row and at the end.
+- run feeds every accepted step to the representation accumulator, the
+  velocity band and the bound tracker, and records a diagnostics row at
+  every multiple of output_every;
+- advance keeps only the last state, for callers such as a convergence
+  study that read nothing else. Its steps, and so its final state, status
+  and halvings, are bit-identical to run's.
+
+run keeps the accepted states in a block and folds them into the
+instruments in one call per block (see lagns.verify). A block is flushed
+when it is full, when an output row is due (a row reads the tracker, the
+time integral and its step's band margin), and when the run completes or
+aborts, so the instruments are in step with the state at every row and at
+the end.
 
 A block holds max(1, BLOCK_VALUES // n_nodes) steps. The per-call overhead a
 block saves is the same whatever N is, but the fold's temporaries hold a row
@@ -33,15 +43,16 @@ evaluate their one time. A call holds at most max(1, BLOCK_VALUES //
 its exact time, so the results never depend on the prediction.
 
 The instruments read each state's derived fields (see lagns.scheme). The
-initial state gets its fields from scheme.with_derived; the final state of
-the result drops them. The state before the newest is kept as it is and
-passed to scheme.step, which extrapolates the conductivity's temperature
-through it.
+initial state gets its fields from scheme.with_derived; the final state
+that run and advance return drops them. The state before the newest is
+kept as it is and passed to scheme.step, which extrapolates the
+conductivity's temperature through it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,7 +87,14 @@ from .verify import (
     velocity_band_check,
 )
 
-__all__ = ["RunResult", "CheckResult", "initial_state", "run", "verification_table"]
+__all__ = [
+    "RunResult",
+    "CheckResult",
+    "advance",
+    "initial_state",
+    "run",
+    "verification_table",
+]
 
 # verification thresholds; calibrated ~20x above the measured defaults at
 # N = 128 and far below the O(1) signal of a genuinely broken identity
@@ -198,56 +216,110 @@ class _Block:
         return velocity_band_check(acc, velocity_factor)
 
 
+class _Stepper:
+    """The one stepping loop of a run, from the scenario's initial data to
+    t_end; see the module docstring.
+
+    state is the initial state until the iteration starts, None while it
+    runs, and the last accepted state (the initial one if none was) once it
+    ends. Iterating yields each accepted step as (state, dt, row_due), where
+    row_due says that the step landed on the next output time. Once the
+    iteration ends, abort_reason says why the run stopped short of t_end
+    (None when it did not) and halvings counts the halved retries.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self.grid = Grid(scenario.n_cells)
+        self.case = (
+            manufactured_case(scenario.mms, scenario.params)
+            if scenario.mms is not None
+            else None
+        )
+        self.state: State | None = with_derived(
+            initial_state(scenario, self.grid, self.case), scenario.params, self.grid
+        )
+        self.abort_reason: str | None = None
+        self.halvings = 0
+
+    def __iter__(self) -> Iterator[tuple[State, float, bool]]:
+        scenario, grid, case = self.scenario, self.grid, self.case
+        params = scenario.params
+        bc = scenario.bc
+        queue = _SourceQueue(case, grid, scenario.dt_max) if case is not None else None
+        # the loop alone holds the states it steps from, so the initial state
+        # is freed as the later ones are (a state is 7 arrays of N values)
+        state, self.state = self.state, None
+        previous: State | None = None
+        halvings = 0
+        abort_reason: str | None = None
+        out_index = 1
+        eps = 1e-12
+
+        while state.t < scenario.t_end - eps:
+            dt = dt_control(
+                state, grid, params, scenario.cfl, scenario.dt_min, scenario.dt_max
+            )
+            target = min(scenario.t_end, out_index * scenario.output_every)
+            dt = min(dt, target - state.t)
+
+            while True:
+                try:
+                    sources = (
+                        queue.at(state.t, dt, target) if queue is not None else None
+                    )
+                    stress_bc = _imposed_wall_stress(case, bc, state.t + dt)
+                    new_state = step(
+                        state, dt, params, bc, grid, sources, stress_bc, previous
+                    )
+                    break
+                except StepRejected as exc:
+                    halvings += 1
+                    dt *= 0.5
+                    if not dt >= scenario.dt_min:  # a NaN dt aborts too
+                        abort_reason = str(exc)
+                        break
+            if abort_reason is not None:
+                break
+
+            previous, state = state, new_state
+            row_due = state.t >= out_index * scenario.output_every - eps
+            yield state, dt, row_due
+            if row_due:
+                out_index += 1
+        self.state, self.abort_reason, self.halvings = state, abort_reason, halvings
+
+    def report(self, rows: tuple[DiagnosticsRow, ...]) -> DiagnosticsReport:
+        """The report of the finished loop, with the given output rows."""
+        return DiagnosticsReport(
+            rows=rows,
+            status="completed" if self.abort_reason is None else "aborted",
+            abort_reason=self.abort_reason,
+            halvings=self.halvings,
+        )
+
+    def final_state(self) -> State:
+        """The last state without its derived fields, which nothing reads."""
+        state = self.state
+        return State(state.t, state.v, state.u, state.theta)
+
+
 def run(scenario: Scenario) -> RunResult:
     """Advance the scenario to t_end, collecting diagnostics on the way."""
-    grid = Grid(scenario.n_cells)
+    stepper = _Stepper(scenario)
+    grid, case, state = stepper.grid, stepper.case, stepper.state
     params = scenario.params
     bc = scenario.bc
-    case = (
-        manufactured_case(scenario.mms, params) if scenario.mms is not None else None
-    )
-    queue = _SourceQueue(case, grid, scenario.dt_max) if case is not None else None
-    state = with_derived(initial_state(scenario, grid, case), params, grid)
-    previous: State | None = None
     initial_residual = compatibility_residual(state, params, bc, grid)
 
     acc = make_accumulator(state, grid, params)
     tracker = make_tracker(state, grid, params)
     block = _Block(grid)
     rows: list[DiagnosticsRow] = []
-    halvings = 0
-    abort_reason: str | None = None
     worst_margin = float("inf")  # folded with np.min, which keeps a NaN
-    out_index = 1
-    eps = 1e-12
 
-    while state.t < scenario.t_end - eps:
-        dt = dt_control(
-            state, grid, params, scenario.cfl, scenario.dt_min, scenario.dt_max
-        )
-        target = min(scenario.t_end, out_index * scenario.output_every)
-        dt = min(dt, target - state.t)
-
-        while True:
-            try:
-                sources = queue.at(state.t, dt, target) if queue is not None else None
-                stress_bc = _imposed_wall_stress(case, bc, state.t + dt)
-                new_state = step(
-                    state, dt, params, bc, grid, sources, stress_bc, previous
-                )
-                break
-            except StepRejected as exc:
-                halvings += 1
-                dt *= 0.5
-                if not dt >= scenario.dt_min:  # a NaN dt aborts too
-                    abort_reason = str(exc)
-                    break
-        if abort_reason is not None:
-            break
-
-        previous, state = state, new_state
+    for state, dt, row_due in stepper:
         full = block.push(state, dt)
-        row_due = state.t >= out_index * scenario.output_every - eps
         if full or row_due:
             margins = block.flush(acc, tracker)
             worst_margin = float(np.min([worst_margin, *margins]))
@@ -279,26 +351,29 @@ def run(scenario: Scenario) -> RunResult:
                     dt_current=dt,
                 )
             )
-            out_index += 1
     worst_margin = float(np.min([worst_margin, *block.flush(acc, tracker)]))
 
-    report = DiagnosticsReport(
-        rows=tuple(rows),
-        status="completed" if abort_reason is None else "aborted",
-        abort_reason=abort_reason,
-        halvings=halvings,
-    )
     return RunResult(
         scenario=scenario,
         grid=grid,
-        # nothing reads the final state's derived fields
-        state=State(state.t, state.v, state.u, state.theta),
-        report=report,
+        state=stepper.final_state(),
+        report=stepper.report(tuple(rows)),
         accumulator=acc,
         tracker=tracker,
         worst_band_margin=worst_margin,
         initial_residual=initial_residual,
     )
+
+
+def advance(scenario: Scenario) -> tuple[Grid, State, DiagnosticsReport]:
+    """Advance the scenario to t_end through the same steps as run, without
+    the instruments: the grid, the final state and a report with no rows.
+    For callers that read only where the run ended, such as a convergence
+    study."""
+    stepper = _Stepper(scenario)
+    for _ in stepper:
+        pass
+    return stepper.grid, stepper.final_state(), stepper.report(())
 
 
 def verification_table(result: RunResult) -> list[CheckResult]:

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import lagns.cli
@@ -43,4 +44,21 @@ def test_step_counter_sees_a_cli_run(tmp_path, monkeypatch):
         assert lagns.cli.cmd_run(str(config), str(tmp_path / "out")) == 0
     assert len(captured) == 1 and isinstance(captured[0], RunResult)
     assert len(cells) > 0 and set(cells) == {16}
+    assert lagns.driver.step is step and lagns.cli.run is run
+
+
+def test_step_counter_sees_a_convergence_study(monkeypatch, capsys):
+    # the levels of `lagns convergence` step through lagns.driver.step
+    # without going through lagns.cli.run; mms_conv4's cell_steps_per_s is
+    # this count
+    monkeypatch.setitem(sys.modules, "spans", load_bench_module("spans"))
+    worker = load_bench_module("worker")
+    config = Path(__file__).resolve().parents[1] / "configs" / "mms_default.json"
+    step, run = lagns.driver.step, lagns.cli.run
+    cells, captured = [], []
+    with worker.step_counter(cells, captured):
+        assert lagns.cli.cmd_convergence(str(config), 3) == 0
+    # each level takes t_end / dx^2 = N^2 / 4 accepted steps at dt = dx^2
+    assert Counter(cells) == {16: 64, 32: 256, 64: 1024}
+    assert captured == []
     assert lagns.driver.step is step and lagns.cli.run is run

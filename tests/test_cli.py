@@ -395,9 +395,24 @@ class TestCmdConvergence:
         def no_run(scenario):
             raise AssertionError(f"ran n_cells = {scenario.n_cells}")
 
-        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(cli, "advance", no_run)
         assert cli.cmd_convergence(str(CONFIGS / "mms_default.json"), levels) == 2
         assert "level n_cells = 131072" in capsys.readouterr().err
+
+    def test_levels_step_without_the_instruments(self, monkeypatch, capsys):
+        # a level reads only its final state, so the study builds and folds
+        # none of the instruments that run feeds
+        def refuse(*args, **kwargs):
+            raise AssertionError("a convergence level fed an instrument")
+
+        for name in (
+            "make_accumulator", "make_tracker", "update_accumulator",
+            "update_bounds", "velocity_band_check", "compatibility_residual",
+        ):
+            monkeypatch.setattr(driver, name, refuse)
+        assert cli.cmd_convergence(str(CONFIGS / "mms_default.json"), 3) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CONVERGENCE_DIGEST
 
 
 class TestCmdSweep:

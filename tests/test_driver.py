@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from lagns import (
     BoundaryKind,
     MaterialParams,
     Scenario,
+    advance,
     load_config,
     parse_config,
     representation_residual,
@@ -300,6 +302,51 @@ class TestSourceQueue:
         assert result.report.status == "completed"
         assert result.report.halvings == halvings
         assert counts["calls"] == counts["rows"] == counts["attempts"]
+
+
+class TestAdvance:
+    """advance takes run's steps without the instruments."""
+
+    @pytest.mark.parametrize("scenario, status", [
+        *(
+            pytest.param(load_config(path), "completed", id=path.stem)
+            for path in sorted(CONFIGS.glob("*.json"))
+        ),
+        # halvings that cross dt_min
+        pytest.param(ABORT_SCENARIO, "aborted", id="abort"),
+    ])
+    def test_bit_identical_to_run(self, scenario, status):
+        result = run(scenario)
+        grid, state, report = advance(scenario)
+        assert grid.n_cells == result.grid.n_cells
+        for name in ("t", "v", "u", "theta"):
+            assert bits(getattr(state, name)) == bits(getattr(result.state, name)), name
+        assert state.derived is None
+        assert report.status == result.report.status == status
+        assert report.abort_reason == result.report.abort_reason
+        assert report.halvings == result.report.halvings
+        assert report.rows == ()
+
+    def test_initial_state_is_freed_as_the_run_moves_on(self, monkeypatch):
+        # a state is 7 arrays of N values: from the third step on, the run
+        # holds only the two states that the next step reads
+        made, alive = [], []
+        derive, advance_step = driver.with_derived, driver.step
+
+        def recorded(*args):
+            state = derive(*args)
+            made.append(weakref.ref(state))
+            return state
+
+        def checked(*args):
+            alive.append(made[0]() is not None)
+            return advance_step(*args)
+
+        monkeypatch.setattr(driver, "with_derived", recorded)
+        monkeypatch.setattr(driver, "step", checked)
+        run(Scenario(n_cells=16, t_end=0.2, output_every=0.1))
+        assert len(made) == 1
+        assert alive[:3] == [True, True, False]
 
 
 class TestVerificationTable:
