@@ -60,11 +60,12 @@ from .verify import (
     energy_drift,
     make_accumulator,
     make_tracker,
-    relative_volume_factor,
+    relative_volume_exponent,
     representation_residual,
     update_accumulator,
     update_bounds,
     velocity_band_check,
+    velocity_integral_exponent,
     velocity_integral_factor,
 )
 

@@ -20,7 +20,8 @@ instruments in one call per block (see lagns.verify). A block is flushed
 when it is full, when an output row is due (a row reads the tracker, the
 time integral and its step's band margin), and when the run completes or
 aborts, so the instruments are in step with the state at every row and at
-the end.
+the end. A flush takes the block's velocity exponent ln d1 once, from one
+cumulative velocity integral, and hands it to the accumulator and the band.
 
 A block holds max(1, BLOCK_VALUES // n_nodes) steps. The per-call overhead a
 block saves is the same whatever N is, but the fold's temporaries hold a row
@@ -28,7 +29,8 @@ per step and so grow with N. Capped at BLOCK_VALUES values they stay at
 32 KiB, well below the 128 KiB from which glibc maps and unmaps every
 allocation, which would make a large block slower than its single steps.
 From N = 2048 on a block is one step. The block keeps references to its
-states and stacks their fields into rows when it is folded.
+states. When it is folded, the rows of a one-step block are views of its
+state's arrays, and a longer block stacks copies of its states' fields.
 
 A manufactured run evaluates its sources ahead, in a queue of (time,
 sources) rows. A step takes the head row only when its time state.t + dt is
@@ -185,7 +187,8 @@ class _Block:
     """Accepted states that the instruments have not folded yet, with the
     steps that made them; full at max(1, BLOCK_VALUES // n_nodes) states.
     States are never changed once made, so the block keeps the states
-    themselves and stacks them only when it is folded (StateBlock.of).
+    themselves, and the StateBlock it folds views or stacks their arrays
+    (StateBlock.of).
     """
 
     def __init__(self, grid: Grid) -> None:
@@ -210,10 +213,10 @@ class _Block:
         block = StateBlock.of(self.states, self.dts)
         self.states.clear()
         self.dts.clear()
-        velocity_factor = acc.velocity_factor(block.u, self.grid)
-        update_accumulator(acc, block, velocity_factor)
+        velocity_exponent = acc.velocity_exponent(block.u, self.grid)
+        update_accumulator(acc, block, velocity_exponent)
         update_bounds(tracker, block, self.grid)
-        return velocity_band_check(acc, velocity_factor)
+        return velocity_band_check(acc, velocity_exponent)
 
 
 class _Stepper:

@@ -168,8 +168,11 @@ def cumulative_u_integral(
     d = np.subtract(u, u0, dtype=float)
     if d.shape[-1:] != (grid.n_nodes,):
         raise ValueError(f"u has shape {np.shape(u)}, expected (..., {grid.n_nodes})")
-    out = np.zeros(d.shape)
-    np.cumsum(0.5 * grid.dx * (d[..., :-1] + d[..., 1:]), axis=-1, out=out[..., 1:])
+    step = d[..., :-1] + d[..., 1:]
+    step *= 0.5 * grid.dx
+    out = np.empty(d.shape)
+    out[..., 0] = 0.0
+    np.cumsum(step, axis=-1, out=out[..., 1:])
     return out
 
 

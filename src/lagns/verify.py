@@ -9,10 +9,12 @@ stress-free walls, written relative to the initial state,
 where d1 = exp(integral from 0 to x of (u - u0)/mu_eff), D =
 exp((v**-alpha - v0**-alpha)/alpha) (1 when alpha = 0), and mu_eff =
 mu(inf) is the viscosity at infinite volume (mu_tilde, or 2*mu_tilde when
-alpha = 0). Both factors are exactly 1 at t = 0, and D stays finite where
-exp(v**-alpha/alpha) alone would overflow. The residual against the evolved
-v measures how faithfully the discrete trajectory satisfies an identity
-the continuum solution satisfies exactly.
+alpha = 0). Both factors are exactly 1 at t = 0. The instruments work with
+their logarithms: the integrand is theta*exp(-(ln d1 + ln D)) and the
+prediction exp(ln d1 + ln D)*(...), one exp each, and ln D stays finite
+where exp(v**-alpha/alpha) alone would overflow. The residual against the
+evolved v measures how faithfully the discrete trajectory satisfies an
+identity the continuum solution satisfies exactly.
 A BoundTracker maintains the norm functionals that the continuum theory
 proves bounded: positivity floors, gradient norms, and space-time integrals
 of the acceleration and second velocity differences.
@@ -22,12 +24,16 @@ functions that update it or read a residual from it take no material.
 
 The instruments are fed a StateBlock, the accepted states of a stretch of
 the run as 2-D arrays with one row per state, and fold all of its steps in
-one call. Each state carries the derived fields that its step made
-(DerivedFields): the tracker reads the strain rate, the viscosity and the
-pressure, and the accumulator the volume power v**-alpha, so no instrument
-evaluates a material law again. Each instrument also keeps what its next
-fold needs of the newest state it has seen (the accumulator its integrand,
-the tracker its velocities and left-rectangle terms), so a block holds only
+one call. A block of one state views its state's arrays; a longer one
+stacks copies of them. Each state carries the derived fields that its step
+made (DerivedFields): the tracker reads the strain rate, the viscosity and
+the pressure, and the accumulator the volume power v**-alpha, so no
+instrument evaluates a material law again. The caller takes ln d1 of the
+block once, from one cumulative velocity integral, and hands it to the
+accumulator and the velocity band; the band reads only its row extrema, so
+d1 itself is never formed. Each instrument also keeps what its next fold
+needs of the newest state it has seen (the accumulator its integrand, the
+tracker its velocities and left-rectangle terms), so a block holds only
 the states after it. Nearly all of a per-step call's cost is the overhead
 of its small numpy calls, so a block of K steps costs about one step's
 overhead. Every row-wise operation computes each row exactly as the 1-D
@@ -65,7 +71,8 @@ from .grid import (
 from .scheme import BoundaryKind
 
 __all__ = [
-    "relative_volume_factor",
+    "relative_volume_exponent",
+    "velocity_integral_exponent",
     "velocity_integral_factor",
     "StateBlock",
     "RepresentationAccumulator",
@@ -79,6 +86,12 @@ __all__ = [
     "energy_drift",
     "boundary_stress_residual",
 ]
+
+
+def _rows(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays as the rows of one 2-D array: a view of the one array of
+    a one-state block, a stacked copy otherwise."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 @dataclass
@@ -97,45 +110,61 @@ class StateBlock:
     @classmethod
     def of(cls, states: list[State], dts: list[float]) -> "StateBlock":
         """The block of consecutive states, each carrying its derived
-        fields, where dts[i] is the step that made states[i]: each field
-        stacks a copy of the states' arrays, one row per state."""
+        fields, where dts[i] is the step that made states[i]. The fields of
+        one state are views of its arrays; those of several stack copies,
+        one row per state."""
         derived = [state.derived for state in states]
         return cls(
-            np.array([state.v for state in states]),
-            np.array([state.u for state in states]),
-            np.array([state.theta for state in states]),
+            _rows([state.v for state in states]),
+            _rows([state.u for state in states]),
+            _rows([state.theta for state in states]),
             DerivedFields(
-                np.array([d.u_x for d in derived]),
-                np.array([d.v_power for d in derived]),
-                np.array([d.mu for d in derived]),
-                np.array([d.p for d in derived]),
+                _rows([d.u_x for d in derived]),
+                _rows([d.v_power for d in derived]),
+                _rows([d.mu for d in derived]),
+                _rows([d.p for d in derived]),
             ),
             np.array(dts, dtype=float),
         )
 
 
+def velocity_integral_exponent(
+    u: np.ndarray, u0: np.ndarray, grid: Grid, weight: float
+) -> np.ndarray:
+    """weight * integral of (u - u0) from 0 to x, on cell centers: the
+    logarithm of velocity_integral_factor.
+
+    The cumulative integral lives on nodes; adjacent node values are
+    averaged so the exponent is colocated with v. u may hold one state per
+    row; the integral runs along the last axis.
+    """
+    cumulative = cumulative_u_integral(u, u0, grid)
+    exponent = cumulative[..., :-1] + cumulative[..., 1:]
+    exponent *= weight * 0.5
+    return exponent
+
+
 def velocity_integral_factor(
     u: np.ndarray, u0: np.ndarray, grid: Grid, exponent: float
 ) -> np.ndarray:
-    """exp(exponent * integral of (u - u0) from 0 to x), on cell centers.
-
-    The cumulative integral lives on nodes; adjacent node values are
-    averaged before exponentiating so the factor is colocated with v. u may
-    hold one state per row; the integral runs along the last axis.
-    """
-    cumulative = cumulative_u_integral(u, u0, grid)
-    return np.exp(exponent * 0.5 * (cumulative[..., :-1] + cumulative[..., 1:]))
+    """exp(exponent * integral of (u - u0) from 0 to x), on cell centers:
+    the velocity factor d1 itself, the exp of velocity_integral_exponent.
+    The instruments never form it; they work with the exponent."""
+    return np.exp(velocity_integral_exponent(u, u0, grid, exponent))
 
 
-def relative_volume_factor(
+def relative_volume_exponent(
     v_power: np.ndarray, v0_power: np.ndarray, alpha: float
-) -> np.ndarray:
-    """D = exp((v**-alpha - v0**-alpha)/alpha) from the volume powers of a
-    state (one per row, or one) and of the initial state: the volume term of
-    the viscosity relative to the initial state; ones when alpha = 0."""
+) -> np.ndarray | float:
+    """ln D = (v**-alpha - v0**-alpha)/alpha from the volume powers of a
+    state (one per row, or one) and of the initial state: the logarithm of
+    the volume term of the viscosity relative to the initial state, as a
+    new array; 0.0 when alpha = 0, where D is 1."""
     if alpha == 0.0:
-        return np.ones_like(v_power)
-    return np.exp((v_power - v0_power) / alpha)
+        return 0.0
+    exponent = v_power - v0_power
+    exponent /= alpha
+    return exponent
 
 
 @dataclass
@@ -146,7 +175,8 @@ class RepresentationAccumulator:
     viscosity at infinite volume; the initial volume v0, its power
     v0_power = v0**-alpha and the node velocities u0_nodes are frozen at
     t = 0; time_integral accumulates theta/(d1*D) per cell by the trapezoid
-    rule; e0 feeds the energy band on the velocity factor.
+    rule, and last_integrand is the newest state's integrand; e0 feeds the
+    energy band on the velocity factor.
     """
 
     params: MaterialParams
@@ -159,10 +189,11 @@ class RepresentationAccumulator:
     t: float
     e0: float
 
-    def velocity_factor(self, u: np.ndarray, grid: Grid) -> np.ndarray:
-        """The velocity-integral factor of the node velocities u (one state,
-        or one state per row) against the frozen u0."""
-        return velocity_integral_factor(u, self.u0_nodes, grid, 1.0 / self.mu_eff)
+    def velocity_exponent(self, u: np.ndarray, grid: Grid) -> np.ndarray:
+        """ln d1, the exponent of the velocity-integral factor of the node
+        velocities u (one state, or one state per row) against the frozen
+        u0."""
+        return velocity_integral_exponent(u, self.u0_nodes, grid, 1.0 / self.mu_eff)
 
 
 def make_accumulator(
@@ -187,22 +218,27 @@ def make_accumulator(
 def update_accumulator(
     acc: RepresentationAccumulator,
     block: StateBlock,
-    velocity_factor: np.ndarray,
+    velocity_exponent: np.ndarray,
 ) -> RepresentationAccumulator:
     """Advance the time integral over the steps of a block by the trapezoid
     rule.
 
-    velocity_factor is acc.velocity_factor(block.u, grid), one row per
-    step, computed once per block by the caller and shared with
-    velocity_band_check.
+    velocity_exponent is acc.velocity_exponent(block.u, grid), ln d1 with
+    one row per step, computed once per block by the caller and shared
+    with velocity_band_check.
     """
-    d = relative_volume_factor(
+    # theta/(d1*D) as theta*exp(-(ln d1 + ln D)): one exp per value
+    integrand = relative_volume_exponent(
         block.derived.v_power, acc.v0_power, acc.params.alpha
     )
-    integrand = block.theta / (velocity_factor * d)
+    integrand += velocity_exponent
+    np.negative(integrand, out=integrand)
+    np.exp(integrand, out=integrand)
+    integrand *= block.theta
     # each step's trapezoid pairs its integrand with the one before it
-    increment = np.concatenate((acc.last_integrand[None], integrand[:-1]))
-    increment += integrand
+    increment = np.empty_like(integrand)
+    np.add(acc.last_integrand, integrand[0], out=increment[0])
+    np.add(integrand[:-1], integrand[1:], out=increment[1:])
     increment *= 0.5 * block.dt[:, None]
     for row in increment:  # one step at a time: the per-step summation order
         acc.time_integral += row
@@ -218,39 +254,43 @@ def representation_residual(
     """Relative max-norm defect of the closed-form volume representation.
 
     Exactly zero at t = 0 for any positive v0 and either alpha branch,
-    since both factors are exactly 1 there.
+    since both exponents are exactly 0 there.
     """
     if abs(acc.t - state.t) > 1e-9 * max(1.0, abs(state.t)):
         raise ValueError(
             f"accumulator at t = {acc.t} is out of sync with state at t = {state.t}"
         )
-    d1 = acc.velocity_factor(state.u, grid)
     alpha = acc.params.alpha
-    d = relative_volume_factor(volume_power(state.v, alpha), acc.v0_power, alpha)
-    predicted = d1 * d * (acc.v0 + acc.params.R / acc.mu_eff * acc.time_integral)
+    exponent = acc.velocity_exponent(state.u, grid)
+    exponent += relative_volume_exponent(
+        volume_power(state.v, alpha), acc.v0_power, alpha
+    )
+    predicted = np.exp(exponent)
+    predicted *= acc.v0 + acc.params.R / acc.mu_eff * acc.time_integral
     return float(np.max(np.abs(state.v - predicted)) / np.max(state.v))
 
 
 def velocity_band_check(
-    acc: RepresentationAccumulator, velocity_factor: np.ndarray
+    acc: RepresentationAccumulator, velocity_exponent: np.ndarray
 ) -> list[float]:
     """Energy band on the velocity-integral factors of states, one per row.
 
     The cumulative velocity change is bounded through the conserved energy,
-    so each row of acc.velocity_factor(u, grid) must stay inside
-    [exp(-s/mu_eff), exp(s/mu_eff)] with s = sqrt(2*e0). Returns each row's
-    worst absolute margin to either edge: non-negative inside the band,
-    negative outside.
+    so each row's factor exp(acc.velocity_exponent(u, grid)) must stay
+    inside [exp(-s/mu_eff), exp(s/mu_eff)] with s = sqrt(2*e0). Returns
+    each row's worst absolute margin to either edge: non-negative inside
+    the band, negative outside.
     """
     s = np.sqrt(2.0 * acc.e0)
     lo = np.exp(-s / acc.mu_eff)
     hi = np.exp(s / acc.mu_eff)
-    # rounding is monotone, so the least f - lo is min(f) - lo and the least
-    # hi - f is hi - max(f), bit for bit; np.minimum keeps a NaN from either
-    # side (f holding one, or hi - max(f) = inf - inf), where Python's min
-    # would drop one in its second argument
-    below = velocity_factor.min(axis=1) - lo
-    above = hi - velocity_factor.max(axis=1)
+    # exp and rounding are monotone, so the least f - lo is exp(min E) - lo
+    # and the least hi - f is hi - exp(max E), bit for bit, without forming
+    # f = exp(E); np.minimum keeps a NaN from either side (E holding one, or
+    # hi - max(f) = inf - inf), where Python's min would drop one in its
+    # second argument
+    below = np.exp(velocity_exponent.min(axis=1)) - lo
+    above = hi - np.exp(velocity_exponent.max(axis=1))
     return np.minimum(below, above).tolist()
 
 
@@ -287,7 +327,10 @@ def _stress_scale(v: np.ndarray, derived: DerivedFields) -> np.ndarray:
     per row: the natural size of the stress even where the total nearly
     cancels, as it does throughout a stress-free run; it normalizes the
     boundary-residual bounds of verification_table."""
-    scale = derived.mu * np.abs(derived.u_x) / v + derived.p
+    scale = np.abs(derived.u_x)
+    scale *= derived.mu
+    scale /= v
+    scale += derived.p
     return scale.max(axis=-1)
 
 
@@ -322,7 +365,10 @@ def _fold_states(
         tracker.sup_stress_scale, *_stress_scale(v, block.derived).tolist()
     )
 
-    uxx = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dx**2
+    uxx = 2.0 * u[:, 1:-1]
+    np.subtract(u[:, 2:], uxx, out=uxx)
+    uxx += u[:, :-2]
+    uxx /= dx**2
     max_theta = [tracker.last_max_theta, *theta.max(axis=1).tolist()]
     uxx_sq = [tracker.last_uxx_sq, *np.vecdot(uxx, uxx).tolist()]
     tracker.last_u = u[-1]
@@ -369,10 +415,11 @@ def update_bounds(
     np.subtract(u[0], tracker.last_u, out=du_dt[0])
     np.subtract(u[1:], u[:-1], out=du_dt[1:])
     du_dt /= dt[:, None]
+    du_dt *= du_dt
     steps = zip(
         dt.tolist(),
         *_fold_states(tracker, block, dx),
-        np.vecdot(du_dt * du_dt, tracker.weights).tolist(),
+        np.vecdot(du_dt, tracker.weights).tolist(),
     )
     for step, max_theta, uxx_sq, ut_sq in steps:
         tracker.int_max_theta += step * max_theta

@@ -24,11 +24,11 @@ SRC = str(Path(lagns.__file__).resolve().parents[1])
 # say which bits moved and why
 GOLDEN = {
     "alpha0": (
-        "c4e4c98d9cc9e68909f1c4b95d8b44bd7f6524ad3c2df09cf06aa6fa667987a6",
+        "6b21397fe914218372571afea1f80cb92a3df0db5c6422e3689da9d655ca0ce1",
         "f2fe4fb15cb129d4424e6abdcb8bd7809ab991d21062a7e91c4fb75c9bfa241d",
     ),
     "default": (
-        "82c5c0f27248e8f7f74a57fb9a0249fc9031c79ebea1294694ab7976e8fa3373",
+        "3088d116e0f388ec0bb98a40e1e1867790299894a71ad0d4cef2dd0513cc5f6b",
         "b7282d813b2e58654a3ae7705c6685269a97986252355e0686d4079e8aefeca2",
     ),
     "mms_deep": (

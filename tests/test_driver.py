@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -10,14 +11,20 @@ import pytest
 from lagns import driver, scheme, verify
 from lagns import (
     BoundaryKind,
+    Grid,
     MaterialParams,
     Scenario,
+    State,
     advance,
+    compatible_initial_data,
     load_config,
+    make_accumulator,
+    make_tracker,
     parse_config,
     representation_residual,
     run,
     verification_table,
+    with_derived,
 )
 from lagns.scenario import ProfileSpec
 
@@ -151,6 +158,57 @@ class TestBlockSize:
         expected = fold_bits(run(scenario))
         monkeypatch.setattr(driver, "BLOCK_VALUES", block_values)
         assert fold_bits(run(scenario)) == expected
+
+
+class TestBlockFold:
+    def test_one_cumulative_integral_per_flush(self, monkeypatch):
+        # the velocity exponent of a block is taken once and shared by the
+        # accumulator and the band
+        calls = []
+        per_flush = []
+        integral, flush = verify.cumulative_u_integral, driver._Block.flush
+
+        def counted_integral(*args):
+            calls.append(args)
+            return integral(*args)
+
+        def counted_flush(self, acc, tracker):
+            before, pending = len(calls), len(self.states)
+            margins = flush(self, acc, tracker)
+            if pending:
+                per_flush.append((pending, len(calls) - before))
+            return margins
+
+        monkeypatch.setattr(verify, "cumulative_u_integral", counted_integral)
+        monkeypatch.setattr(driver._Block, "flush", counted_flush)
+        run(Scenario(n_cells=32, t_end=0.2, output_every=0.05))
+        assert max(pending for pending, _ in per_flush) > 1
+        assert {count for _, count in per_flush} == {1}
+
+    def test_folding_one_large_state_makes_no_copies(self):
+        # from N = 2048 on a block holds one state: its rows view the
+        # state's arrays and the fold reuses its temporaries, so folding one
+        # state at N = 8192 peaks at about 6 arrays of N values; stacking a
+        # copy of each of the state's 7 fields peaked at 14
+        grid, params = Grid(8192), MaterialParams()
+        profile = ProfileSpec(name="cosine")
+        first = with_derived(
+            compatible_initial_data(profile, params, BoundaryKind.STRESS_FREE, grid),
+            params, grid,
+        )
+        acc = make_accumulator(first, grid, params)
+        tracker = make_tracker(first, grid, params)
+        later = State(1e-4, first.v * 1.001, first.u + 0.01, first.theta * 0.999)
+        block = driver._Block(grid)
+        assert block.push(with_derived(later, params, grid), 1e-4)
+        tracemalloc.start()
+        try:
+            block.flush(acc, tracker)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert acc.t == 1e-4
+        assert peak < 8 * 8 * grid.n_cells
 
 
 class TestDerivedFieldsOnce:

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from lagns import driver, verify
 from lagns import (
     BoundaryKind,
+    DerivedFields,
     Grid,
     MaterialParams,
     Scenario,
@@ -26,7 +27,7 @@ from lagns import (
     make_tracker,
     parse_config,
     pressure,
-    relative_volume_factor,
+    relative_volume_exponent,
     representation_residual,
     run,
     total_energy,
@@ -39,7 +40,7 @@ from lagns import (
     with_derived,
 )
 from lagns.constitutive import volume_power
-from lagns.grid import cell_integral, du_dx_cells, node_weights
+from lagns.grid import cell_integral, cumulative_u_integral, du_dx_cells, node_weights
 from lagns.scenario import ProfileSpec
 from lagns.verify import BoundTracker
 
@@ -86,23 +87,23 @@ def advance(acc, states, dts, grid):
     """Fold the steps of states[1:] into acc, last fed states[0], as one
     block; returns the block's per-step band margins."""
     block = block_of(states[1:], dts, acc.params, grid)
-    velocity_factor = acc.velocity_factor(block.u, grid)
-    update_accumulator(acc, block, velocity_factor)
-    return velocity_band_check(acc, velocity_factor)
+    velocity_exponent = acc.velocity_exponent(block.u, grid)
+    update_accumulator(acc, block, velocity_exponent)
+    return velocity_band_check(acc, velocity_exponent)
 
 
 class TestRelativeVolumeFactor:
+    """The volume factor D, through its exponent ln D."""
+
     def test_alpha_zero_is_ones(self):
         ones = np.ones(2)
-        np.testing.assert_array_equal(
-            relative_volume_factor(ones, ones, 0.0), ones
-        )
+        assert np.exp(relative_volume_exponent(ones, ones, 0.0)) == 1.0
 
     def test_initial_volume_gives_exact_ones(self):
         v = np.array([0.2, 1.0, 5.0])
         for alpha in (1e-3, 0.7, 8.0):
             power = volume_power(v, alpha)
-            assert np.all(relative_volume_factor(power, power, alpha) == 1.0)
+            assert np.all(np.exp(relative_volume_exponent(power, power, alpha)) == 1.0)
 
     def test_small_alpha_stays_finite(self):
         # exp(v**-alpha/alpha) is exp(1001.6) at v = 0.2, alpha = 1e-3, which
@@ -110,10 +111,27 @@ class TestRelativeVolumeFactor:
         alpha = 1e-3
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            (out,) = relative_volume_factor(
+            (out,) = np.exp(relative_volume_exponent(
                 volume_power(np.array([0.2]), alpha), np.ones(1), alpha
-            )
+            ))
         assert out == pytest.approx(np.exp((0.2**-alpha - 1.0) / alpha), rel=1e-12)
+
+
+class TestStateBlock:
+    def test_one_state_block_views_its_state(self, grid, params, uniform_state):
+        # a block of one state, as every block is from N = 2048 on, copies
+        # none of its state's arrays; a longer block stacks copies
+        state = with_derived(uniform_state, params, grid)
+        block = StateBlock.of([state], [0.1])
+        pairs = [(block.v, state.v), (block.u, state.u), (block.theta, state.theta)]
+        pairs += [
+            (getattr(block.derived, field.name), getattr(state.derived, field.name))
+            for field in dataclasses.fields(DerivedFields)
+        ]
+        assert all(np.shares_memory(row, array) for row, array in pairs)
+        assert all(row.shape == (1, *array.shape) for row, array in pairs)
+        stacked = StateBlock.of([state, state], [0.1, 0.1])
+        assert not np.shares_memory(stacked.v, state.v)
 
 
 class TestVelocityIntegralFactor:
@@ -212,7 +230,7 @@ class TestVelocityBand:
             state = compatible_initial_data(profile, params, SF, grid)
             acc = make_accumulator(with_derived(state, params, grid), grid, params)
             u = state.u[None]
-            (margin,) = velocity_band_check(acc, acc.velocity_factor(u, grid))
+            (margin,) = velocity_band_check(acc, acc.velocity_exponent(u, grid))
             assert margin >= 0.0
             # u = u0 makes the factor exactly one; margin is distance to the
             # nearer band edge
@@ -232,7 +250,9 @@ class TestVelocityBand:
         wild.u = np.full(grid.n_nodes, 50.0)
         # one margin per row, each judging its own row
         u = np.array([wild.u, later.u])
-        wild_margin, later_margin = velocity_band_check(acc, acc.velocity_factor(u, grid))
+        wild_margin, later_margin = velocity_band_check(
+            acc, acc.velocity_exponent(u, grid)
+        )
         assert wild_margin < 0.0
         assert later_margin >= 0.0
 
@@ -240,17 +260,17 @@ class TestVelocityBand:
         acc = make_accumulator(with_derived(uniform_state, params, grid), grid, params)
         wild = uniform_state.copy()
         wild.u = np.full(grid.n_nodes, 50.0)
-        (margin,) = velocity_band_check(acc, acc.velocity_factor(wild.u[None], grid))
+        (margin,) = velocity_band_check(acc, acc.velocity_exponent(wild.u[None], grid))
         assert margin < 0.0
 
     def test_nan_above_the_band_survives_the_fold(self, grid, params, uniform_state):
         # e0 = 1e7 and mu_eff = 1 put the upper edge exp(sqrt(2 e0)) at inf,
-        # so the factor inf lies at inf - inf = NaN from it: the row's margin
-        # is NaN, not the finite margin below
+        # so the factor exp(inf) = inf lies at inf - inf = NaN from it: the
+        # row's margin is NaN, not the finite margin below
         acc = make_accumulator(with_derived(uniform_state, params, grid), grid, params)
         acc = replace(acc, e0=1e7, mu_eff=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            (margin,) = velocity_band_check(acc, np.array([[1.0, np.inf]]))
+            (margin,) = velocity_band_check(acc, np.array([[0.0, np.inf]]))
         assert np.isnan(margin)
 
 
@@ -419,26 +439,26 @@ class TestBlockFoldOracle:
         assert repr(whole.t) == repr(stepwise.t)
         assert list(map(repr, whole_margins)) == list(map(repr, margins))
         for state, margin in zip(states[1:], margins):
-            factor = whole.velocity_factor(state.u, grid)
+            factor = velocity_integral_factor(
+                state.u, states[0].u, grid, 1.0 / mu_eff(params)
+            )
             assert repr(margin) == repr(reference_band_margin(whole, factor))
 
 
 def reference_time_integral(states, dts, grid, params):
     """The accumulator's time integral folded one state at a time, each
-    integrand theta/(d1*D) evaluated afresh from the state's fields, with
-    D = exp((v**-alpha - v0**-alpha)/alpha) written out: the oracle of the
-    run's accumulator."""
-    exponent = 1.0 / mu_eff(params)
+    integrand theta/(d1*D) = theta*exp(-(E + ln D)) evaluated afresh from
+    the state's fields, with E = ln d1 the cell average of the cumulative
+    velocity integral over mu_eff and ln D = (v**-alpha - v0**-alpha)/alpha
+    written out: the oracle of the run's accumulator."""
     alpha = params.alpha
     v0_power = volume_power(states[0].v, alpha)
 
     def integrand(state):
-        d1 = velocity_integral_factor(state.u, states[0].u, grid, exponent)
-        d = (
-            np.exp((volume_power(state.v, alpha) - v0_power) / alpha)
-            if alpha > 0.0 else 1.0
-        )
-        return state.theta / (d1 * d)
+        c = cumulative_u_integral(state.u, states[0].u, grid)
+        e = 1.0 / mu_eff(params) * 0.5 * (c[:-1] + c[1:])
+        ln_d = (volume_power(state.v, alpha) - v0_power) / alpha if alpha > 0.0 else 0.0
+        return state.theta * np.exp(-(e + ln_d))
 
     total = np.zeros(grid.n_cells)
     last = integrand(states[0])
@@ -543,13 +563,13 @@ class TestRepresentationForAnyMaterial:
         assert check.passed, check.detail
 
 
-def left_rectangle_update(acc, block, velocity_factor):
+def left_rectangle_update(acc, block, velocity_exponent):
     """update_accumulator with a left-rectangle time quadrature: each step
     adds dt times the integrand of the state before it."""
-    d = verify.relative_volume_factor(
+    ln_d = verify.relative_volume_exponent(
         block.derived.v_power, acc.v0_power, acc.params.alpha
     )
-    integrand = block.theta / (velocity_factor * d)
+    integrand = block.theta * np.exp(-(velocity_exponent + ln_d))
     before = np.concatenate((acc.last_integrand[None], integrand[:-1]))
     for row, dt in zip(before, block.dt.tolist()):
         acc.time_integral += dt * row
@@ -573,8 +593,8 @@ class TestRepresentationMutants:
         pytest.param(None, None, None, False, id="none"),
         # residual 1.72e-1
         pytest.param(
-            verify, "relative_volume_factor",
-            lambda v_power, v0_power, alpha: np.ones_like(v_power), True,
+            verify, "relative_volume_exponent",
+            lambda v_power, v0_power, alpha: np.zeros_like(v_power), True,
             id="volume_factor_one",
         ),
         # residual 1.59e-1
