@@ -64,9 +64,7 @@ from .verify import (
     representation_residual,
     update_accumulator,
     update_bounds,
-    velocity_band_check,
     velocity_integral_exponent,
-    velocity_integral_factor,
 )
 
 __version__ = "0.1.0"

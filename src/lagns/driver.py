@@ -8,20 +8,18 @@ run aborts is halving dt below dt_min, which stops it with whatever was
 gathered, a reported finding rather than an error. The loop yields each
 accepted step, and two consumers read it:
 
-- run feeds every accepted step to the representation accumulator, the
-  velocity band and the bound tracker, and records a diagnostics row at
-  every multiple of output_every;
+- run feeds every accepted step to the representation accumulator and
+  the bound tracker, and records a diagnostics row at every multiple of
+  output_every;
 - advance keeps only the last state, for callers such as a convergence
   study that read nothing else. Its steps, and so its final state, status
   and halvings, are bit-identical to run's.
 
 run keeps the accepted states in a block and folds them into the
 instruments in one call per block (see lagns.verify). A block is flushed
-when it is full, when an output row is due (a row reads the tracker, the
-time integral and its step's band margin), and when the run completes or
-aborts, so the instruments are in step with the state at every row and at
-the end. A flush takes the block's velocity exponent ln d1 once, from one
-cumulative velocity integral, and hands it to the accumulator and the band.
+when it is full, when an output row is due (a row reads the tracker and
+the time integral), and when the run completes or aborts, so the
+instruments are in step with the state at every row and at the end.
 
 A block holds max(1, BLOCK_VALUES // n_nodes) steps. The per-call overhead a
 block saves is the same whatever N is, but the fold's temporaries hold a row
@@ -86,7 +84,8 @@ from .verify import (
     representation_residual,
     update_accumulator,
     update_bounds,
-    velocity_band_check,
+    # bench/spans.py traces lagns.driver.velocity_band_check; no run calls it
+    velocity_band_check,  # noqa: F401
 )
 
 __all__ = [
@@ -121,7 +120,6 @@ class RunResult:
     report: DiagnosticsReport
     accumulator: RepresentationAccumulator
     tracker: BoundTracker
-    worst_band_margin: float
     initial_residual: np.ndarray
 
 
@@ -203,20 +201,15 @@ class _Block:
         self.dts.append(dt)
         return len(self.states) == self.size
 
-    def flush(
-        self, acc: RepresentationAccumulator, tracker: BoundTracker
-    ) -> list[float]:
-        """Fold the pending steps into the instruments and empty the block;
-        returns each step's band margin."""
+    def flush(self, acc: RepresentationAccumulator, tracker: BoundTracker) -> None:
+        """Fold the pending steps into the instruments and empty the block."""
         if not self.states:
-            return []
+            return
         block = StateBlock.of(self.states, self.dts)
         self.states.clear()
         self.dts.clear()
-        velocity_exponent = acc.velocity_exponent(block.u, self.grid)
-        update_accumulator(acc, block, velocity_exponent)
+        update_accumulator(acc, block, self.grid)
         update_bounds(tracker, block, self.grid)
-        return velocity_band_check(acc, velocity_exponent)
 
 
 class _Stepper:
@@ -319,14 +312,10 @@ def run(scenario: Scenario) -> RunResult:
     tracker = make_tracker(state, grid, params)
     block = _Block(grid)
     rows: list[DiagnosticsRow] = []
-    worst_margin = float("inf")  # folded with np.min, which keeps a NaN
 
     for state, dt, row_due in stepper:
-        full = block.push(state, dt)
-        if full or row_due:
-            margins = block.flush(acc, tracker)
-            worst_margin = float(np.min([worst_margin, *margins]))
-            margin = margins[-1]
+        if block.push(state, dt) or row_due:
+            block.flush(acc, tracker)
 
         if row_due:
             resid = boundary_stress_residual(
@@ -343,7 +332,6 @@ def run(scenario: Scenario) -> RunResult:
                     min_theta=float(np.min(state.theta)),
                     max_theta=float(np.max(state.theta)),
                     repr_residual=representation_residual(state, acc, grid),
-                    band_margin=margin,
                     boundary_resid_left=resid[0],
                     boundary_resid_right=resid[1],
                     sup_grad_v_sq=tracker.sup_grad_v_sq,
@@ -354,7 +342,7 @@ def run(scenario: Scenario) -> RunResult:
                     dt_current=dt,
                 )
             )
-    worst_margin = float(np.min([worst_margin, *block.flush(acc, tracker)]))
+    block.flush(acc, tracker)
 
     return RunResult(
         scenario=scenario,
@@ -363,7 +351,6 @@ def run(scenario: Scenario) -> RunResult:
         report=stepper.report(tuple(rows)),
         accumulator=acc,
         tracker=tracker,
-        worst_band_margin=worst_margin,
         initial_residual=initial_residual,
     )
 
@@ -445,14 +432,6 @@ def verification_table(result: RunResult) -> list[CheckResult]:
             positive,
             f"min v {tracker.min_v:.6g}, min theta {tracker.min_theta:.6g}, "
             f"halvings {result.report.halvings}",
-        )
-    )
-
-    checks.append(
-        CheckResult(
-            "velocity-integral band",
-            result.worst_band_margin >= 0.0,
-            f"worst margin {result.worst_band_margin:.6g}",
         )
     )
 

@@ -237,7 +237,6 @@ class DiagnosticsRow:
     min_theta: float
     max_theta: float
     repr_residual: float
-    band_margin: float
     boundary_resid_left: float
     boundary_resid_right: float
     sup_grad_v_sq: float

@@ -28,13 +28,12 @@ one call. A block of one state views its state's arrays; a longer one
 stacks copies of them. Each state carries the derived fields that its step
 made (DerivedFields): the tracker reads the strain rate, the viscosity and
 the pressure, and the accumulator the volume power v**-alpha, so no
-instrument evaluates a material law again. The caller takes ln d1 of the
-block once, from one cumulative velocity integral, and hands it to the
-accumulator and the velocity band; the band reads only its row extrema, so
-d1 itself is never formed. Each instrument also keeps what its next fold
-needs of the newest state it has seen (the accumulator its integrand, the
-tracker its velocities and left-rectangle terms), so a block holds only
-the states after it. Nearly all of a per-step call's cost is the overhead
+instrument evaluates a material law again. The accumulator takes ln d1 of
+the block from one cumulative velocity integral, so d1 itself is never
+formed. Each instrument also keeps what its next fold needs of the newest
+state it has seen (the accumulator its integrand, the tracker its
+velocities and left-rectangle terms), so a block holds only the states
+after it. Nearly all of a per-step call's cost is the overhead
 of its small numpy calls, so a block of K steps costs about one step's
 overhead. Every row-wise operation computes each row exactly as the 1-D
 operation on that state would: np.vecdot makes one BLAS dot call per row,
@@ -175,8 +174,8 @@ class RepresentationAccumulator:
     viscosity at infinite volume; the initial volume v0, its power
     v0_power = v0**-alpha and the node velocities u0_nodes are frozen at
     t = 0; time_integral accumulates theta/(d1*D) per cell by the trapezoid
-    rule, and last_integrand is the newest state's integrand; e0 feeds the
-    energy band on the velocity factor.
+    rule, and last_integrand is the newest state's integrand; e0, the
+    initial total energy, is read only by velocity_band_check.
     """
 
     params: MaterialParams
@@ -216,22 +215,15 @@ def make_accumulator(
 
 
 def update_accumulator(
-    acc: RepresentationAccumulator,
-    block: StateBlock,
-    velocity_exponent: np.ndarray,
+    acc: RepresentationAccumulator, block: StateBlock, grid: Grid
 ) -> RepresentationAccumulator:
     """Advance the time integral over the steps of a block by the trapezoid
-    rule.
-
-    velocity_exponent is acc.velocity_exponent(block.u, grid), ln d1 with
-    one row per step, computed once per block by the caller and shared
-    with velocity_band_check.
-    """
+    rule, with ln d1 of every step from one cumulative velocity integral."""
     # theta/(d1*D) as theta*exp(-(ln d1 + ln D)): one exp per value
     integrand = relative_volume_exponent(
         block.derived.v_power, acc.v0_power, acc.params.alpha
     )
-    integrand += velocity_exponent
+    integrand += acc.velocity_exponent(block.u, grid)
     np.negative(integrand, out=integrand)
     np.exp(integrand, out=integrand)
     integrand *= block.theta

@@ -142,14 +142,6 @@ def test_03_positivity_without_halvings(default_run):
     assert np.all(default_run.state.theta > 0.0)
 
 
-def test_04_velocity_band_holds(default_run, alpha0_run):
-    for label, result in (("alpha=1", default_run), ("alpha=0", alpha0_run)):
-        margins = [row.band_margin for row in result.report.rows]
-        print(f"{label}: worst band margin {min(margins):.4f} (>= 0)")
-        assert result.worst_band_margin >= 0.0
-        assert all(m >= 0.0 for m in margins)
-
-
 def test_05_bounded_functionals_stable_under_refinement():
     changes = functional_changes(1.0)
     for name, change in changes.items():

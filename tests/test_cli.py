@@ -24,26 +24,26 @@ SRC = str(Path(lagns.__file__).resolve().parents[1])
 # say which bits moved and why
 GOLDEN = {
     "alpha0": (
-        "6b21397fe914218372571afea1f80cb92a3df0db5c6422e3689da9d655ca0ce1",
+        "ed54390218a05be5eeceea3e4e13cc59b9c90936c713887ab7f473f727d2f55e",
         "f2fe4fb15cb129d4424e6abdcb8bd7809ab991d21062a7e91c4fb75c9bfa241d",
     ),
     "default": (
-        "3088d116e0f388ec0bb98a40e1e1867790299894a71ad0d4cef2dd0513cc5f6b",
+        "6dfd5c248bae420189a91be42867d15d10cf7412548c202c6e2cd9e304201011",
         "b7282d813b2e58654a3ae7705c6685269a97986252355e0686d4079e8aefeca2",
     ),
     "mms_deep": (
-        "aa56c7edd37f7af9a4dc568a38a0263b0cbaa318c396bb377fe9208a1f35a865",
+        "6bf55e21714deb703f71a6b037e4c8e3edc04d1f7360571d0a5f2a25c414f21a",
         "c86c84c0af64f5df9102aedd6938ed0e97710cc90a976d4165317b22d01e9ee7",
     ),
     "mms_default": (
-        "47cd9bb71511b760d6f7a39299e7f1aee184a0159e557f3828849871f7428b9e",
+        "ce02591a8ab662043ba0e210a13eac9c422fb48d4b10620fb0d557fc13e9ecd5",
         "44dbaf7c2e746dfb560e97b7317f588fba8522614de8f84e5db4856e750938e8",
     ),
     # a gas at rest: every non-constant column is rounding noise, so this
     # digest moves with any reordered arithmetic, and
     # test_noslip_steady_stays_at_rest checks the physics
     "noslip_steady": (
-        "2c00d2532c2014a088186310ac84a7498a845b80147649a9a1436427dfd61b27",
+        "1f8a65c3256920c92228d702d847836fb6a0646c82fb289d5845b40cf6b134bc",
         "be566e6ac8bbb785bce5f119be73609ba405374b30f02ea58101f5cb2a20b838",
     ),
 }
@@ -276,7 +276,7 @@ class TestCmdVerify:
     def test_default_config_all_pass(self, name, capsys):
         assert cli.cmd_verify(str(CONFIGS / f"{name}.json")) == 0
         out = capsys.readouterr().out
-        assert "7/7 checks passed" in out
+        assert "6/6 checks passed" in out
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("material", [
@@ -292,7 +292,7 @@ class TestCmdVerify:
         payload = json.loads((CONFIGS / "default.json").read_text())
         payload["material"].update(material)
         assert cli.cmd_verify(write_config(tmp_path, payload)) == 0
-        assert "7/7 checks passed" in capsys.readouterr().out
+        assert "6/6 checks passed" in capsys.readouterr().out
 
     def test_coarse_grid_cold_profile_passes(self, tmp_path, capsys):
         # admissible initial data with a large discrete wall slope at
@@ -305,7 +305,7 @@ class TestCmdVerify:
             },
         })
         assert cli.cmd_verify(path) == 0
-        assert "7/7 checks passed" in capsys.readouterr().out
+        assert "6/6 checks passed" in capsys.readouterr().out
 
     def test_overflowing_profile_exits_two(self, tmp_path, capsys):
         # the infimum 1.6e308 is fine, the supremum v_base + |v_amp| is not
@@ -333,6 +333,22 @@ class TestCmdVerify:
         assert err.startswith("error: profile 'cosine' overflows: |u_amp|")
         assert "Traceback" not in err
 
+    def test_hot_gas_verifies_without_warnings(self, tmp_path, capsys):
+        # sqrt(2 e0)/mu_eff is far above 709 here, which overflowed the
+        # deleted velocity-integral band's edge exp(sqrt(2 e0)/mu_eff)
+        path = write_config(tmp_path, {
+            "n_cells": 8, "t_end": 0.01, "output_every": 0.005,
+            "profile": {"amplitudes": {"theta_base": 1e6, "theta_amp": 0.1}},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.cmd_verify(path) == 1
+        out = capsys.readouterr().out
+        # known defect (residual 2.276e-01): the fixed tolerance of the
+        # representation row fails this correct hot run (ROADMAP item 16)
+        failed = [line.split("  ")[0] for line in out.splitlines() if "FAIL" in line]
+        assert failed == ["volume representation"]
+
     def test_mms_config_rejected_as_usage(self, tmp_path, capsys):
         path = write_config(tmp_path, {"mms": "default", "bc": "no_slip"})
         assert cli.cmd_verify(path) == 2
@@ -347,7 +363,7 @@ class TestCmdVerify:
         assert cli.cmd_verify(small_run_config(tmp_path)) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
-        assert "6/7 checks passed" in out
+        assert "5/6 checks passed" in out
 
 
 class TestCmdConvergence:
@@ -407,7 +423,7 @@ class TestCmdConvergence:
 
         for name in (
             "make_accumulator", "make_tracker", "update_accumulator",
-            "update_bounds", "velocity_band_check", "compatibility_residual",
+            "update_bounds", "compatibility_residual",
         ):
             monkeypatch.setattr(driver, name, refuse)
         assert cli.cmd_convergence(str(CONFIGS / "mms_default.json"), 3) == 0

@@ -240,7 +240,7 @@ class TestTimeseriesRoundTrip:
     def test_awkward_floats_survive_bit_exact(self, tmp_path):
         rows = (
             make_row(0.0, energy=1.0 / 3.0, repr_residual=1e-17, dt_current=0.1),
-            make_row(1.0 / 3.0, energy=np.nextafter(1.0, 2.0), band_margin=-1e-300),
+            make_row(1.0 / 3.0, energy=np.nextafter(1.0, 2.0), energy_drift=-1e-300),
         )
         report = DiagnosticsReport(rows=rows, status="completed")
         path = tmp_path / "ts.csv"

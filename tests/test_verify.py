@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lagns import driver, verify
+from lagns import driver, scheme, verify
 from lagns import (
     BoundaryKind,
     DerivedFields,
@@ -33,8 +33,6 @@ from lagns import (
     total_energy,
     update_accumulator,
     update_bounds,
-    velocity_band_check,
-    velocity_integral_factor,
     verification_table,
     viscosity,
     with_derived,
@@ -42,7 +40,7 @@ from lagns import (
 from lagns.constitutive import volume_power
 from lagns.grid import cell_integral, cumulative_u_integral, du_dx_cells, node_weights
 from lagns.scenario import ProfileSpec
-from lagns.verify import BoundTracker
+from lagns.verify import BoundTracker, velocity_band_check, velocity_integral_factor
 
 SF = BoundaryKind.STRESS_FREE
 NS = BoundaryKind.NO_SLIP
@@ -87,9 +85,8 @@ def advance(acc, states, dts, grid):
     """Fold the steps of states[1:] into acc, last fed states[0], as one
     block; returns the block's per-step band margins."""
     block = block_of(states[1:], dts, acc.params, grid)
-    velocity_exponent = acc.velocity_exponent(block.u, grid)
-    update_accumulator(acc, block, velocity_exponent)
-    return velocity_band_check(acc, velocity_exponent)
+    update_accumulator(acc, block, grid)
+    return velocity_band_check(acc, acc.velocity_exponent(block.u, grid))
 
 
 class TestRelativeVolumeFactor:
@@ -563,13 +560,13 @@ class TestRepresentationForAnyMaterial:
         assert check.passed, check.detail
 
 
-def left_rectangle_update(acc, block, velocity_exponent):
+def left_rectangle_update(acc, block, grid):
     """update_accumulator with a left-rectangle time quadrature: each step
     adds dt times the integrand of the state before it."""
     ln_d = verify.relative_volume_exponent(
         block.derived.v_power, acc.v0_power, acc.params.alpha
     )
-    integrand = block.theta * np.exp(-(velocity_exponent + ln_d))
+    integrand = block.theta * np.exp(-(acc.velocity_exponent(block.u, grid) + ln_d))
     before = np.concatenate((acc.last_integrand[None], integrand[:-1]))
     for row, dt in zip(before, block.dt.tolist()):
         acc.time_integral += dt * row
@@ -623,6 +620,88 @@ class TestRepresentationMutants:
             c for c in verification_table(result) if c.name == "volume representation"
         ]
         assert check.passed is not caught, check.detail
+
+
+def scaled_heating(factor):
+    """temperature_step with its viscous heating mu*u_x**2/v scaled by factor."""
+    def mutant(original):
+        def temperature_step(state, u_x, new_v, mu, *args, **kwargs):
+            return original(state, u_x, new_v, factor * mu, *args, **kwargs)
+        return temperature_step
+    return mutant
+
+
+def scaled_continuity(original):
+    """continuity_step with the strain rate u'_x scaled by 1.01."""
+    def continuity_step(state, u_x, dt, *args, **kwargs):
+        return original(state, 1.01 * u_x, dt, *args, **kwargs)
+    return continuity_step
+
+
+def scaled_momentum_dt(original):
+    """momentum_step taking a step 1.02 times the one it is asked for."""
+    def momentum_step(state, dt, *args, **kwargs):
+        return original(state, 1.02 * dt, *args, **kwargs)
+    return momentum_step
+
+
+def near_constant_conductivity(original):
+    """The scheme's conductivity evaluated at beta = 1e-12."""
+    def conductivity(theta, params):
+        return original(theta, replace(params, beta=1e-12))
+    return conductivity
+
+
+# raises: a mutant that fails to run is an error, not an expected miss
+MISSED = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="every row of verify passes; ROADMAP items 1 and 11 (exact volume "
+    "and entropy identities) and 15 (the linear-mode oracle) are to catch it",
+)
+
+
+class TestSchemeMutants:
+    """The `verify` column of ROADMAP item 3's mutation table (mutation
+    analysis: DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978). Each
+    scheme defect is patched into lagns.scheme and the config run at
+    N = 32; caught names the rows that must fail, and a mutant that no row
+    catches is a strict xfail."""
+
+    @pytest.mark.parametrize("config", ["default", "alpha0"])
+    @pytest.mark.parametrize("name, mutant, caught", [
+        pytest.param(None, None, [], id="none"),
+        pytest.param(
+            "temperature_step", scaled_heating(0.0), ["energy conservation"],
+            id="no_viscous_heating",
+        ),
+        pytest.param(
+            "temperature_step", scaled_heating(0.5), ["energy conservation"],
+            id="half_viscous_heating",
+        ),
+        pytest.param(
+            "continuity_step", scaled_continuity, None,
+            id="continuity_u_x_1.01", marks=MISSED,
+        ),
+        pytest.param(
+            "momentum_step", scaled_momentum_dt, None,
+            id="momentum_dt_1.02", marks=MISSED,
+        ),
+        pytest.param(
+            "conductivity", near_constant_conductivity, None,
+            id="kappa_beta_1e-12", marks=MISSED,
+        ),
+    ])
+    def test_verify_catches_mutant(self, monkeypatch, config, name, mutant, caught):
+        if name is not None:
+            monkeypatch.setattr(scheme, name, mutant(getattr(scheme, name)))
+        scenario = replace(load_config(CONFIGS / f"{config}.json"), n_cells=32)
+        checks = verification_table(run(scenario))
+        failed = [c.name for c in checks if not c.passed]
+        if caught is None:
+            assert failed, "no row of verify caught the mutant"
+        else:
+            assert failed == caught, [c.detail for c in checks]
 
 
 class TestEnergyDrift:
