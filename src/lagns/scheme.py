@@ -14,12 +14,16 @@ temperature extrapolated linearly to the end of the step through the last
 two accepted states, so the temperature update is one linear solve
 (Akrivis & Crouzeix, Math. Comp. 73, 2004).
 Both systems are symmetric positive-definite tridiagonals, solved through
-their LDL^T factor (LAPACK ptsv). A step whose v or theta would not be
-positive and finite, or whose momentum or temperature matrix is not
-positive definite, is rejected so the driver can retry with a halved dt;
-the rejection names the field or the system that refused it. The
-step-size limits cfl, dt_min and dt_max arrive as plain floats; Scenario
-is where they are range-checked.
+their LDL^T factor by LAPACK ptsv: the dptsv of the LAPACK that numpy
+itself links (the scipy_dptsv_64_ symbol of numpy's OpenBLAS, ILP64),
+bound through ctypes once, at import, so lagns needs no other library.
+Under a numpy whose LAPACK lacks that symbol, the import raises
+ImportError. A step whose v or theta would not be positive and finite,
+or whose momentum or temperature matrix is not positive definite, is
+rejected so the driver can retry with a halved dt; the rejection names
+the field or the system that refused it. The step-size limits cfl,
+dt_min and dt_max arrive as plain floats; Scenario is where they are
+range-checked.
 
 Each state that step returns carries its derived fields (grid.DerivedFields),
 made once where the state is made: the strain rate u_x for continuity and
@@ -37,11 +41,12 @@ compatibility_residual alone; the "initial compatibility" row of
 
 from __future__ import annotations
 
+import ctypes
 import enum
 from dataclasses import replace
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
+from numpy.linalg import _umath_linalg
 
 from .constitutive import (
     MaterialParams,
@@ -69,6 +74,25 @@ __all__ = [
     "with_derived",
 ]
 
+try:
+    # numpy's linalg extension is linked to its LAPACK, so dlsym on it finds
+    # that library's symbols. PyDLL keeps the interpreter lock held during a
+    # solve, as the f2py wrappers do.
+    _dptsv = ctypes.PyDLL(_umath_linalg.__file__).scipy_dptsv_64_
+except (OSError, AttributeError) as exc:
+    raise ImportError(
+        "lagns needs a numpy whose LAPACK exports scipy_dptsv_64_ "
+        "(the ILP64 dptsv of numpy's OpenBLAS)"
+    ) from exc
+_dptsv.restype = None
+_NRHS = ctypes.c_int64(1)  # read, never written, by dptsv
+
+
+def _double_ref(array: np.ndarray):
+    """A Fortran double* to the first entry of a contiguous, writable array."""
+    return ctypes.byref(ctypes.c_double.from_buffer(array))
+
+
 class BoundaryKind(enum.Enum):
     """Boundary family; both variants keep the ends thermally insulated."""
 
@@ -86,31 +110,39 @@ def tridiagonal_solve(
 ) -> np.ndarray:
     """Solve a symmetric positive-definite tridiagonal system.
 
-    off[i] couples rows i and i+1 both ways. Solved by LAPACK ptsv, which
-    copies its inputs, so none is overwritten. A matrix that is not
-    positive definite is a StepRejected, whose message starts with the
-    name of the system, so a step that builds one is retried with a
-    smaller dt and an abort says which solve failed.
+    off[i] couples rows i and i+1 both ways. Solved by LAPACK ptsv (numpy's
+    own; see the module docstring), which factors the bands and solves in
+    place, so each input is first copied into a contiguous float array:
+    none is overwritten, and strided views, lists and integer arrays are
+    accepted. A matrix that is not positive definite is a StepRejected,
+    whose message starts with the name of the system, so a step that
+    builds one is retried with a smaller dt and an abort says which solve
+    failed.
     """
-    diag = np.asarray(diag, dtype=float)
+    diag = np.array(diag, dtype=float)
     n = diag.shape[0]
-    off = np.asarray(off, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if off.shape != (n - 1,) or rhs.shape != (n,):
+    off = np.array(off, dtype=float)
+    x = np.array(rhs, dtype=float)
+    if diag.ndim != 1 or off.shape != (n - 1,) or x.shape != (n,):
         raise ValueError(
-            f"band shapes {off.shape}/{diag.shape} and rhs {rhs.shape} are "
+            f"band shapes {off.shape}/{diag.shape} and rhs {x.shape} are "
             "inconsistent"
         )
     if n < 2:
-        # the LAPACK wrappers reject an empty off-diagonal
+        # ptsv never reads it, but a Fortran pointer needs an entry to point at
         off = np.zeros(1)
-    _, _, x, info = dptsv(diag, off, rhs)
-    if info > 0:
+    size, info = ctypes.c_int64(n), ctypes.c_int64(0)
+    _dptsv(
+        ctypes.byref(size), ctypes.byref(_NRHS), _double_ref(diag),
+        _double_ref(off), _double_ref(x), ctypes.byref(size),
+        ctypes.byref(info),
+    )
+    if info.value > 0:
         raise StepRejected(
-            f"{system} not positive definite (leading minor {info})"
+            f"{system} not positive definite (leading minor {info.value})"
         )
-    if info < 0:
-        raise ValueError(f"ptsv rejected argument {-info}")
+    if info.value < 0:
+        raise ValueError(f"ptsv rejected argument {-info.value}")
     return x
 
 

@@ -560,17 +560,20 @@ class TestMain:
 
 
 # runs `lagns.cli.main` on each argv of the JSON list in argv[1], in one
-# fresh interpreter; prints the exit codes and whether sympy was loaded after
-# `import lagns` and after each command
+# fresh interpreter; prints the exit codes and whether each test-only
+# dependency, sympy and scipy, was loaded after `import lagns` and after each
+# command
 FRESH_MAIN = """
 import contextlib, io, json, sys
 import lagns, lagns.cli
-loaded, codes = ["sympy" in sys.modules], []
+TEST_ONLY = ("sympy", "scipy")
+loaded, codes = {name: [name in sys.modules] for name in TEST_ONLY}, []
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         codes.append(lagns.cli.main(argv))
-        loaded.append("sympy" in sys.modules)
-print(json.dumps({"codes": codes, "sympy": loaded}))
+        for name in TEST_ONLY:
+            loaded[name].append(name in sys.modules)
+print(json.dumps({"codes": codes, **loaded}))
 """
 
 
@@ -585,7 +588,7 @@ def fresh_main(argvs):
 
 
 class TestSympyLoadsOnlyForManufacturedCases:
-    """sympy, a test-only dependency, stays out of every command."""
+    """sympy and scipy, test-only dependencies, stay out of every command."""
 
     def test_physical_commands_leave_sympy_unloaded(self, tmp_path):
         config = str(CONFIGS / "default.json")
@@ -595,7 +598,7 @@ class TestSympyLoadsOnlyForManufacturedCases:
             ["sweep", "--config", config, "--alpha", "1", "--beta", "1",
              "--out", str(tmp_path / "sweep")],
         ])
-        assert got == {"codes": [0, 0, 0], "sympy": [False] * 4}
+        assert got == {"codes": [0, 0, 0], "sympy": [False] * 4, "scipy": [False] * 4}
 
     def test_case_name_rejected_at_parse_time_without_sympy(self, tmp_path):
         # an unknown case name is a config error before any run; a physical
@@ -606,7 +609,7 @@ class TestSympyLoadsOnlyForManufacturedCases:
             ["convergence", "--config", nope],
             ["convergence", "--config", str(CONFIGS / "default.json")],
         ])
-        assert got == {"codes": [2, 2, 2], "sympy": [False] * 4}
+        assert got == {"codes": [2, 2, 2], "sympy": [False] * 4, "scipy": [False] * 4}
 
     def test_no_command_imports_sympy(self, tmp_path):
         # the manufactured sources are closed form, so neither a forced run
@@ -616,4 +619,4 @@ class TestSympyLoadsOnlyForManufacturedCases:
             ["run", "--config", config, "--out", str(tmp_path / "run")],
             ["convergence", "--config", config],
         ])
-        assert got == {"codes": [0, 0], "sympy": [False] * 3}
+        assert got == {"codes": [0, 0], "sympy": [False] * 3, "scipy": [False] * 3}
