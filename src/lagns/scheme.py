@@ -18,12 +18,21 @@ their LDL^T factor by LAPACK ptsv: the dptsv of the LAPACK that numpy
 itself links (the scipy_dptsv_64_ symbol of numpy's OpenBLAS, ILP64),
 bound through ctypes once, at import, so lagns needs no other library.
 Under a numpy whose LAPACK lacks that symbol, the import raises
-ImportError. A step whose v or theta would not be positive and finite,
-or whose momentum or temperature matrix is not positive definite, is
-rejected so the driver can retry with a halved dt; the rejection names
-the field or the system that refused it. The step-size limits cfl,
-dt_min and dt_max arrive as plain floats; Scenario is where they are
-range-checked.
+ImportError.
+
+Each thread keeps, for each system size it solves, one set of buffers:
+the diagonal, the off-diagonal and the right-hand side, which ptsv
+overwrites with the solution. ptsv's seven arguments are bound to them
+once, when the buffers are made. momentum_step and temperature_step build
+their bands and right-hand sides straight into those buffers, so a solve
+is one prebound call and one copy of the solution out; tridiagonal_solve
+copies its inputs into them.
+
+A step whose v or theta would not be positive and finite, or whose
+momentum or temperature matrix is not positive definite, is rejected so
+the driver can retry with a halved dt; the rejection names the field or
+the system that refused it. The step-size limits cfl, dt_min and dt_max
+arrive as plain floats; Scenario is where they are range-checked.
 
 Each state that step returns carries its derived fields (grid.DerivedFields),
 made once where the state is made: the strain rate u_x for continuity and
@@ -43,6 +52,7 @@ from __future__ import annotations
 
 import ctypes
 import enum
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -85,12 +95,71 @@ except (OSError, AttributeError) as exc:
         "(the ILP64 dptsv of numpy's OpenBLAS)"
     ) from exc
 _dptsv.restype = None
+# argtypes stays undeclared: every call passes the arguments _System binds,
+# and checking them would add about 1.3 us to a 4 us call at n = 257
 _NRHS = ctypes.c_int64(1)  # read, never written, by dptsv
 
 
 def _double_ref(array: np.ndarray):
     """A Fortran double* to the first entry of a contiguous, writable array."""
     return ctypes.byref(ctypes.c_double.from_buffer(array))
+
+
+class _System:
+    """The reused buffers of one system size n, and ptsv's arguments bound
+    to them: diag (n), off (n - 1) and x, the right-hand side that ptsv
+    overwrites with the solution. The arguments keep the buffers alive."""
+
+    def __init__(self, n: int):
+        self.diag = np.empty(n)
+        # ptsv never reads off when n = 1, but a Fortran pointer needs an
+        # entry to point at
+        bands = np.empty(max(n - 1, 1))
+        self.off = bands[: n - 1]
+        self.x = np.empty(n)
+        self.info = ctypes.c_int64(0)
+        size = ctypes.c_int64(n)
+        self.args = (
+            ctypes.byref(size), ctypes.byref(_NRHS), _double_ref(self.diag),
+            _double_ref(bands), _double_ref(self.x), ctypes.byref(size),
+            ctypes.byref(self.info),
+        )
+
+
+class _Systems(threading.local):
+    """Each thread's _System per size, so threads never share buffers. A
+    step solves at two sizes; the dict keeps the last _KEPT sizes, so a
+    run reuses its buffers while a caller solving at many sizes does not
+    grow it without bound."""
+
+    _KEPT = 4
+
+    def __init__(self):
+        self.by_size: dict[int, _System] = {}
+
+    def get(self, n: int) -> _System:
+        system = self.by_size.get(n)
+        if system is None:
+            if len(self.by_size) >= self._KEPT:
+                del self.by_size[next(iter(self.by_size))]
+            system = self.by_size[n] = _System(n)
+        return system
+
+
+_SYSTEMS = _Systems()
+
+
+def _solve(system: _System, name: str) -> np.ndarray:
+    """Solve the system whose bands and right-hand side are in system's
+    buffers, and return a copy of the solution: the buffers are reused by
+    the next solve at this size, and a returned state keeps its arrays."""
+    _dptsv(*system.args)
+    info = system.info.value
+    if info > 0:
+        raise StepRejected(f"{name} not positive definite (leading minor {info})")
+    if info < 0:
+        raise ValueError(f"ptsv rejected argument {-info}")
+    return system.x.copy()
 
 
 class BoundaryKind(enum.Enum):
@@ -112,38 +181,26 @@ def tridiagonal_solve(
 
     off[i] couples rows i and i+1 both ways. Solved by LAPACK ptsv (numpy's
     own; see the module docstring), which factors the bands and solves in
-    place, so each input is first copied into a contiguous float array:
-    none is overwritten, and strided views, lists and integer arrays are
-    accepted. A matrix that is not positive definite is a StepRejected,
+    place. Each input is first copied into this thread's buffers for its
+    size, the ones the step's own solves use: none is overwritten, and
+    strided views, lists and integer arrays are accepted. The result is a
+    new array. A matrix that is not positive definite is a StepRejected,
     whose message starts with the name of the system, so a step that
     builds one is retried with a smaller dt and an abort says which solve
     failed.
     """
-    diag = np.array(diag, dtype=float)
-    n = diag.shape[0]
-    off = np.array(off, dtype=float)
-    x = np.array(rhs, dtype=float)
-    if diag.ndim != 1 or off.shape != (n - 1,) or x.shape != (n,):
+    shape = np.shape(diag)
+    n = shape[0] if len(shape) == 1 else 0
+    if n == 0 or np.shape(off) != (n - 1,) or np.shape(rhs) != (n,):
         raise ValueError(
-            f"band shapes {off.shape}/{diag.shape} and rhs {x.shape} are "
+            f"band shapes {np.shape(off)}/{shape} and rhs {np.shape(rhs)} are "
             "inconsistent"
         )
-    if n < 2:
-        # ptsv never reads it, but a Fortran pointer needs an entry to point at
-        off = np.zeros(1)
-    size, info = ctypes.c_int64(n), ctypes.c_int64(0)
-    _dptsv(
-        ctypes.byref(size), ctypes.byref(_NRHS), _double_ref(diag),
-        _double_ref(off), _double_ref(x), ctypes.byref(size),
-        ctypes.byref(info),
-    )
-    if info.value > 0:
-        raise StepRejected(
-            f"{system} not positive definite (leading minor {info.value})"
-        )
-    if info.value < 0:
-        raise ValueError(f"ptsv rejected argument {-info.value}")
-    return x
+    buffers = _SYSTEMS.get(n)
+    np.copyto(buffers.diag, diag)
+    np.copyto(buffers.off, off)
+    np.copyto(buffers.x, rhs)
+    return _solve(buffers, system)
 
 
 def compatibility_residual(
@@ -212,16 +269,22 @@ def momentum_step(
     a = state.derived.mu / state.v
     p = state.derived.p
     r = dt / dx**2
-    n = grid.n_nodes
+    # the bands and rhs are built in this size's buffers, every entry by
+    # each branch, with the operations and order of fresh arrays, so the
+    # bits are the same
+    system = _SYSTEMS.get(grid.n_nodes)
+    diag, off, rhs = system.diag, system.off, system.x
 
-    diag = np.ones(n)
-    off = -r * a
-    rhs = state.u.copy()
-
-    diag[1:-1] += r * (a[:-1] + a[1:])
-    rhs[1:-1] -= (dt / dx) * (p[1:] - p[:-1])
+    np.multiply(-r, a, out=off)
+    diag_in, rhs_in = diag[1:-1], rhs[1:-1]
+    np.add(a[:-1], a[1:], out=diag_in)
+    diag_in *= r
+    diag_in += 1.0
+    np.subtract(p[1:], p[:-1], out=rhs_in)
+    rhs_in *= dt / dx
+    np.subtract(state.u[1:-1], rhs_in, out=rhs_in)
     if source is not None:
-        rhs[1:-1] += dt * source[1:-1]
+        rhs_in += dt * source[1:-1]
 
     if bc is BoundaryKind.STRESS_FREE:
         # each wall row is the half-mass control volume's balance divided by
@@ -236,10 +299,11 @@ def momentum_step(
     else:
         # the wall rows are the identity and do not couple to the rows next
         # to them, so the walls come back as exactly 0
+        diag[0] = diag[-1] = 1.0
         off[0] = off[-1] = 0.0
         rhs[0] = rhs[-1] = 0.0
 
-    return tridiagonal_solve(off, diag, rhs, "momentum system")
+    return _solve(system, "momentum system")
 
 
 def continuity_step(
@@ -310,15 +374,28 @@ def temperature_step(
     """
     s = dt / (params.c_v * grid.dx**2)
     kv = conductivity(_extrapolated_temperature(state, previous, dt), params) / new_v
+    # built in this size's buffers with the operations and order of fresh
+    # arrays, as in momentum_step
+    system = _SYSTEMS.get(grid.n_cells)
+    diag, off, rhs = system.diag, system.off, system.x
     # minus s times the interface conductivity: the off-diagonal of A
-    off = (-0.5 * s) * (kv[:-1] + kv[1:])
-    diag = 1.0 + dt * params.R * u_x / (params.c_v * new_v)
+    np.add(kv[:-1], kv[1:], out=off)
+    off *= -0.5 * s
+    # rhs holds c_v v' until the diagonal is built
+    np.multiply(params.c_v, new_v, out=rhs)
+    np.multiply(dt * params.R, u_x, out=diag)
+    diag /= rhs
+    diag += 1.0
     diag[:-1] -= off
     diag[1:] -= off
-    rhs = state.theta + (dt / params.c_v) * (mu * u_x * u_x / new_v)
+    np.multiply(mu, u_x, out=rhs)
+    rhs *= u_x
+    rhs /= new_v
+    rhs *= dt / params.c_v
+    rhs += state.theta
     if source is not None:
-        rhs = rhs + (dt / params.c_v) * source
-    new_theta = tridiagonal_solve(off, diag, rhs, "temperature system")
+        rhs += (dt / params.c_v) * source
+    new_theta = _solve(system, "temperature system")
     if not positive_and_finite(new_theta):
         raise StepRejected("non-positive or non-finite temperature")
     return new_theta

@@ -1,5 +1,8 @@
 import json
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from lagns import (
     stress,
     temperature_step,
     total_energy,
+    tridiagonal_solve,
     viscosity,
     with_derived,
 )
@@ -43,6 +47,26 @@ NS = BoundaryKind.NO_SLIP
 
 def constant_profile():
     return ProfileSpec(name="constant")
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) in a new thread, whose solves start from new buffers."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def same_state(got: State, want: State) -> bool:
+    pairs = [(got.v, want.v), (got.u, want.u), (got.theta, want.theta)]
+    if want.derived is not None:
+        pairs += [
+            (getattr(got.derived, field.name), getattr(want.derived, field.name))
+            for field in fields(want.derived)
+        ]
+    return got.t == want.t and all(same_bits(a, b) for a, b in pairs)
 
 
 def temperature(state, new_u, new_v, dt, params, grid, **kwargs):
@@ -323,6 +347,15 @@ class TestMomentumStep:
                 StepRejected, match="^momentum system not positive definite"
             ):
                 momentum_step(state, 1e-6, params, scenario.bc, grid)
+        # the rejected solve left its factorisation in the buffers of this
+        # size; the next momentum solve at it must not read any of it
+        ordinary = MaterialParams()
+        for bc in (SF, NS):
+            start = compatible_initial_data(ProfileSpec(name="cosine"), ordinary, bc, grid)
+            start = with_derived(start, ordinary, grid)
+            retry = momentum_step(start, 1e-3, ordinary, bc, grid)
+            fresh = in_fresh_thread(momentum_step, start, 1e-3, ordinary, bc, grid)
+            assert same_bits(retry, fresh), bc
 
     def test_manufactured_time_order_at_least_one(self):
         # fine grid pins the spatial error; dt refinement shows first order
@@ -553,9 +586,8 @@ class TestTemperatureStep:
         # and one conductivity evaluation, whatever dt/dx^2 is: N = 64 and
         # 256 with dt = 2/N^2, N = 1024 with CFL dt
         counts = {"solves": 0, "conductivity": 0, "attempts": 0}
-        solve, law, advance = (
-            scheme.tridiagonal_solve, scheme.conductivity, driver.step
-        )
+        # every solve, the step's and tridiagonal_solve's, goes through _solve
+        solve, law, advance = scheme._solve, scheme.conductivity, driver.step
 
         def counted_solve(*args):
             counts["solves"] += 1
@@ -569,7 +601,7 @@ class TestTemperatureStep:
             counts["attempts"] += 1
             return advance(*args, **kwargs)
 
-        monkeypatch.setattr(scheme, "tridiagonal_solve", counted_solve)
+        monkeypatch.setattr(scheme, "_solve", counted_solve)
         monkeypatch.setattr(scheme, "conductivity", counted_law)
         monkeypatch.setattr(driver, "step", counted_step)
         result = run(Scenario(
@@ -725,3 +757,73 @@ class TestDerivedFields:
             assert not np.shares_memory(got, want), name
         assert State(0.0, state.v, state.u, state.theta).copy().derived is None
 
+
+class TestReusedBuffers:
+    """The solves build their systems in buffers kept per thread and size."""
+
+    def test_results_are_not_the_buffers(self, grid, params, cosine_profile):
+        # a state step returns keeps its arrays through the next step at its
+        # size, and two public solves at one size return two arrays
+        state = compatible_initial_data(cosine_profile, params, SF, grid)
+        first = step(with_derived(state, params, grid), 1e-3, params, SF, grid)
+        kept = first.copy()
+        step(first, 1e-3, params, SF, grid)
+        assert same_state(first, kept)
+
+        band, diag = np.zeros(3), np.ones(4)
+        one = tridiagonal_solve(band, diag, [1.0, 2.0, 3.0, 4.0])
+        two = tridiagonal_solve(band, diag, [5.0, 6.0, 7.0, 8.0])
+        assert not np.shares_memory(one, two)
+        np.testing.assert_array_equal(one, [1.0, 2.0, 3.0, 4.0])
+
+    def test_each_step_matches_a_fresh_thread(self, cosine_profile):
+        # steps at one size alternate walls and sources, and follow a
+        # rejected temperature solve, so a branch that leaves an entry of a
+        # buffer unwritten (the no-slip wall rows, say) reads what the last
+        # solve left there; a fresh thread solves in new buffers
+        grid, dt = Grid(16), 1e-3
+        params = MaterialParams()
+        case = manufactured_case("default", params)
+
+        def take(bc, forced):
+            scenario = Scenario(bc=bc, n_cells=16, profile=cosine_profile)
+            start = driver.initial_state(scenario, grid, case if forced else None)
+            start = with_derived(start, params, grid)
+            sources = (
+                [rows[0] for rows in mms_sources(case, grid, [dt])] if forced else None
+            )
+            stress_bc = driver._imposed_wall_stress(case if forced else None, bc, dt)
+            return step(start, dt, params, bc, grid, sources, stress_bc)
+
+        def check(order):
+            for bc, forced in order:
+                assert same_state(take(bc, forced), in_fresh_thread(take, bc, forced))
+
+        order = [(SF, False), (NS, False), (SF, True), (NS, True), (SF, False)]
+        check(order)
+        crushed = State(0.0, np.ones(16), -5.0 * grid.nodes, np.ones(16))
+        with pytest.raises(StepRejected, match="temperature system"):
+            temperature(crushed, crushed.u, crushed.v, 0.5, params, grid)
+        check(order[::-1])
+
+    def test_threads_do_not_share_buffers(self):
+        # four runs at one size in four threads, switching every
+        # microsecond: shared buffers would mix one run's system into another's
+        scenarios = [
+            Scenario(
+                bc=bc, n_cells=64, t_end=0.05, output_every=0.05,
+                dt_max=2.0 / 64**2, mms=mms,
+            )
+            for bc in (SF, NS) for mms in (None, "default")
+        ]
+        serial = [driver.advance(scenario)[1] for scenario in scenarios]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(scenarios)) as pool:
+                futures = [pool.submit(driver.advance, s) for s in scenarios]
+                threaded = [future.result(timeout=120)[1] for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial):
+            assert same_state(got, want)
