@@ -45,7 +45,6 @@ from .scenario import (
 from .scheme import (
     BoundaryKind,
     StepRejected,
-    compatibility_residual,
     continuity_step,
     dt_control,
     momentum_step,
@@ -57,6 +56,7 @@ from .scheme import (
 from .verify import (
     StateBlock,
     boundary_stress_residual,
+    compatibility_residual,
     energy_drift,
     make_accumulator,
     make_tracker,

@@ -6,11 +6,12 @@ output_every, feeds a manufactured run its sources and imposed wall stress,
 and retries a step that scheme.step rejects with halved dt. The one way a
 run aborts is halving dt below dt_min, which stops it with whatever was
 gathered, a reported finding rather than an error. The loop yields each
-accepted step, and two consumers read it:
+accepted step with the wall stress it imposed, and two consumers read it:
 
 - run feeds every accepted step to the representation accumulator and
   the bound tracker, and records a diagnostics row at every multiple of
-  output_every;
+  output_every, whose wall defect is measured against that step's imposed
+  stress (the initial state's against the stress imposed at t = 0);
 - advance keeps only the last state, for callers such as a convergence
   study that read nothing else. Its steps, and so its final state, status
   and halvings, are bit-identical to run's.
@@ -54,6 +55,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -68,7 +70,6 @@ from .scenario import (
 from .scheme import (
     BoundaryKind,
     StepRejected,
-    compatibility_residual,
     dt_control,
     step,
     with_derived,
@@ -78,6 +79,7 @@ from .verify import (
     RepresentationAccumulator,
     StateBlock,
     boundary_stress_residual,
+    compatibility_residual,
     energy_drift,
     make_accumulator,
     make_tracker,
@@ -218,10 +220,12 @@ class _Stepper:
 
     state is the initial state until the iteration starts, None while it
     runs, and the last accepted state (the initial one if none was) once it
-    ends. Iterating yields each accepted step as (state, dt, row_due), where
-    row_due says that the step landed on the next output time. Once the
-    iteration ends, abort_reason says why the run stopped short of t_end
-    (None when it did not) and halvings counts the halved retries.
+    ends. wall_stress(t) is the wall stress imposed at time t. Iterating
+    yields each accepted step as (state, dt, row_due, stress_bc), where
+    row_due says that the step landed on the next output time and stress_bc
+    is the wall stress the step imposed, at state.t. Once the iteration
+    ends, abort_reason says why the run stopped short of t_end (None when
+    it did not) and halvings counts the halved retries.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -235,10 +239,11 @@ class _Stepper:
         self.state: State | None = with_derived(
             initial_state(scenario, self.grid, self.case), scenario.params, self.grid
         )
+        self.wall_stress = partial(_imposed_wall_stress, self.case, scenario.bc)
         self.abort_reason: str | None = None
         self.halvings = 0
 
-    def __iter__(self) -> Iterator[tuple[State, float, bool]]:
+    def __iter__(self) -> Iterator[tuple[State, float, bool, tuple[float, float]]]:
         scenario, grid, case = self.scenario, self.grid, self.case
         params = scenario.params
         bc = scenario.bc
@@ -264,7 +269,7 @@ class _Stepper:
                     sources = (
                         queue.at(state.t, dt, target) if queue is not None else None
                     )
-                    stress_bc = _imposed_wall_stress(case, bc, state.t + dt)
+                    stress_bc = self.wall_stress(state.t + dt)
                     new_state = step(
                         state, dt, params, bc, grid, sources, stress_bc, previous
                     )
@@ -280,7 +285,7 @@ class _Stepper:
 
             previous, state = state, new_state
             row_due = state.t >= out_index * scenario.output_every - eps
-            yield state, dt, row_due
+            yield state, dt, row_due, stress_bc
             if row_due:
                 out_index += 1
         self.state, self.abort_reason, self.halvings = state, abort_reason, halvings
@@ -303,24 +308,24 @@ class _Stepper:
 def run(scenario: Scenario) -> RunResult:
     """Advance the scenario to t_end, collecting diagnostics on the way."""
     stepper = _Stepper(scenario)
-    grid, case, state = stepper.grid, stepper.case, stepper.state
+    grid, state = stepper.grid, stepper.state
     params = scenario.params
     bc = scenario.bc
-    initial_residual = compatibility_residual(state, params, bc, grid)
+    initial_residual = compatibility_residual(
+        state, params, bc, grid, stepper.wall_stress(0.0)
+    )
 
     acc = make_accumulator(state, grid, params)
     tracker = make_tracker(state, grid, params)
     block = _Block(grid)
     rows: list[DiagnosticsRow] = []
 
-    for state, dt, row_due in stepper:
+    for state, dt, row_due, stress_bc in stepper:
         if block.push(state, dt) or row_due:
             block.flush(acc, tracker)
 
         if row_due:
-            resid = boundary_stress_residual(
-                state, params, grid, bc, _imposed_wall_stress(case, bc, state.t)
-            )
+            resid = boundary_stress_residual(state, params, grid, bc, stress_bc)
             energy = total_energy(state, grid, params.c_v)
             rows.append(
                 DiagnosticsRow(

@@ -159,7 +159,7 @@ def compatible_initial_data(
     to quadrature accuracy. No-slip runs take the profile's own u0. The
     sampled state is checked by State.validate before it is returned; how
     well it meets the walls' conditions is measured by
-    scheme.compatibility_residual.
+    verify.compatibility_residual.
     """
     v0, theta0, _ = profile.sample(grid.centers)
     v_nodes, theta_nodes, u0 = profile.sample(grid.nodes)

@@ -41,11 +41,6 @@ from constitutive.volume_terms), and the pressure last. The next momentum
 update, each retry of it at a halved dt, and the instruments of
 lagns.verify read them instead of evaluating the laws again. with_derived
 gives initial data the same fields.
-
-Initial data is sampled by scenario.compatible_initial_data. Whether a
-state meets its walls' conditions is measured here, by
-compatibility_residual alone; the "initial compatibility" row of
-`lagns verify` applies it to the initial state.
 """
 
 from __future__ import annotations
@@ -63,19 +58,16 @@ from .constitutive import (
     conductivity,
     pressure,
     sound_speed,
-    stress,
+    stress,  # noqa: F401  (bench/spans.py traces lagns.scheme.stress)
     viscosity,  # noqa: F401  (bench/spans.py traces lagns.scheme.viscosity)
     volume_terms,
 )
-from .grid import (
-    DerivedFields, Grid, State, du_dx_cells, positive_and_finite, wall_values
-)
+from .grid import DerivedFields, Grid, State, du_dx_cells, positive_and_finite
 
 __all__ = [
     "BoundaryKind",
     "StepRejected",
     "tridiagonal_solve",
-    "compatibility_residual",
     "dt_control",
     "momentum_step",
     "continuity_step",
@@ -201,30 +193,6 @@ def tridiagonal_solve(
     np.copyto(buffers.off, off)
     np.copyto(buffers.x, rhs)
     return _solve(buffers, system)
-
-
-def compatibility_residual(
-    state: State, params: MaterialParams, bc: BoundaryKind, grid: Grid
-) -> np.ndarray:
-    """Boundary-condition defect of a state, as four non-negative scalars.
-
-    Stress-free: wall stress estimates (two-cell linear extrapolation) at
-    each end. No-slip: |u| at each end. Both: wall temperature gradients
-    from a quadratic fit through the three nearest cells.
-    """
-    if bc is BoundaryKind.STRESS_FREE:
-        sigma = stress(state.v, state.theta, du_dx_cells(state.u, grid), params)
-        left, right = wall_values(sigma)
-        first, second = abs(left), abs(right)
-    else:
-        first = abs(float(state.u[0]))
-        second = abs(float(state.u[-1]))
-    # quadratic fit through the three cell centers nearest each wall,
-    # evaluated at the wall; second-order, unlike a plain one-sided difference
-    theta, dx = state.theta, grid.dx
-    grad_left = (-2.0 * theta[0] + 3.0 * theta[1] - theta[2]) / dx
-    grad_right = (2.0 * theta[-1] - 3.0 * theta[-2] + theta[-3]) / dx
-    return np.array([first, second, abs(grad_left), abs(grad_right)])
 
 
 def dt_control(

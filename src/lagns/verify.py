@@ -41,6 +41,13 @@ as the 1-D ``@`` does (einsum and a 2-D matrix-vector product round
 differently), and sums, extrema and cumulative sums reduce each row on its
 own. The running sums and extrema are then folded row by row in step
 order, so the results are bit-identical to feeding the steps one at a time.
+
+The walls' conditions are measured here alone: boundary_stress_residual
+is the velocity condition's defect at each end (|wall stress - imposed
+stress| on stress-free walls, |u| on no-slip ones), and
+compatibility_residual adds the insulated walls' temperature gradients. A
+run judges its initial state by the latter and each output row by the
+former, both against the wall stress imposed at that time.
 """
 
 from __future__ import annotations
@@ -84,6 +91,7 @@ __all__ = [
     "update_bounds",
     "energy_drift",
     "boundary_stress_residual",
+    "compatibility_residual",
 ]
 
 
@@ -445,3 +453,21 @@ def boundary_stress_residual(
     sigma = stress(state.v, state.theta, du_dx_cells(state.u, grid), params)
     left, right = wall_values(sigma)
     return abs(left - stress_bc[0]), abs(right - stress_bc[1])
+
+
+def compatibility_residual(
+    state: State,
+    params: MaterialParams,
+    bc: BoundaryKind,
+    grid: Grid,
+    stress_bc: tuple[float, float] = (0.0, 0.0),
+) -> np.ndarray:
+    """Boundary-condition defect of a state, as four non-negative scalars:
+    boundary_stress_residual's two, then the wall temperature gradients of
+    a quadratic fit through the three cell centers nearest each wall
+    (second order, unlike a plain one-sided difference)."""
+    left, right = boundary_stress_residual(state, params, grid, bc, stress_bc)
+    theta, dx = state.theta, grid.dx
+    grad_left = (-2.0 * theta[0] + 3.0 * theta[1] - theta[2]) / dx
+    grad_right = (2.0 * theta[-1] - 3.0 * theta[-2] + theta[-3]) / dx
+    return np.array([left, right, abs(grad_left), abs(grad_right)])

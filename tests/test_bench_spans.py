@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -10,6 +11,15 @@ import lagns.driver
 from lagns.driver import RunResult
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "lagns"
+# the module-level imports that only the traced benchmark reads: each is
+# kept so that a bench/spans.py target resolves, and goes with its target
+BENCH_ONLY_IMPORTS = {
+    ("lagns.driver", "velocity_band_check"),
+    ("lagns.scheme", "stress"),
+    ("lagns.scheme", "viscosity"),
+    ("lagns.verify", "pressure"),
+}
 
 
 def load_bench_module(name):
@@ -27,6 +37,56 @@ def test_trace_targets_resolve():
     for module_name, attr, _, _ in spans.TARGETS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def module_imports(tree):
+    """The names a module's top-level import statements bind."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+
+
+def module_exports(tree):
+    """The names in a module's literal __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_used_exported_or_traced():
+    # an import a module neither reads nor exports is kept only if the
+    # traced benchmark wraps it there, so a bench-only import cannot outlive
+    # its target; the package __init__ is exempt, its imports are its
+    # re-exports
+    spans = load_bench_module("spans")
+    targets = {(module, attr) for module, attr, _, _ in spans.TARGETS}
+    unexplained, bench_only = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = f"lagns.{path.stem}"
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        exported = module_exports(tree)
+        for name in module_imports(tree):
+            if name in read or name in exported:
+                continue
+            if (module, name) in targets:
+                bench_only.add((module, name))
+            else:
+                unexplained.append(f"{module}.{name}")
+    assert unexplained == []
+    assert bench_only == BENCH_ONLY_IMPORTS
 
 
 def test_step_counter_sees_a_cli_run(tmp_path, monkeypatch):

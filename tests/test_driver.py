@@ -16,10 +16,12 @@ from lagns import (
     Scenario,
     State,
     advance,
+    boundary_stress_residual,
     compatible_initial_data,
     load_config,
     make_accumulator,
     make_tracker,
+    manufactured_case,
     parse_config,
     representation_residual,
     run,
@@ -397,6 +399,33 @@ class TestAdvance:
         run(Scenario(n_cells=16, t_end=0.2, output_every=0.1))
         assert len(made) == 1
         assert alive[:3] == [True, True, False]
+
+
+class TestWallDefects:
+    """The t = 0 defect and each row's are one measure, each against the
+    wall stress imposed at its own time."""
+
+    def test_forced_stress_free_run_measures_the_imposed_stress(self):
+        scenario = Scenario(
+            bc=BoundaryKind.STRESS_FREE, n_cells=16, t_end=0.05,
+            output_every=0.05, mms="default", dt_max=1.0 / 256,
+        )
+        result = run(scenario)
+        grid, params, bc = result.grid, scenario.params, scenario.bc
+        case = manufactured_case("default", params)
+        start = driver.initial_state(scenario, grid, case)
+        want = boundary_stress_residual(start, params, grid, bc, case.wall_stress(0.0))
+        assert bits(result.initial_residual[:2]) == bits(np.array(want))
+
+        (row,) = result.report.rows
+        got = np.array([row.boundary_resid_left, row.boundary_resid_right])
+        imposed = case.wall_stress(row.t)
+        want = boundary_stress_residual(result.state, params, grid, bc, imposed)
+        assert bits(got) == bits(np.array(want))
+        # the defect against zero stress is O(1) here, not a discretization
+        # error, so measuring against it would be a different check
+        unforced = boundary_stress_residual(result.state, params, grid, bc)
+        assert np.all(got < 0.01) and np.all(np.array(unforced) > 0.5)
 
 
 class TestVerificationTable:
