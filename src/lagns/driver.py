@@ -43,9 +43,11 @@ evaluate their one time. A call holds at most max(1, BLOCK_VALUES //
 124, 63, 31 and 15 times at N = 16, 32, 64 and 128. A row is used only at
 its exact time, so the results never depend on the prediction.
 
-The instruments read each state's derived fields (see lagns.scheme). The
-initial state gets its fields from scheme.with_derived; the final state
-that run and advance return drops them. The state before the newest is
+The instruments read each state's derived fields, and dt_control, the
+bound tracker and the output rows read its extrema, the min and max of v
+and theta that the step's gates found (see lagns.scheme). The initial
+state gets both from scheme.with_derived; the final state that run and
+advance return drops them. The state before the newest is
 kept as it is and passed to scheme.step, which extrapolates the
 conductivity's temperature through it.
 """
@@ -332,10 +334,10 @@ def run(scenario: Scenario) -> RunResult:
                     t=state.t,
                     energy=energy,
                     energy_drift=energy_drift(tracker, energy),
-                    min_v=float(np.min(state.v)),
-                    max_v=float(np.max(state.v)),
-                    min_theta=float(np.min(state.theta)),
-                    max_theta=float(np.max(state.theta)),
+                    min_v=state.extrema.v_min,
+                    max_v=state.extrema.v_max,
+                    min_theta=state.extrema.theta_min,
+                    max_theta=state.extrema.theta_max,
                     repr_residual=representation_residual(state, acc, grid),
                     boundary_resid_left=resid[0],
                     boundary_resid_right=resid[1],

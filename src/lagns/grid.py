@@ -11,7 +11,9 @@ Cells have uniform width dx = 1/N; cell centers sit at (i + 1/2)*dx.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +21,9 @@ __all__ = [
     "Grid",
     "State",
     "DerivedFields",
-    "positive_and_finite",
+    "Extrema",
+    "positive_extrema",
+    "state_extrema",
     "node_weights",
     "cell_integral",
     "du_dx_cells",
@@ -75,9 +79,37 @@ class DerivedFields:
         )
 
 
-def positive_and_finite(f: np.ndarray) -> bool:
-    """Whether every value of f lies in (0, inf); a NaN anywhere fails."""
-    return bool(0.0 < f.min() and f.max() < np.inf)
+class Extrema(NamedTuple):
+    """The least and largest values of a state's v and theta."""
+
+    v_min: float
+    v_max: float
+    theta_min: float
+    theta_max: float
+
+
+def positive_extrema(
+    f: np.ndarray, message: str, error: type[Exception] = ValueError
+) -> tuple[float, float]:
+    """(min f, max f) when every value of f lies in (0, inf); otherwise
+    raise error(message). A NaN anywhere fails. This is the one positivity
+    rule of a state: State.validate applies it to initial data and the
+    gates of scheme.step to every stepped state, which keep the extremes."""
+    # the ufuncs' reduce is what f.min() and f.max() call; calling it
+    # directly skips their Python wrapper, four times per step
+    low, high = float(np.minimum.reduce(f)), float(np.maximum.reduce(f))
+    if not (0.0 < low and high < math.inf):
+        raise error(message)
+    return low, high
+
+
+def state_extrema(v: np.ndarray, theta: np.ndarray) -> Extrema:
+    """The Extrema of a state's v and theta, which must be positive and
+    finite; the ValueError names the field that is not."""
+    return Extrema(
+        *positive_extrema(v, "v must be positive and finite"),
+        *positive_extrema(theta, "theta must be positive and finite"),
+    )
 
 
 @dataclass
@@ -88,9 +120,12 @@ class State:
     is finite: validate checks initial data, and the gates of scheme.step
     check every stepped state.
 
-    derived holds the state's DerivedFields, or None for a state that does
-    not carry them: initial data before scheme.with_derived, and the final
-    state of a run's result.
+    derived holds the state's DerivedFields, and extrema the Extrema of its
+    v and theta, or None for a state that does not carry them: initial data
+    before scheme.with_derived, and the final state of a run's result. Both
+    describe the arrays as they were made; a state is never changed in
+    place, so a caller that changes a copy's fields must build the state
+    again (with scheme.with_derived) rather than keep the copy's.
     """
 
     t: float
@@ -98,6 +133,7 @@ class State:
     u: np.ndarray
     theta: np.ndarray
     derived: DerivedFields | None = None
+    extrema: Extrema | None = None
 
     def copy(self) -> "State":
         return replace(
@@ -118,10 +154,7 @@ class State:
                 raise ValueError(f"{name} has shape {shape}, expected ({n},)")
         if not np.isfinite(self.u).all():
             raise ValueError("u must be finite")
-        if not positive_and_finite(self.v):
-            raise ValueError("v must be positive and finite")
-        if not positive_and_finite(self.theta):
-            raise ValueError("theta must be positive and finite")
+        state_extrema(self.v, self.theta)
 
 
 def node_weights(grid: Grid) -> np.ndarray:

@@ -41,12 +41,24 @@ from constitutive.volume_terms), and the pressure last. The next momentum
 update, each retry of it at a halved dt, and the instruments of
 lagns.verify read them instead of evaluating the laws again. with_derived
 gives initial data the same fields.
+
+Each such state also carries the extrema of its v and theta
+(grid.Extrema). They are made where the state is admitted: the gates of
+continuity_step and temperature_step reduce v' and theta' to their min
+and max to check them (grid.positive_extrema) and return both, and
+with_derived finds them for a given state. Later readers take them
+instead of reducing the arrays again: dt_control skips the sound-speed
+pass when the cap binds, _extrapolated_temperature skips the pass over
+its guess when a bound proves it positive, and the bound tracker
+(lagns.verify) and the output rows (lagns.driver) copy them.
 """
 
 from __future__ import annotations
 
 import ctypes
 import enum
+import math
+import sys
 import threading
 from dataclasses import replace
 
@@ -62,7 +74,15 @@ from .constitutive import (
     viscosity,  # noqa: F401  (bench/spans.py traces lagns.scheme.viscosity)
     volume_terms,
 )
-from .grid import DerivedFields, Grid, State, du_dx_cells, positive_and_finite
+from .grid import (
+    DerivedFields,
+    Extrema,
+    Grid,
+    State,
+    du_dx_cells,
+    positive_extrema,
+    state_extrema,
+)
 
 __all__ = [
     "BoundaryKind",
@@ -90,6 +110,8 @@ _dptsv.restype = None
 # argtypes stays undeclared: every call passes the arguments _System binds,
 # and checking them would add about 1.3 us to a 4 us call at n = 257
 _NRHS = ctypes.c_int64(1)  # read, never written, by dptsv
+# the rounding margin of _extrapolated_temperature's positivity bound
+_GUARD_EPS = 4.0 * sys.float_info.epsilon
 
 
 def _double_ref(array: np.ndarray):
@@ -207,7 +229,25 @@ def dt_control(
     given, then floored at dt_min; state must be positive and finite.
 
     Diffusion is implicit, so only the sound-crossing scale restricts dt.
+
+    When dt_max is given and the state carries its extrema, the limit is
+    first bounded from below without a pass over the cells:
+
+        B = cfl * dx * (v_min / sqrt(gamma R theta_max)),
+
+    with the operations and operand order of the cell-wise limit. Correctly
+    rounded *, / and sqrt are monotone in each positive operand, and
+    gamma R theta_max >= gamma R theta_i, v_min <= v_i, so each rounded
+    step of B is at most the same step for cell i: B is at most the limit
+    the cells give, float for float. When B >= dt_max the cap binds either
+    way, and the result is max(dt_max, dt_min), the bits the cells would
+    give, with no sound speed evaluated. Any other case takes the pass.
     """
+    extrema = state.extrema
+    if dt_max is not None and extrema is not None:
+        c_max = math.sqrt(params.gamma * params.R * extrema.theta_max)
+        if cfl * grid.dx * (extrema.v_min / c_max) >= dt_max:
+            return max(dt_max, dt_min)
     c = sound_speed(state.theta, params)
     dt = cfl * grid.dx * float((state.v / c).min())
     if dt_max is not None:
@@ -279,17 +319,18 @@ def continuity_step(
     u_x: np.ndarray,
     dt: float,
     source: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[float, float]]:
     """Exact discrete volume update v' = v + dt * u'_x per cell, from the
-    end-of-step strain rate u_x = du_dx_cells(u')."""
+    end-of-step strain rate u_x = du_dx_cells(u'). Returns v' and its
+    (min, max), which the gate that admits it computes."""
     new_v = state.v + dt * u_x
     if source is not None:
         new_v = new_v + dt * source
     # this gate guards u' too: every node bounds a cell, so a u' that is not
     # finite makes some u'_x infinite or NaN, and with it that cell's v'
-    if not positive_and_finite(new_v):
-        raise StepRejected("non-positive or non-finite volume")
-    return new_v
+    return new_v, positive_extrema(
+        new_v, "non-positive or non-finite volume", StepRejected
+    )
 
 
 def _extrapolated_temperature(
@@ -304,11 +345,41 @@ def _extrapolated_temperature(
     with theta = state.theta, or theta itself when there is no previous
     state. A guess that is not positive everywhere falls back to theta,
     since the conductivity takes a power of it.
+
+    When both states carry their extrema, the guess is known positive
+    without a pass over it if c = -dt/h, as computed, is <= 0, and if, with
+    p = previous.theta,
+
+        L = (1 - c) theta_min + c p_max
+          > 4 eps (1 - c)(theta_max + p_max) + tiny
+
+    in floats (eps = 2**-52, tiny the least normal float), with L finite.
+    In exact arithmetic (1 - c) theta_i + c p_i >= L. Rounding: guess_i
+    takes three operations, the difference p_i - theta_i, the product and
+    the sum. The first two move it by at most
+    (1 - c) |p_i - theta_i| (eps + eps**2/4), where
+    |p_i - theta_i| <= theta_max + p_max, and the rounded sum of two
+    floats is zero only when their exact sum is. The four operations that
+    form L move it by at most (1 - c)(1.51 theta_min + 1.01 p_max) eps.
+    Products that fall below the normal range add at most 2**-1075 each,
+    which tiny covers. So the sum that guess_i rounds exceeds
+    L - 2.52 eps (1 - c)(theta_max + p_max) - tiny/2 > 0, and the margin
+    keeps a factor of 1.5 over that, enough for its own rounding. The step
+    before an output row can make c << -1, which scales both sides alike.
+    Otherwise guess.min() decides, so the result has the same bits either
+    way.
     """
     theta = state.theta
     if previous is None:
         return theta
-    guess = theta + (-dt / (state.t - previous.t)) * (previous.theta - theta)
+    c = -dt / (state.t - previous.t)
+    guess = theta + c * (previous.theta - theta)
+    here, before = state.extrema, previous.extrema
+    if c <= 0.0 and here is not None and before is not None:
+        low = (1.0 - c) * here.theta_min + c * before.theta_max
+        margin = _GUARD_EPS * (1.0 - c) * (here.theta_max + before.theta_max)
+        if margin + sys.float_info.min < low < math.inf:
+            return guess
     return guess if guess.min() > 0.0 else theta
 
 
@@ -322,7 +393,7 @@ def temperature_step(
     grid: Grid,
     source: np.ndarray | None = None,
     previous: State | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[float, float]]:
     """Backward-Euler temperature update with linearly implicit conductivity.
 
     u_x and mu are the end-of-step strain rate and the viscosity of new_v.
@@ -338,7 +409,8 @@ def temperature_step(
     1 + dt R u_x / (c_v v) <= 0 in some cell, rejects the step, and so does
     a theta' that is not positive and finite everywhere. Without a source a
     non-positive theta' cannot happen: a positive-definite A(theta*) is an
-    M-matrix, and rhs >= state.theta > 0.
+    M-matrix, and rhs >= state.theta > 0. Returns theta' and its
+    (min, max), which that gate computes.
     """
     s = dt / (params.c_v * grid.dx**2)
     kv = conductivity(_extrapolated_temperature(state, previous, dt), params) / new_v
@@ -364,9 +436,9 @@ def temperature_step(
     if source is not None:
         rhs += (dt / params.c_v) * source
     new_theta = _solve(system, "temperature system")
-    if not positive_and_finite(new_theta):
-        raise StepRejected("non-positive or non-finite temperature")
-    return new_theta
+    return new_theta, positive_extrema(
+        new_theta, "non-positive or non-finite temperature", StepRejected
+    )
 
 
 def step(
@@ -392,25 +464,30 @@ def step(
     state must carry its derived fields (see with_derived), and the state
     returned carries its own: u'_x, made once for continuity and
     temperature, the volume power and mu(v'), made once for temperature,
-    and P(v', theta').
+    and P(v', theta'). It also carries the extrema of v' and theta' that
+    the two gates found.
     """
     s_v, s_u, s_theta = sources if sources is not None else (None, None, None)
     new_u = momentum_step(state, dt, params, bc, grid, stress_bc, s_u)
     u_x = du_dx_cells(new_u, grid)
-    new_v = continuity_step(state, u_x, dt, s_v)
+    new_v, v_range = continuity_step(state, u_x, dt, s_v)
     v_power, mu = volume_terms(new_v, params)
-    new_theta = temperature_step(
+    new_theta, theta_range = temperature_step(
         state, u_x, new_v, mu, dt, params, grid, s_theta, previous
     )
     derived = DerivedFields(u_x, v_power, mu, pressure(new_v, new_theta, params))
-    return State(state.t + dt, new_v, new_u, new_theta, derived)
+    extrema = Extrema(*v_range, *theta_range)
+    return State(state.t + dt, new_v, new_u, new_theta, derived, extrema)
 
 
 def with_derived(state: State, params: MaterialParams, grid: Grid) -> State:
-    """The state with its derived fields, made as step makes them for the
-    states it returns; a run applies it to its initial state."""
+    """The state with its derived fields and its extrema, made as step makes
+    them for the states it returns; a run applies it to its initial state.
+    v and theta must be positive and finite (ValueError otherwise)."""
     v_power, mu = volume_terms(state.v, params)
     derived = DerivedFields(
         du_dx_cells(state.u, grid), v_power, mu, pressure(state.v, state.theta, params)
     )
-    return replace(state, derived=derived)
+    return replace(
+        state, derived=derived, extrema=state_extrema(state.v, state.theta)
+    )

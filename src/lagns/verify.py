@@ -28,14 +28,17 @@ one call. A block of one state views its state's arrays; a longer one
 stacks copies of them. Each state carries the derived fields that its step
 made (DerivedFields): the tracker reads the strain rate, the viscosity and
 the pressure, and the accumulator the volume power v**-alpha, so no
-instrument evaluates a material law again. The accumulator takes ln d1 of
-the block from one cumulative velocity integral, so d1 itself is never
-formed. Each instrument also keeps what its next fold needs of the newest
-state it has seen (the accumulator its integrand, the tracker its
-velocities and left-rectangle terms), so a block holds only the states
-after it. Nearly all of a per-step call's cost is the overhead
-of its small numpy calls, so a block of K steps costs about one step's
-overhead. Every row-wise operation computes each row exactly as the 1-D
+instrument evaluates a material law again. Each state also carries the
+extrema of its v and theta (grid.Extrema), which the gates of its step
+found while admitting it; the tracker's least v and theta and the
+largest theta behind its time integral are those, not new reductions.
+The accumulator takes ln d1 of the block from one cumulative velocity
+integral, so d1 itself is never formed. Each instrument also keeps what
+its next fold needs of the newest state it has seen (the accumulator its
+integrand, the tracker its velocities and left-rectangle terms), so a
+block holds only the states after it. Nearly all of a per-step call's
+cost is the overhead of its small numpy calls, so a block of K steps
+costs about one step's overhead. Every row-wise operation computes each row exactly as the 1-D
 operation on that state would: np.vecdot makes one BLAS dot call per row,
 as the 1-D ``@`` does (einsum and a 2-D matrix-vector product round
 differently), and sums, extrema and cumulative sums reduce each row on its
@@ -66,6 +69,7 @@ from .constitutive import (
 )
 from .grid import (
     DerivedFields,
+    Extrema,
     Grid,
     State,
     cumulative_u_integral,
@@ -104,22 +108,24 @@ def _rows(arrays: list[np.ndarray]) -> np.ndarray:
 @dataclass
 class StateBlock:
     """Consecutive accepted states of a run, one row per state, each with
-    its derived fields (derived holds one row per state in each field);
-    dt[i] is the step that made row i, from the state before it.
+    its derived fields (derived holds one row per state in each field) and
+    its extrema (extrema[i] are row i's); dt[i] is the step that made row
+    i, from the state before it.
     """
 
     v: np.ndarray
     u: np.ndarray
     theta: np.ndarray
     derived: DerivedFields
+    extrema: list[Extrema]
     dt: np.ndarray
 
     @classmethod
     def of(cls, states: list[State], dts: list[float]) -> "StateBlock":
         """The block of consecutive states, each carrying its derived
-        fields, where dts[i] is the step that made states[i]. The fields of
-        one state are views of its arrays; those of several stack copies,
-        one row per state."""
+        fields and extrema, where dts[i] is the step that made states[i].
+        The fields of one state are views of its arrays; those of several
+        stack copies, one row per state."""
         derived = [state.derived for state in states]
         return cls(
             _rows([state.v for state in states]),
@@ -131,6 +137,7 @@ class StateBlock:
                 _rows([d.mu for d in derived]),
                 _rows([d.p for d in derived]),
             ),
+            [state.extrema for state in states],
             np.array(dts, dtype=float),
         )
 
@@ -347,13 +354,17 @@ def _fold_states(
     dx * sum(u_x**2) for the strain rate) written with the same operand
     order, so the results are bit-identical; min and max of several
     arguments compare them in turn, as a fold of one state at a time would.
+    The least v and theta and the largest theta of a row are its state's
+    extrema, which the gates that admitted the state found by reducing the
+    same arrays.
     """
     v, u, theta = block.v, block.u, block.theta
     g = block.derived.u_x
     dv = v[:, 1:] - v[:, :-1]
     dtheta = theta[:, 1:] - theta[:, :-1]
-    tracker.min_v = min(tracker.min_v, *v.min(axis=1).tolist())
-    tracker.min_theta = min(tracker.min_theta, *theta.min(axis=1).tolist())
+    extrema = block.extrema
+    tracker.min_v = min(tracker.min_v, *(e.v_min for e in extrema))
+    tracker.min_theta = min(tracker.min_theta, *(e.theta_min for e in extrema))
     tracker.sup_grad_v_sq = max(
         tracker.sup_grad_v_sq, *(np.vecdot(dv, dv) / dx).tolist()
     )
@@ -369,7 +380,7 @@ def _fold_states(
     np.subtract(u[:, 2:], uxx, out=uxx)
     uxx += u[:, :-2]
     uxx /= dx**2
-    max_theta = [tracker.last_max_theta, *theta.max(axis=1).tolist()]
+    max_theta = [tracker.last_max_theta, *(e.theta_max for e in extrema)]
     uxx_sq = [tracker.last_uxx_sq, *np.vecdot(uxx, uxx).tolist()]
     tracker.last_u = u[-1]
     tracker.last_max_theta, tracker.last_uxx_sq = max_theta.pop(), uxx_sq.pop()

@@ -52,6 +52,23 @@ GOLDEN = {
 # --levels 3`: the observed-order contract, pinned to the printed digits
 CONVERGENCE_DIGEST = "5636e3109338970ee7b685129435218e75354daf9f419f3c043b943fb25fe60a"
 
+# runs where the cap dt_max binds, which no GOLDEN config does (they are
+# CFL-limited) and CONVERGENCE_DIGEST sees only to 4 printed digits:
+# sha256 of (timeseries.csv, snapshot.csv) of configs/default.json at
+# N = 64 with dt_max = 2/N^2, written as `lagns run` writes them
+CAPPED_RUN_DIGESTS = (
+    "2b8602881fe0479279106feb326741cf83dbd44d48cbe6e2e53649f741de05ee",
+    "70d15d98ccb99195679c8220223c6b7c6e4e3d3d7b335334316addec1ade8a64",
+)
+# and sha256 of the float64 bytes of the final v, u and theta of each level
+# of `lagns convergence --config configs/mms_default.json --levels 3`
+# (dt = dx^2), by n_cells
+CAPPED_LEVEL_DIGESTS = {
+    16: "13d17dc616db3dd2b7ddfe04b7e379c961a1ea929ba4456991b453506c6c7b64",
+    32: "3e019e413f62b21f37d4185f10dc91a021d0e1592088c4f405b81f1b4d678bdb",
+    64: "3c09b24ed67cdc44528f71b657f7c98796b1cf2a79c1e1b55a943777df3bbfa8",
+}
+
 
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
@@ -172,6 +189,20 @@ class TestCmdRun:
         for file, want in zip(("timeseries.csv", "snapshot.csv"), GOLDEN[name]):
             got = hashlib.sha256((out / file).read_bytes()).hexdigest()
             assert got == want, f"configs/{name}.json: {file} sha256 {got} != {want}"
+
+    def test_capped_run_outputs(self, tmp_path):
+        # the acoustic limit of the initial state is 15 times the cap
+        scenario = replace(
+            lagns.load_config(CONFIGS / "default.json"), n_cells=64,
+            dt_max=2.0 / 64**2,
+        )
+        result = lagns.run(scenario)
+        assert result.report.status == "completed"
+        lagns.emit_timeseries(result.report, tmp_path / "timeseries.csv")
+        lagns.emit_snapshot(result.state, result.grid, tmp_path / "snapshot.csv")
+        for file, want in zip(("timeseries.csv", "snapshot.csv"), CAPPED_RUN_DIGESTS):
+            got = hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+            assert got == want, f"{file} sha256 {got} != {want}"
 
     def test_noslip_steady_stays_at_rest(self, tmp_path):
         out = tmp_path / "noslip_steady"
@@ -389,6 +420,16 @@ class TestCmdConvergence:
         out = capsys.readouterr().out
         assert "min observed order" in out
         assert hashlib.sha256(out.encode()).hexdigest() == CONVERGENCE_DIGEST
+
+    def test_capped_levels_final_states(self):
+        # the levels as cmd_convergence builds them, each stepped by advance
+        base = lagns.load_config(CONFIGS / "mms_default.json")
+        for n, want in CAPPED_LEVEL_DIGESTS.items():
+            dx = 1.0 / n
+            _, state, report = lagns.advance(replace(base, n_cells=n, dt_max=dx * dx))
+            assert report.status == "completed" and report.halvings == 0
+            fields = b"".join(a.tobytes() for a in (state.v, state.u, state.theta))
+            assert hashlib.sha256(fields).hexdigest() == want, f"n_cells = {n}"
 
     def test_four_levels_keep_second_order(self, capsys):
         assert cli.cmd_convergence(str(CONFIGS / "mms_default.json"), 4) == 0

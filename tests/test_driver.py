@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 import weakref
@@ -44,6 +45,16 @@ ABORT_SCENARIO = Scenario(
     dt_min=2e-3,
     cfl=1.0,
 )
+
+# a CFL-limited no-slip run in which two step attempts are rejected and
+# retried at a halved dt
+HALVING_SCENARIO = Scenario(
+    bc=BoundaryKind.NO_SLIP,
+    profile=ProfileSpec(name="cosine", amplitudes=(("u_amp", 50.0),)),
+    n_cells=32, t_end=0.05, output_every=0.01, cfl=1.0,
+)
+# a refinement run whose cap dt_max = 2/N^2 binds on every step
+CAPPED_SCENARIO = Scenario(n_cells=64, t_end=0.1, output_every=0.05, dt_max=2.0 / 64**2)
 
 
 class TestRun:
@@ -208,12 +219,7 @@ class TestBlockFold:
 class TestDerivedFieldsOnce:
     @pytest.mark.parametrize("scenario, halvings", [
         pytest.param(Scenario(n_cells=64, t_end=0.2), 0, id="default"),
-        # two steps are rejected and retried at a halved dt
-        pytest.param(Scenario(
-            bc=BoundaryKind.NO_SLIP,
-            profile=ProfileSpec(name="cosine", amplitudes=(("u_amp", 50.0),)),
-            n_cells=32, t_end=0.05, output_every=0.01, cfl=1.0,
-        ), 2, id="halvings"),
+        pytest.param(HALVING_SCENARIO, 2, id="halvings"),
     ])
     def test_volume_power_once_per_attempt(self, monkeypatch, scenario, halvings):
         # the volume power v**-alpha is evaluated once per step attempt, by
@@ -254,6 +260,85 @@ class TestDerivedFieldsOnce:
         # the one law evaluated is mu(inf), once per run, which weighs the
         # volume representation
         assert law_volumes == [np.inf]
+
+
+class TestStateExtrema:
+    """The gates of a step find its state's extrema once; dt_control, the
+    theta* guard, the tracker and the output rows read them."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Count the sound-speed evaluations and the step attempts and
+        accepted steps of the runs that follow, and record the accepted
+        states with the steps that made them."""
+        counts = {"sound_speed": 0, "attempts": 0, "steps": 0}
+        states, dts = [], []
+        law, advance = scheme.sound_speed, driver.step
+
+        def counted_law(*args):
+            counts["sound_speed"] += 1
+            return law(*args)
+
+        def counted_step(state, dt, *args, **kwargs):
+            counts["attempts"] += 1
+            new_state = advance(state, dt, *args, **kwargs)
+            counts["steps"] += 1
+            if not states:
+                states.append(state)
+            states.append(new_state)
+            dts.append(dt)
+            return new_state
+
+        monkeypatch.setattr(scheme, "sound_speed", counted_law)
+        monkeypatch.setattr(driver, "step", counted_step)
+        return counts, states, dts
+
+    def test_capped_run_evaluates_no_sound_speed(self, monkeypatch):
+        counts, _, _ = self.counted(monkeypatch)
+        result = run(CAPPED_SCENARIO)
+        assert result.report.status == "completed"
+        assert counts["steps"] == counts["attempts"] > 200
+        assert counts["sound_speed"] == 0
+
+    def test_cfl_limited_run_evaluates_one_per_step(self, monkeypatch):
+        # dt_control runs once per accepted step: a rejected attempt is
+        # retried at half its dt, which evaluates no limit again
+        counts, _, _ = self.counted(monkeypatch)
+        result = run(HALVING_SCENARIO)
+        assert result.report.status == "completed"
+        assert counts["attempts"] - counts["steps"] == result.report.halvings == 2
+        assert counts["sound_speed"] == counts["steps"]
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(CAPPED_SCENARIO, id="capped"),
+        pytest.param(HALVING_SCENARIO, id="halvings"),
+    ])
+    def test_tracker_and_rows_match_a_reduction_of_every_state(
+        self, monkeypatch, scenario
+    ):
+        _, states, dts = self.counted(monkeypatch)
+        result = run(scenario)
+        assert result.report.status == "completed"
+        tracker = result.tracker
+        min_v = min_theta = math.inf
+        int_max_theta = 0.0
+        for state in states:
+            min_v = min(min_v, float(np.min(state.v)))
+            min_theta = min(min_theta, float(np.min(state.theta)))
+        for before, dt in zip(states, dts):
+            int_max_theta += dt * float(np.max(before.theta))
+        assert repr(tracker.min_v) == repr(min_v)
+        assert repr(tracker.min_theta) == repr(min_theta)
+        assert repr(tracker.int_max_theta) == repr(int_max_theta)
+        at = {state.t: state for state in states}
+        for row in result.report.rows:
+            state = at[row.t]
+            columns = (row.min_v, row.max_v, row.min_theta, row.max_theta)
+            want = (
+                np.min(state.v), np.max(state.v), np.min(state.theta),
+                np.max(state.theta),
+            )
+            assert list(map(repr, columns)) == list(map(repr, map(float, want)))
 
 
 def mms_scenario(n_cells):

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_banded
 
 from lagns import driver, scheme
@@ -70,11 +72,16 @@ def same_state(got: State, want: State) -> bool:
 
 
 def temperature(state, new_u, new_v, dt, params, grid, **kwargs):
-    """temperature_step after the end-of-step velocity new_u and volume
-    new_v, with the strain rate and viscosity that step passes it."""
+    """theta' of temperature_step after the end-of-step velocity new_u and
+    volume new_v, with the strain rate and viscosity that step passes it;
+    the gate's (min, max) that it also returns must be theta''s own."""
     u_x = du_dx_cells(new_u, grid)
     mu = viscosity(new_v, params)
-    return temperature_step(state, u_x, new_v, mu, dt, params, grid, **kwargs)
+    new_theta, extremes = temperature_step(
+        state, u_x, new_v, mu, dt, params, grid, **kwargs
+    )
+    assert extremes == (new_theta.min(), new_theta.max())
+    return new_theta
 
 
 bases = st.floats(min_value=1e-3, max_value=1e3)
@@ -204,7 +211,93 @@ class TestCompatibilityResidual:
         assert resid[0] == 1.0 and resid[1] == 1.0
 
 
+def decades(n, low=-6.0, high=6.0):
+    """Arrays of n positive floats 10**e, e uniform in [low, high]."""
+    return hnp.arrays(np.float64, n, elements=st.floats(low, high)).map(
+        lambda e: 10.0**e
+    )
+
+
+@st.composite
+def acoustic_draws(draw):
+    """A state (without extrema), a material, cfl, dt_min and dt_max; the
+    cap is None, any value, or within 2 ulps of the acoustic limit or of
+    the extrema's lower bound on it."""
+    n = draw(st.integers(2, 24))
+    state = State(0.0, draw(decades(n)), np.zeros(n + 1), draw(decades(n)))
+    params = MaterialParams(
+        R=draw(st.floats(0.1, 10.0)), c_v=draw(st.floats(0.1, 10.0))
+    )
+    grid = Grid(n)
+    cfl = draw(st.floats(0.05, 2.0))
+    dt_min = draw(st.sampled_from([0.0, 1e-300, 1e-12, 1e-6]))
+    limit = cfl * grid.dx * float((state.v / np.sqrt(
+        params.gamma * params.R * state.theta
+    )).min())
+    bound = cfl * grid.dx * (
+        state.v.min() / math.sqrt(params.gamma * params.R * state.theta.max())
+    )
+    mode = draw(st.sampled_from(["none", "any", "limit", "bound"]))
+    if mode == "none":
+        dt_max = None
+    elif mode == "any":
+        dt_max = 10.0 ** draw(st.floats(-12.0, 2.0))
+    else:
+        dt_max = float(limit if mode == "limit" else bound)
+        ulps = draw(st.integers(-2, 2))
+        for _ in range(abs(ulps)):
+            dt_max = math.nextafter(dt_max, math.inf if ulps > 0 else 0.0)
+    return state, grid, params, cfl, dt_min, dt_max
+
+
+def reference_extrapolated_temperature(state, previous, dt):
+    """The linear start with its positivity guard written as one pass over
+    the guess: the oracle of scheme._extrapolated_temperature."""
+    theta = state.theta
+    if previous is None:
+        return theta
+    guess = theta + (-dt / (state.t - previous.t)) * (previous.theta - theta)
+    return guess if guess.min() > 0.0 else theta
+
+
+@st.composite
+def extrapolation_draws(draw):
+    """Two states h apart and a step dt, with dt/h in [1e-6, 1e6]: theta
+    over 12 decades, and the previous theta either as wide or within a
+    relative 1e-12 ... 0.9 of theta, so the guess is often positive; each
+    state with or without its extrema."""
+    n = draw(st.integers(2, 24))
+    theta = draw(decades(n))
+    if draw(st.booleans()):
+        previous_theta = draw(decades(n))
+    else:
+        spread = 10.0 ** draw(st.floats(-12.0, 0.0))
+        relative = draw(hnp.arrays(np.float64, n, elements=st.floats(-0.9, 0.9)))
+        previous_theta = theta * (1.0 + spread * relative)
+    t = draw(st.floats(0.0, 10.0))
+    h = 10.0 ** draw(st.floats(-8.0, 0.0))
+    dt = h * 10.0 ** draw(st.floats(-6.0, 6.0))
+    params, grid = MaterialParams(), Grid(n)
+    states = []
+    for time, values in ((t + h, theta), (t, previous_theta)):
+        bare = State(time, np.ones(n), np.zeros(n + 1), values)
+        measured = draw(st.booleans())
+        states.append(with_derived(bare, params, grid) if measured else bare)
+    return states[0], states[1], dt
+
+
 class TestDtControl:
+    @settings(deadline=None, max_examples=300)
+    @given(draw=acoustic_draws())
+    def test_extrema_give_the_bits_of_the_cells(self, draw):
+        # the cap test on the extrema returns what the pass over the cells
+        # returns, float for float, caps a few ulps from the limit included
+        state, grid, params, cfl, dt_min, dt_max = draw
+        measured = with_derived(state, params, grid)
+        want = dt_control(state, grid, params, cfl, dt_min, dt_max)
+        got = dt_control(measured, grid, params, cfl, dt_min, dt_max)
+        assert repr(got) == repr(want)
+
     def test_exact_formula(self):
         grid = Grid(100)
         state = State(0.0, np.ones(100), np.zeros(101), np.ones(100))
@@ -379,18 +472,22 @@ class TestMomentumStep:
 class TestContinuityStep:
     def test_uniform_velocity_preserves_volume(self, grid, uniform_state):
         u_x = du_dx_cells(np.full(grid.n_nodes, 2.0), grid)
-        new_v = continuity_step(uniform_state, u_x, 0.1)
+        new_v, extremes = continuity_step(uniform_state, u_x, 0.1)
         np.testing.assert_array_equal(new_v, uniform_state.v)
+        assert extremes == (1.0, 1.0)
 
     def test_linear_velocity_adds_dt(self, grid, uniform_state):
-        new_v = continuity_step(uniform_state, du_dx_cells(grid.nodes, grid), 0.25)
+        new_v, _ = continuity_step(
+            uniform_state, du_dx_cells(grid.nodes, grid), 0.25
+        )
         np.testing.assert_allclose(new_v, uniform_state.v + 0.25)
 
     def test_compatible_start_grows_half_dt(self, grid):
         params = MaterialParams(alpha=0.0)
         state = compatible_initial_data(constant_profile(), params, SF, grid)
-        new_v = continuity_step(state, du_dx_cells(state.u, grid), 0.1)
+        new_v, extremes = continuity_step(state, du_dx_cells(state.u, grid), 0.1)
         np.testing.assert_allclose(new_v, state.v + 0.05)
+        assert extremes == (new_v.min(), new_v.max())
 
     def test_collapse_rejected(self, grid, uniform_state):
         crushing = -10.0 * grid.nodes
@@ -477,6 +574,32 @@ class TestTemperatureStep:
         np.testing.assert_allclose(start, at(t + dt).theta, rtol=1e-14, atol=0)
         assert scheme._extrapolated_temperature(state, None, dt) is state.theta
 
+    @settings(deadline=None, max_examples=300)
+    @given(draw=extrapolation_draws())
+    def test_extrema_guard_gives_the_bits_of_one_pass(self, draw):
+        state, previous, dt = draw
+        want = reference_extrapolated_temperature(state, previous, dt)
+        got = scheme._extrapolated_temperature(state, previous, dt)
+        assert same_bits(got, want)
+
+    def test_extrema_guard_keeps_its_rounding_margin(self, params):
+        # c = -dt/h = -0.3068 with h = 1: the bound (1 - c) 20.15 + c 85.82
+        # rounds to 3.6e-15 > 0, yet every entry of the guess rounds to 0,
+        # so it is unusable; only the margin tells the two apart
+        theta, previous_theta = 20.147926442611013, 85.82491479202778
+        dt = 0.30677299536664776
+        grid = Grid(4)
+
+        def at(t, value):
+            bare = State(t, np.ones(4), np.zeros(5), np.full(4, value))
+            return with_derived(bare, params, grid)
+
+        state, previous = at(1.0, theta), at(0.0, previous_theta)
+        assert (1.0 + dt) * theta - dt * previous_theta > 0.0
+        assert theta - dt * (previous_theta - theta) == 0.0
+        got = scheme._extrapolated_temperature(state, previous, dt)
+        assert got is state.theta
+
     @staticmethod
     def _trajectory(params, cosine_profile):
         # a refinement-like trajectory: N = 256, dt = 2/N^2, a few steps in
@@ -489,7 +612,7 @@ class TestTemperatureStep:
             new = step(state, dt, params, SF, grid, previous=previous)
             previous, state = state, new
         new_u = momentum_step(state, dt, params, SF, grid)
-        new_v = continuity_step(state, du_dx_cells(new_u, grid), dt)
+        new_v, _ = continuity_step(state, du_dx_cells(new_u, grid), dt)
         return grid, dt, previous, state, new_u, new_v
 
     @pytest.mark.parametrize("depth", [0, 1])
@@ -520,16 +643,19 @@ class TestTemperatureStep:
             params, cosine_profile
         )
         # equal steps make the guess 2 theta - theta_prev, so in cell 7 it
-        # is 2 theta - 3 theta = -theta: it is unusable
-        bad = previous.copy()
-        bad.theta[7] = 3.0 * state.theta[7]
+        # is 2 theta - 3 theta = -theta: it is unusable, whether or not the
+        # previous state carries its extrema
+        theta = previous.theta.copy()
+        theta[7] = 3.0 * state.theta[7]
+        bare = State(previous.t, previous.v, previous.u, theta)
         cold = temperature(state, new_u, new_v, dt, params, grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            fallback = temperature(
-                state, new_u, new_v, dt, params, grid, previous=bad
-            )
-        np.testing.assert_array_equal(fallback, cold)
+        for bad in (bare, with_derived(bare, params, grid)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                fallback = temperature(
+                    state, new_u, new_v, dt, params, grid, previous=bad
+                )
+            np.testing.assert_array_equal(fallback, cold)
 
     @staticmethod
     def _picard_fixed_point(state, u_x, new_v, mu, dt, params, grid):
@@ -567,9 +693,9 @@ class TestTemperatureStep:
         for dt in (2e-3, 1e-3, 5e-4):
             new_u = momentum_step(state, dt, params, SF, grid)
             u_x = du_dx_cells(new_u, grid)
-            new_v = continuity_step(state, u_x, dt)
+            new_v, _ = continuity_step(state, u_x, dt)
             mu = viscosity(new_v, params)
-            got = temperature_step(state, u_x, new_v, mu, dt, params, grid)
+            got, _ = temperature_step(state, u_x, new_v, mu, dt, params, grid)
             fixed = self._picard_fixed_point(state, u_x, new_v, mu, dt, params, grid)
             errors.append(np.max(np.abs(got - fixed)))
             assert errors[-1] <= 1.5 * beta * dt**2

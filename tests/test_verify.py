@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lagns import driver, scheme, verify
+from lagns import cli, driver, scheme, verify
 from lagns import (
     BoundaryKind,
     DerivedFields,
@@ -702,6 +702,37 @@ class TestSchemeMutants:
             assert failed, "no row of verify caught the mutant"
         else:
             assert failed == caught, [c.detail for c in checks]
+
+
+class TestConvergenceMutants:
+    """The convergence column of ROADMAP item 3's mutation table: `lagns
+    convergence` on configs/mms_default.json from N = 8, 3 levels, with each
+    scheme defect of TestSchemeMutants patched into lagns.scheme. The study
+    exits 1 when its min observed order falls below the required 1.7."""
+
+    @pytest.mark.parametrize("name, mutant, code", [
+        pytest.param(None, None, 0, id="none"),
+        pytest.param(
+            "continuity_step", scaled_continuity, 1, id="continuity_u_x_1.01"
+        ),
+        pytest.param("momentum_step", scaled_momentum_dt, 1, id="momentum_dt_1.02"),
+        pytest.param(
+            "conductivity", near_constant_conductivity, 1, id="kappa_beta_1e-12"
+        ),
+        pytest.param(
+            "temperature_step", scaled_heating(0.0), 1, id="no_viscous_heating"
+        ),
+    ])
+    def test_study_catches_mutant(
+        self, monkeypatch, tmp_path, capsys, name, mutant, code
+    ):
+        payload = json.loads((CONFIGS / "mms_default.json").read_text())
+        path = tmp_path / "mms_default_n8.json"
+        path.write_text(json.dumps({**payload, "n_cells": 8}))
+        if name is not None:
+            monkeypatch.setattr(scheme, name, mutant(getattr(scheme, name)))
+        assert cli.cmd_convergence(str(path), 3) == code
+        assert "min observed order" in capsys.readouterr().out
 
 
 class TestEnergyDrift:
