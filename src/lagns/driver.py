@@ -150,6 +150,14 @@ def initial_state(scenario: Scenario, grid: Grid, case: MmsCase | None) -> State
     return compatible_initial_data(scenario.profile, scenario.params, scenario.bc, grid)
 
 
+def _reached(t: float, target: float) -> bool:
+    """Whether a run at time t has reached the time target. A step that
+    lands on the target can miss it by the rounding of t + (target - t),
+    so t counts within a relative 1e-12 below it: the tolerance scales
+    with the run's own times, however small they are."""
+    return t >= target - 1e-12 * target
+
+
 def _imposed_wall_stress(
     case: MmsCase | None, bc: BoundaryKind, t: float
 ) -> tuple[float, float]:
@@ -257,9 +265,8 @@ class _Stepper:
         halvings = 0
         abort_reason: str | None = None
         out_index = 1
-        eps = 1e-12
 
-        while state.t < scenario.t_end - eps:
+        while not _reached(state.t, scenario.t_end):
             dt = dt_control(
                 state, grid, params, scenario.cfl, scenario.dt_min, scenario.dt_max
             )
@@ -286,7 +293,7 @@ class _Stepper:
                 break
 
             previous, state = state, new_state
-            row_due = state.t >= out_index * scenario.output_every - eps
+            row_due = _reached(state.t, out_index * scenario.output_every)
             yield state, dt, row_due, stress_bc
             if row_due:
                 out_index += 1

@@ -12,7 +12,7 @@ Cells have uniform width dx = 1/N; cell centers sit at (i + 1/2)*dx.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,11 +73,6 @@ class DerivedFields:
     mu: np.ndarray
     p: np.ndarray
 
-    def copy(self) -> "DerivedFields":
-        return DerivedFields(
-            self.u_x.copy(), self.v_power.copy(), self.mu.copy(), self.p.copy()
-        )
-
 
 class Extrema(NamedTuple):
     """The least and largest values of a state's v and theta."""
@@ -122,10 +117,9 @@ class State:
 
     derived holds the state's DerivedFields, and extrema the Extrema of its
     v and theta, or None for a state that does not carry them: initial data
-    before scheme.with_derived, and the final state of a run's result. Both
-    describe the arrays as they were made; a state is never changed in
-    place, so a caller that changes a copy's fields must build the state
-    again (with scheme.with_derived) rather than keep the copy's.
+    before scheme.with_derived, a copy, and the final state of a run's
+    result. Both describe the arrays as they were made, and a state is
+    never changed in place.
     """
 
     t: float
@@ -136,13 +130,10 @@ class State:
     extrema: Extrema | None = None
 
     def copy(self) -> "State":
-        return replace(
-            self,
-            v=self.v.copy(),
-            u=self.u.copy(),
-            theta=self.theta.copy(),
-            derived=None if self.derived is None else self.derived.copy(),
-        )
+        """A bare state (no derived fields or extrema) with copies of the
+        arrays, free to be written in place; scheme.with_derived measures
+        it again."""
+        return State(self.t, self.v.copy(), self.u.copy(), self.theta.copy())
 
     def validate(self, grid: Grid) -> None:
         """Check shapes against the grid, that u is finite, and that v and

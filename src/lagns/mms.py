@@ -18,7 +18,8 @@ jet_sources turns fields given as jets (value, first and second
 x-derivative, t-derivative) into the sources by the chain rule. For the
 family, each part of a jet is an x-only factor, cos(pi x) or sin(pi x),
 times a coefficient made from three t-scalars. mms_sources keeps the
-factors per grid and MmsCase.wall_stress keeps them at the walls.
+factors per grid; MmsCase.wall_stress, called once per step attempt of a
+forced stress-free run, evaluates them at the two walls.
 
 One mms_sources call covers many times, one row per time: the coefficients
 are computed with math one time at a time and stacked into columns, and the
@@ -29,7 +30,6 @@ each row is then bit-identical to a call at its time alone.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -115,13 +115,9 @@ class MmsCase:
         return self._sources(_factors(x), self._coefficients(t))
 
     def wall_stress(self, t: float) -> np.ndarray:
-        """The stress at x = 0 and x = 1, from factors evaluated once."""
-        v, u = self._jets(self._at_walls, self._coefficients(t))
+        """The stress at x = 0 and x = 1."""
+        v, u = self._jets(_factors(np.array([0.0, 1.0])), self._coefficients(t))
         return stress(v[0], v[0], u[1], self.params)
-
-    @functools.cached_property
-    def _at_walls(self) -> tuple[np.ndarray, np.ndarray]:
-        return _factors(np.array([0.0, 1.0]))
 
     def _sources(self, factors: tuple[np.ndarray, np.ndarray], coefficients):
         v, u = self._jets(factors, coefficients)

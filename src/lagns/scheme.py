@@ -46,11 +46,10 @@ Each such state also carries the extrema of its v and theta
 (grid.Extrema). They are made where the state is admitted: the gates of
 continuity_step and temperature_step reduce v' and theta' to their min
 and max to check them (grid.positive_extrema) and return both, and
-with_derived finds them for a given state. Later readers take them
-instead of reducing the arrays again: dt_control skips the sound-speed
-pass when the cap binds, _extrapolated_temperature skips the pass over
-its guess when a bound proves it positive, and the bound tracker
-(lagns.verify) and the output rows (lagns.driver) copy them.
+with_derived finds them for a given state. Three readers take them
+instead of reducing the arrays again: dt_control, which skips the
+sound-speed pass when the cap binds, and the bound tracker (lagns.verify)
+and the output rows (lagns.driver), which copy them.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from __future__ import annotations
 import ctypes
 import enum
 import math
-import sys
 import threading
 from dataclasses import replace
 
@@ -110,8 +108,6 @@ _dptsv.restype = None
 # argtypes stays undeclared: every call passes the arguments _System binds,
 # and checking them would add about 1.3 us to a 4 us call at n = 257
 _NRHS = ctypes.c_int64(1)  # read, never written, by dptsv
-# the rounding margin of _extrapolated_temperature's positivity bound
-_GUARD_EPS = 4.0 * sys.float_info.epsilon
 
 
 def _double_ref(array: np.ndarray):
@@ -345,41 +341,11 @@ def _extrapolated_temperature(
     with theta = state.theta, or theta itself when there is no previous
     state. A guess that is not positive everywhere falls back to theta,
     since the conductivity takes a power of it.
-
-    When both states carry their extrema, the guess is known positive
-    without a pass over it if c = -dt/h, as computed, is <= 0, and if, with
-    p = previous.theta,
-
-        L = (1 - c) theta_min + c p_max
-          > 4 eps (1 - c)(theta_max + p_max) + tiny
-
-    in floats (eps = 2**-52, tiny the least normal float), with L finite.
-    In exact arithmetic (1 - c) theta_i + c p_i >= L. Rounding: guess_i
-    takes three operations, the difference p_i - theta_i, the product and
-    the sum. The first two move it by at most
-    (1 - c) |p_i - theta_i| (eps + eps**2/4), where
-    |p_i - theta_i| <= theta_max + p_max, and the rounded sum of two
-    floats is zero only when their exact sum is. The four operations that
-    form L move it by at most (1 - c)(1.51 theta_min + 1.01 p_max) eps.
-    Products that fall below the normal range add at most 2**-1075 each,
-    which tiny covers. So the sum that guess_i rounds exceeds
-    L - 2.52 eps (1 - c)(theta_max + p_max) - tiny/2 > 0, and the margin
-    keeps a factor of 1.5 over that, enough for its own rounding. The step
-    before an output row can make c << -1, which scales both sides alike.
-    Otherwise guess.min() decides, so the result has the same bits either
-    way.
     """
     theta = state.theta
     if previous is None:
         return theta
-    c = -dt / (state.t - previous.t)
-    guess = theta + c * (previous.theta - theta)
-    here, before = state.extrema, previous.extrema
-    if c <= 0.0 and here is not None and before is not None:
-        low = (1.0 - c) * here.theta_min + c * before.theta_max
-        margin = _GUARD_EPS * (1.0 - c) * (here.theta_max + before.theta_max)
-        if margin + sys.float_info.min < low < math.inf:
-            return guess
+    guess = theta + (-dt / (state.t - previous.t)) * (previous.theta - theta)
     return guess if guess.min() > 0.0 else theta
 
 

@@ -68,6 +68,13 @@ CAPPED_LEVEL_DIGESTS = {
     32: "3e019e413f62b21f37d4185f10dc91a021d0e1592088c4f405b81f1b4d678bdb",
     64: "3c09b24ed67cdc44528f71b657f7c98796b1cf2a79c1e1b55a943777df3bbfa8",
 }
+# a forced stress-free run, the one kind that imposes a manufactured wall
+# stress at every step: sha256 of (timeseries.csv, snapshot.csv) of the
+# "default" case at N = 16 with dt_max = 1/256 to t = 0.05
+FORCED_STRESS_FREE_DIGESTS = (
+    "bc3e0e8dc469bb256cb47be0f2d2d5f24db12e9b92652bb6beb558a77b48188b",
+    "e3ca0bfc2daefbb84477747e5169967591c22cf2761afbcfe5a68d700618b8af",
+)
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -190,19 +197,32 @@ class TestCmdRun:
             got = hashlib.sha256((out / file).read_bytes()).hexdigest()
             assert got == want, f"configs/{name}.json: {file} sha256 {got} != {want}"
 
+    @staticmethod
+    def assert_run_digests(scenario, tmp_path, digests):
+        """Run the scenario, write its outputs as `lagns run` writes them,
+        and check their sha256 against digests."""
+        result = lagns.run(scenario)
+        assert result.report.status == "completed"
+        lagns.emit_timeseries(result.report, tmp_path / "timeseries.csv")
+        lagns.emit_snapshot(result.state, result.grid, tmp_path / "snapshot.csv")
+        for file, want in zip(("timeseries.csv", "snapshot.csv"), digests):
+            got = hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+            assert got == want, f"{file} sha256 {got} != {want}"
+
     def test_capped_run_outputs(self, tmp_path):
         # the acoustic limit of the initial state is 15 times the cap
         scenario = replace(
             lagns.load_config(CONFIGS / "default.json"), n_cells=64,
             dt_max=2.0 / 64**2,
         )
-        result = lagns.run(scenario)
-        assert result.report.status == "completed"
-        lagns.emit_timeseries(result.report, tmp_path / "timeseries.csv")
-        lagns.emit_snapshot(result.state, result.grid, tmp_path / "snapshot.csv")
-        for file, want in zip(("timeseries.csv", "snapshot.csv"), CAPPED_RUN_DIGESTS):
-            got = hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
-            assert got == want, f"{file} sha256 {got} != {want}"
+        self.assert_run_digests(scenario, tmp_path, CAPPED_RUN_DIGESTS)
+
+    def test_forced_stress_free_outputs(self, tmp_path):
+        scenario = lagns.Scenario(
+            bc=lagns.BoundaryKind.STRESS_FREE, n_cells=16, t_end=0.05,
+            output_every=0.05, mms="default", dt_max=1.0 / 256,
+        )
+        self.assert_run_digests(scenario, tmp_path, FORCED_STRESS_FREE_DIGESTS)
 
     def test_noslip_steady_stays_at_rest(self, tmp_path):
         out = tmp_path / "noslip_steady"

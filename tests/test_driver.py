@@ -74,6 +74,20 @@ class TestRun:
         assert times == pytest.approx([0.1, 0.2], abs=1e-14)
         assert result.state.t == pytest.approx(0.25, abs=1e-14)
 
+    @pytest.mark.parametrize("t_end, n_rows", [(5e-12, 50), (1e-12, 10)])
+    def test_picosecond_run_reaches_t_end(self, t_end, n_rows):
+        # reaching t_end or an output time is judged relative to that time:
+        # an absolute 1e-12 stopped these runs, still "completed", at
+        # t = 4e-12 with 40 rows and at t = 0 with none
+        result = run(parse_config(json.dumps({
+            "n_cells": 16, "t_end": t_end, "output_every": 1e-13, "dt_min": 1e-14,
+        })))
+        assert result.report.status == "completed"
+        assert result.state.t == pytest.approx(t_end, rel=1e-12)
+        times = [row.t for row in result.report.rows]
+        want = [k * 1e-13 for k in range(1, n_rows + 1)]
+        assert times == pytest.approx(want, rel=1e-12)
+
     def test_rows_strictly_increasing(self):
         result = run(Scenario(n_cells=32, t_end=0.3, output_every=0.05))
         times = [row.t for row in result.report.rows]
@@ -264,7 +278,7 @@ class TestDerivedFieldsOnce:
 
 class TestStateExtrema:
     """The gates of a step find its state's extrema once; dt_control, the
-    theta* guard, the tracker and the output rows read them."""
+    tracker and the output rows read them."""
 
     @staticmethod
     def counted(monkeypatch):
