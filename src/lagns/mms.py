@@ -17,9 +17,9 @@ reaches down to 0.1, where kappa = kappa_tilde theta**beta degenerates.
 jet_sources turns fields given as jets (value, first and second
 x-derivative, t-derivative) into the sources by the chain rule. For the
 family, each part of a jet is an x-only factor, cos(pi x) or sin(pi x),
-times a coefficient made from three t-scalars. mms_sources keeps the
-factors per grid; MmsCase.wall_stress, called once per step attempt of a
-forced stress-free run, evaluates them at the two walls.
+times a coefficient made from three t-scalars. mms_sources evaluates the
+factors at a grid's centers and nodes on each call; MmsCase.wall_stress,
+called once per step attempt of a forced stress-free run, at the two walls.
 
 One mms_sources call covers many times, one row per time: the coefficients
 are computed with math one time at a time and stacked into columns, and the
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,11 +84,6 @@ def jet_sources(params: MaterialParams, v, u, theta):
     return s_v, s_u, s_theta, sigma
 
 
-def _factors(x) -> tuple[np.ndarray, np.ndarray]:
-    """The x-only factors cos(pi x) and sin(pi x) of the family."""
-    return np.cos(np.pi * x), np.sin(np.pi * x)
-
-
 @dataclass(frozen=True)
 class MmsCase:
     """A named case of the family: its fields and their sources."""
@@ -96,32 +91,25 @@ class MmsCase:
     name: str
     amplitude: float
     params: MaterialParams
-    # the factors at each grid's centers then nodes, kept by mms_sources
-    _on_grid: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def v(self, x: np.ndarray, t: float) -> np.ndarray:
-        return 1.0 + self.amplitude * math.exp(-t) * np.cos(np.pi * x)
+        return self._jets(x, self._coefficients(t))[0][0]
 
     def u(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.amplitude * math.sin(math.pi * t) * np.sin(np.pi * x)
+        return self._jets(x, self._coefficients(t))[1][0]
 
     def theta(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.v(x, t)
 
     def sources(self, x: np.ndarray, t: float):
         """(s_v, s_u, s_theta, sigma) at any points x."""
-        return self._sources(_factors(x), self._coefficients(t))
+        v, u = self._jets(x, self._coefficients(t))
+        return jet_sources(self.params, v, u, v)
 
     def wall_stress(self, t: float) -> np.ndarray:
         """The stress at x = 0 and x = 1."""
-        v, u = self._jets(_factors(np.array([0.0, 1.0])), self._coefficients(t))
+        v, u = self._jets(np.array([0.0, 1.0]), self._coefficients(t))
         return stress(v[0], v[0], u[1], self.params)
-
-    def _sources(self, factors: tuple[np.ndarray, np.ndarray], coefficients):
-        v, u = self._jets(factors, coefficients)
-        return jet_sources(self.params, v, u, v)
 
     def _coefficients(self, t: float) -> tuple[float, ...]:
         """The coefficients at t of the factors in the jets of v* and of
@@ -141,11 +129,12 @@ class MmsCase:
         )
 
     @staticmethod
-    def _jets(factors: tuple[np.ndarray, np.ndarray], coefficients):
-        """The jets of v* (which are theta*'s) and of u* at the points of
-        the factors. The coefficients are floats, or columns with a row per
-        time that multiply the factor rows."""
-        cos, sin = factors
+    def _jets(x, coefficients):
+        """The jets of v* (which are theta*'s) and of u* at the points x,
+        through their x-only factors cos(pi x) and sin(pi x). The
+        coefficients are floats, or columns with a row per time that
+        multiply the factor rows."""
+        cos, sin = np.cos(np.pi * x), np.sin(np.pi * x)
         c = coefficients
         return (
             (1.0 + c[0] * cos, c[1] * sin, c[2] * cos, c[3] * cos),
@@ -175,14 +164,10 @@ def mms_sources(
     theta), one row per time.
 
     One evaluation covers every time, and the cell centers followed by the
-    nodes; their x-only factors are evaluated on a grid's first use and
-    kept. Each row has the bits of a call at its time alone.
+    nodes. Each row has the bits of a call at its time alone.
     """
-    factors = case._on_grid.get(grid)
-    if factors is None:
-        points = np.concatenate((grid.centers, grid.nodes))
-        factors = case._on_grid[grid] = _factors(points)
     columns = np.array([case._coefficients(t) for t in times]).T[..., None]
-    s_v, s_u, s_theta, _ = case._sources(factors, columns)
+    v, u = case._jets(np.concatenate((grid.centers, grid.nodes)), columns)
+    s_v, s_u, s_theta, _ = jet_sources(case.params, v, u, v)
     n = grid.n_cells
     return s_v[:, :n], s_u[:, n:], s_theta[:, :n]

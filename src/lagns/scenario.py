@@ -308,6 +308,11 @@ def parse_config(text: str) -> Scenario:
     _reject_unknown(
         raw, {"material", "bc", "profile", "n_cells", "mms", *scalar_keys}, "config"
     )
+    if raw.get("mms") is not None and "profile" in raw:
+        raise ConfigError(
+            "config sets both 'mms' and 'profile'; a manufactured run takes its "
+            "initial data from the mms case"
+        )
 
     material = raw.get("material", {})
     if not isinstance(material, dict):

@@ -261,9 +261,12 @@ def representation_residual(
     """Relative max-norm defect of the closed-form volume representation.
 
     Exactly zero at t = 0 for any positive v0 and either alpha branch,
-    since both exponents are exactly 0 there.
+    since both exponents are exactly 0 there. The accumulator's time must
+    match the state's within a relative 1e-12: inside a run both clocks add
+    the same steps in the same order, and the bound scales with the run's
+    own times, however small they are.
     """
-    if abs(acc.t - state.t) > 1e-9 * max(1.0, abs(state.t)):
+    if abs(acc.t - state.t) > 1e-12 * abs(state.t):
         raise ValueError(
             f"accumulator at t = {acc.t} is out of sync with state at t = {state.t}"
         )

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import lagns.cli
 import lagns.driver
+import lagns.scenario
 from lagns.driver import RunResult
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -122,3 +124,56 @@ def test_step_counter_sees_a_convergence_study(monkeypatch, capsys):
     assert Counter(cells) == {16: 64, 32: 256, 64: 1024}
     assert captured == []
     assert lagns.driver.step is step and lagns.cli.run is run
+
+
+# TARGETS span names that no workload records today: each name leaves this
+# set when ROADMAP item 9 retargets the spans to the calls that run
+DEAD_SPANS = {
+    "constitutive.pressure",
+    "scheme.tridiagonal_solve",
+    "verify.velocity_band_check",
+    "verify.velocity_integral_factor",
+}
+
+
+def tiny_job(workload, out):
+    """A job of the workload at N = 16 for a few steps, with its config
+    written where its entry point reads it."""
+    config = dict(workload["config"], n_cells=16, t_end=0.01, output_every=0.01)
+    if workload["seeded"]:
+        config["profile"] = {"name": "cosine", "amplitudes": {"v_amp": 0.2}}
+    out.mkdir()
+    path = out / "config.json"
+    path.write_text(json.dumps(config))
+    job = {key: workload[key] for key in ("kind", "levels", "alphas", "betas")
+           if key in workload}
+    job.update(config=str(path), out=str(out / "out"))
+    if "dt_max" in workload:
+        job["dt_max"] = 2.0 / 16**2
+    return job
+
+
+def test_every_span_but_the_dead_records_a_call(tmp_path, monkeypatch):
+    # a refactor that moves a call away from a traced name leaves its span
+    # empty, and the traced metrics read 0 instead of failing; each workload's
+    # entry point runs here, as bench/worker.py calls it, under the tracer
+    spans = load_bench_module("spans")
+    monkeypatch.setitem(sys.modules, "spans", spans)
+    worker = load_bench_module("worker")
+    run = load_bench_module("run")
+    tracer = spans.Tracer()
+    for name, workload in run.WORKLOADS.items():
+        job = tiny_job(workload, tmp_path / name)
+        scenario = lagns.scenario.load_config(job["config"])
+        if "dt_max" in job:
+            scenario = dataclasses.replace(scenario, dt_max=job["dt_max"])
+        call, _ = worker.KINDS[job["kind"]]
+        with tracer.installed():
+            value = call(job, scenario, Path(job["out"]))
+        assert tracer.restored, name
+        if job["kind"] == "refine":
+            assert value.report.status == "completed", name
+        else:
+            assert value == 0, name
+    recorded = {name for name, rec in tracer.summary().items() if rec["calls"]}
+    assert {name for _, _, name, _ in spans.TARGETS} - recorded == DEAD_SPANS

@@ -273,6 +273,16 @@ def test_bad_mms_name_exits_two(command, name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
+def test_mms_with_profile_exits_two(command, tmp_path, capsys):
+    # a manufactured run takes its initial data from the case, so a profile
+    # beside it would be silently ignored
+    path = write_config(tmp_path, {"mms": "default", "profile": {"name": "cosine"}})
+    assert COMMANDS[command](path, str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config sets both 'mms' and 'profile'")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_duplicate_key_exits_two(command, tmp_path, capsys):
     # the decoder would run with the last t_end and record no row
     path = tmp_path / "cfg.json"
@@ -429,7 +439,7 @@ class TestCmdConvergence:
 
     def test_constant_case_reports_rounding_floor(self, tmp_path, capsys):
         path = write_config(tmp_path, {
-            "mms": "constant", "bc": "no_slip", "profile": {"name": "constant"},
+            "mms": "constant", "bc": "no_slip",
             "n_cells": 8, "t_end": 0.05, "output_every": 0.05,
         })
         assert cli.cmd_convergence(path, 3) == 0

@@ -373,8 +373,7 @@ class TestCompiledSources:
             assert_bits_equal(s_theta, case.sources(grid.centers, t)[2])
 
     def test_x_only_outputs_are_fresh_arrays(self):
-        # the case keeps its x-only factors per grid; no array it returns
-        # may be one of them, or share memory with an earlier result
+        # no array a case returns may share memory with an earlier result
         case = manufactured_case("default", MaterialParams())
         grid = Grid(8)
         first = (case.wall_stress(0.5), *mms_sources(case, grid, [0.5]))

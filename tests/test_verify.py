@@ -177,6 +177,18 @@ class TestRepresentationAccumulator:
         with pytest.raises(ValueError, match="out of sync"):
             representation_residual(ahead, acc, grid)
 
+    def test_out_of_sync_time_raises_at_small_t(self, grid, params, uniform_state):
+        # the time bound is relative to the state's time, so it holds at any
+        # scale: an accumulator left at t = 0 is out of sync with a state at
+        # t = 5e-12, and one folded to that time is in sync
+        acc = make_accumulator(with_derived(uniform_state, params, grid), grid, params)
+        later = uniform_state.copy()
+        later.t = 5e-12
+        with pytest.raises(ValueError, match="out of sync"):
+            representation_residual(later, acc, grid)
+        advance(acc, [uniform_state, later], [5e-12], grid)
+        assert representation_residual(later, acc, grid) < 1e-11
+
     @settings(max_examples=40, deadline=None)
     @given(
         v0=hnp.arrays(
