@@ -63,12 +63,7 @@ import numpy as np
 
 from .grid import Grid, State, total_energy
 from .mms import MmsCase, manufactured_case, mms_sources
-from .scenario import (
-    DiagnosticsReport,
-    DiagnosticsRow,
-    Scenario,
-    compatible_initial_data,
-)
+from .scenario import DiagnosticsReport, DiagnosticsRow, Scenario
 from .scheme import (
     BoundaryKind,
     StepRejected,
@@ -96,7 +91,6 @@ __all__ = [
     "RunResult",
     "CheckResult",
     "advance",
-    "initial_state",
     "run",
     "verification_table",
 ]
@@ -132,22 +126,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def initial_state(scenario: Scenario, grid: Grid, case: MmsCase | None) -> State:
-    """Initial data: the fields of the manufactured case at t = 0 when one is
-    given (the case run built from scenario.mms), else the compatible
-    profile."""
-    if case is not None:
-        state = State(
-            t=0.0,
-            v=case.v(grid.centers, 0.0),
-            u=case.u(grid.nodes, 0.0),
-            theta=case.theta(grid.centers, 0.0),
-        )
-        state.validate(grid)
-        return state
-    return compatible_initial_data(scenario.profile, scenario.params, scenario.bc, grid)
 
 
 def _reached(t: float, target: float) -> bool:
@@ -247,7 +225,7 @@ class _Stepper:
             else None
         )
         self.state: State | None = with_derived(
-            initial_state(scenario, self.grid, self.case), scenario.params, self.grid
+            scenario.initial_state(self.grid), scenario.params, self.grid
         )
         self.wall_stress = partial(_imposed_wall_stress, self.case, scenario.bc)
         self.abort_reason: str | None = None

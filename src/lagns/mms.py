@@ -39,9 +39,7 @@ import numpy as np
 from .constitutive import MaterialParams, conductivity, pressure, stress, volume_terms
 from .grid import Grid
 
-__all__ = [
-    "MmsCase", "check_case_name", "jet_sources", "manufactured_case", "mms_sources"
-]
+__all__ = ["MmsCase", "jet_sources", "manufactured_case", "mms_sources"]
 
 # the amplitude a of each named case of the family
 _AMPLITUDES = {"default": 0.1, "constant": 0.0, "deep": 0.9}
@@ -142,18 +140,14 @@ class MmsCase:
         )
 
 
-def check_case_name(name: object) -> None:
-    """Raise ValueError unless name is a str naming a case of the family; a
+def manufactured_case(name: str, params: MaterialParams) -> MmsCase:
+    """The named case of the family (see the module docstring); the one
+    rule for case names. ValueError unless name is a str naming a case: a
     name of another type is never looked up, so it cannot be unhashable."""
     if not isinstance(name, str) or name not in _AMPLITUDES:
         raise ValueError(
             f"unknown mms case {name!r}; expected one of {tuple(_AMPLITUDES)}"
         )
-
-
-def manufactured_case(name: str, params: MaterialParams) -> MmsCase:
-    """The named case of the family (see the module docstring)."""
-    check_case_name(name)
     return MmsCase(name, _AMPLITUDES[name], params)
 
 

@@ -2,11 +2,13 @@
 
 ProfileSpec names a closed-form family of initial data and samples it;
 compatible_initial_data turns the samples into the initial State for the
-chosen walls. Configs are flat JSON objects with one level of nesting for
-the material and profile blocks. Unknown keys anywhere, and keys given
-twice, are rejected so typos cannot silently fall back to defaults. Every
-CSV goes through write_csv, whose numbers carry 17 significant digits,
-enough to round-trip float64 bit-exactly.
+chosen walls. Scenario alone decides what a run starts from: the fields of
+its manufactured case at t = 0 when mms is set, else its profile's
+compatible data (Scenario.initial_state). Configs are flat JSON objects
+with one level of nesting for the material and profile blocks. Unknown
+keys anywhere, and keys given twice, are rejected so typos cannot silently
+fall back to defaults. Every CSV goes through write_csv, whose numbers
+carry 17 significant digits, enough to round-trip float64 bit-exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .constitutive import MaterialParams, viscosity
 from .grid import Grid, State, cumulative_u_integral
-from .mms import check_case_name
+from .mms import manufactured_case
 from .scheme import BoundaryKind
 
 __all__ = [
@@ -81,8 +83,10 @@ class ProfileSpec:
     |u_amp| is small enough that the initial kinetic energy and squared
     velocity gradient cannot overflow: this is the one home of the rule
     that initial data stays away from vacuum and inside the float range.
-    Both families are compatible with either kind of wall by construction:
-    theta0' and the no-slip u0 vanish at x = 0 and x = 1.
+    Constant is the cosine family at zero amplitude (values), so the bounds
+    and the samples have one formula. Every profile is compatible with
+    either kind of wall by construction: theta0' and the no-slip u0 vanish
+    at x = 0 and x = 1.
     """
 
     name: str = "cosine"
@@ -97,14 +101,10 @@ class ProfileSpec:
         allowed = set(_PROFILE_DEFAULTS[self.name])
         _reject_unknown(dict(self.amplitudes), allowed, "profile.amplitudes")
         a = self.values()
-        if self.name == "cosine":
-            inf_v = a["v_base"] - abs(a["v_amp"])
-            inf_theta = a["theta_base"] - abs(a["theta_amp"])
-            sup_v = a["v_base"] + abs(a["v_amp"])
-            sup_theta = a["theta_base"] + abs(a["theta_amp"])
-        else:
-            inf_v = sup_v = a["v"]
-            inf_theta = sup_theta = a["theta"]
+        inf_v = a["v_base"] - abs(a["v_amp"])
+        inf_theta = a["theta_base"] - abs(a["theta_amp"])
+        sup_v = a["v_base"] + abs(a["v_amp"])
+        sup_theta = a["theta_base"] + abs(a["theta_amp"])
         if not (inf_v > 0.0 and inf_theta > 0.0):  # also catches NaN
             raise ConfigError(
                 f"profile {self.name!r} touches vacuum: inf v0 = {inf_v}, "
@@ -116,7 +116,7 @@ class ProfileSpec:
                 f"profile {self.name!r} overflows: sup v0 = {sup_v}, "
                 f"sup theta0 = {sup_theta}; initial data must be finite"
             )
-        if self.name == "cosine" and not abs(a["u_amp"]) <= _U_AMP_MAX:
+        if not abs(a["u_amp"]) <= _U_AMP_MAX:
             raise ConfigError(
                 f"profile {self.name!r} overflows: |u_amp| = {abs(a['u_amp'])} "
                 f"exceeds {_U_AMP_MAX:.6g}, beyond which the initial kinetic "
@@ -124,25 +124,23 @@ class ProfileSpec:
             )
 
     def values(self) -> dict[str, float]:
-        merged = dict(_PROFILE_DEFAULTS[self.name])
-        merged.update(dict(self.amplitudes))
-        return merged
+        """The cosine parameters of the profile. A zero amplitude keeps a
+        finite base's bits, so constant samples exactly v, theta and 0."""
+        a = {**_PROFILE_DEFAULTS[self.name], **dict(self.amplitudes)}
+        if self.name == "constant":
+            return dict(
+                v_base=a["v"], theta_base=a["theta"], v_amp=0.0, theta_amp=0.0, u_amp=0.0
+            )
+        return a
 
     def sample(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(v0, theta0, u0) at the mass coordinates x."""
         a = self.values()
-        if self.name == "cosine":
-            wave = np.cos(np.pi * x)
-            return (
-                a["v_base"] + a["v_amp"] * wave,
-                a["theta_base"] + a["theta_amp"] * wave,
-                a["u_amp"] * np.sin(np.pi * x),
-            )
-        shape = np.shape(x)
+        wave = np.cos(np.pi * x)
         return (
-            np.full(shape, a["v"], dtype=float),
-            np.full(shape, a["theta"], dtype=float),
-            np.zeros(shape),
+            a["v_base"] + a["v_amp"] * wave,
+            a["theta_base"] + a["theta_amp"] * wave,
+            a["u_amp"] * np.sin(np.pi * x),
         )
 
 
@@ -178,12 +176,13 @@ class Scenario:
     dt_max is a library-level cap used by refinement studies; it is not a
     config key and defaults to the acoustic limit alone. Scenario is the one
     validator of the run's controls (n_cells, t_end, output_every, cfl,
-    dt_min, dt_max, mms).
+    dt_min, dt_max, mms) and of the rule that a manufactured run takes its
+    initial data from its case. profile None chooses none: the default cosine.
     """
 
     params: MaterialParams = MaterialParams()
     bc: BoundaryKind = BoundaryKind.STRESS_FREE
-    profile: ProfileSpec = ProfileSpec()
+    profile: ProfileSpec | None = None
     n_cells: int = 128
     cfl: float = 0.8
     t_end: float = 0.5
@@ -219,10 +218,27 @@ class Scenario:
                 f"dt_max = {self.dt_max} must be >= dt_min = {self.dt_min}"
             )
         if self.mms is not None:
+            if self.profile is not None:
+                raise ConfigError(
+                    "config sets both 'mms' and 'profile'; a manufactured run "
+                    "takes its initial data from the mms case"
+                )
             try:
-                check_case_name(self.mms)
+                manufactured_case(self.mms, self.params)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+
+    def initial_state(self, grid: Grid) -> State:
+        """The state the run starts from on grid: the fields of the mms case
+        at t = 0 when one is set, else the profile's compatible data."""
+        if self.mms is None:
+            profile = self.profile or ProfileSpec()
+            return compatible_initial_data(profile, self.params, self.bc, grid)
+        case = manufactured_case(self.mms, self.params)
+        v, u = case.v(grid.centers, 0.0), case.u(grid.nodes, 0.0)
+        state = State(t=0.0, v=v, u=u, theta=case.theta(grid.centers, 0.0))
+        state.validate(grid)
+        return state
 
 
 @dataclass(frozen=True)
@@ -273,9 +289,15 @@ def _number(block: dict, key: str, context: str) -> float:
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context}{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise ConfigError(
+            f"{context}{key} must be finite, got an integer beyond the float range"
+        ) from exc
+    if not math.isfinite(number):
         raise ConfigError(f"{context}{key} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _object_without_duplicates(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -293,26 +315,29 @@ def parse_config(text: str) -> Scenario:
 
     Every key is optional; omitted values take the defaults (all material
     constants 1, stress-free cosine profile). Unknown or repeated keys and
-    values of the wrong JSON type are rejected here; every range rule is
-    checked where its value is made (MaterialParams, ProfileSpec, Scenario),
-    and surfaces here as a ConfigError before any stepping.
+    values of the wrong JSON type are rejected here; every range rule, and
+    the rule that mms comes without a profile, is checked where its value
+    is made (MaterialParams, ProfileSpec, Scenario), and surfaces here as a
+    ConfigError before any stepping.
     """
     try:
         raw = json.loads(text, object_pairs_hook=_object_without_duplicates)
     # the decoder raises RecursionError on nesting deeper than it can follow
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ConfigError:  # a duplicate key
+        raise
+    except ValueError as exc:  # an integer longer than int() converts
+        raise ConfigError(
+            "config holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     scalar_keys = ("cfl", "t_end", "dt_min", "output_every")
     _reject_unknown(
         raw, {"material", "bc", "profile", "n_cells", "mms", *scalar_keys}, "config"
     )
-    if raw.get("mms") is not None and "profile" in raw:
-        raise ConfigError(
-            "config sets both 'mms' and 'profile'; a manufactured run takes its "
-            "initial data from the mms case"
-        )
 
     material = raw.get("material", {})
     if not isinstance(material, dict):
@@ -343,9 +368,9 @@ def parse_config(text: str) -> Scenario:
     amp_items = tuple(
         sorted((k, _number(amplitudes, k, "profile.amplitudes.")) for k in amplitudes)
     )
-    profile = ProfileSpec(
-        name=profile_block.get("name", "cosine"), amplitudes=amp_items
-    )
+    # an absent block chooses no profile, as a manufactured run must
+    name = profile_block.get("name", "cosine")
+    profile = ProfileSpec(name, amp_items) if "profile" in raw else None
 
     scalars: dict[str, Any] = {
         key: _number(raw, key, "") for key in scalar_keys if key in raw

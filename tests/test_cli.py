@@ -283,6 +283,20 @@ def test_mms_with_profile_exits_two(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("digits, message", [
+    (401, "error: t_end must be finite, got an integer"),
+    (5001, "error: config holds an integer of more than"),
+], ids=["beyond_float", "beyond_int"])
+def test_huge_integer_exits_two(command, digits, message, tmp_path, capsys):
+    # a JSON integer too large for a float, or longer than int() converts,
+    # is a config error, not an OverflowError or ValueError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text('{"t_end": 1' + "0" * (digits - 1) + "}")
+    assert COMMANDS[command](str(path), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_duplicate_key_exits_two(command, tmp_path, capsys):
     # the decoder would run with the last t_end and record no row
     path = tmp_path / "cfg.json"

@@ -511,8 +511,8 @@ class TestWallDefects:
         )
         result = run(scenario)
         grid, params, bc = result.grid, scenario.params, scenario.bc
-        case = manufactured_case("default", params)
-        start = driver.initial_state(scenario, grid, case)
+        case = manufactured_case(scenario.mms, params)
+        start = scenario.initial_state(grid)
         want = boundary_stress_residual(start, params, grid, bc, case.wall_stress(0.0))
         assert bits(result.initial_residual[:2]) == bits(np.array(want))
 

@@ -24,6 +24,7 @@ from lagns import (
     load_config,
     make_accumulator,
     make_tracker,
+    manufactured_case,
     parse_config,
     parse_snapshot,
     parse_timeseries,
@@ -46,7 +47,13 @@ class TestParseConfig:
         assert scenario.params.R == 1.0
         assert scenario.params.alpha == 1.0
         assert scenario.bc is BoundaryKind.STRESS_FREE
-        assert scenario.profile.name == "cosine"
+        # no profile chosen: the run starts from the default cosine samples
+        assert scenario.profile is None
+        grid = Grid(16)
+        start = scenario.initial_state(grid)
+        wave = np.cos(np.pi * grid.centers)
+        assert start.v.tobytes() == (1.0 + 0.2 * wave).tobytes()
+        assert start.theta.tobytes() == (1.0 + 0.1 * wave).tobytes()
         assert scenario.n_cells == 128
         assert scenario.cfl == 0.8
         assert scenario.t_end == 0.5
@@ -100,6 +107,22 @@ class TestParseConfig:
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigError, match="finite"):
             parse_config('{"t_end": 1e999}')
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"t_end": N}', "t_end"),
+        ('{"material": {"alpha": N}}', "material.alpha"),
+        ('{"profile": {"amplitudes": {"v_base": N}}}', "profile.amplitudes.v_base"),
+    ], ids=["top", "material", "amplitudes"])
+    def test_integer_beyond_the_float_range_rejected(self, text, key):
+        # a JSON integer is exact, so 10**400 reaches the range checks as an
+        # int that no float can hold
+        with pytest.raises(ConfigError, match=f"{key} must be finite, got an integer"):
+            parse_config(text.replace("N", str(10**400)))
+
+    def test_integer_longer_than_int_converts_rejected(self):
+        digits = "1" + "0" * 5000
+        with pytest.raises(ConfigError, match="config holds an integer of more than"):
+            parse_config(f'{{"t_end": {digits}}}')
 
     def test_n_cells_float_rejected(self):
         with pytest.raises(ConfigError, match="integer"):
@@ -223,6 +246,34 @@ class TestParseConfig:
             ProfileSpec(amplitudes=(("v_amp", 1.5),))
         with pytest.raises(ConfigError, match="vacuum"):
             ProfileSpec(name="constant", amplitudes=(("theta", float("nan")),))
+
+    @pytest.mark.parametrize("profile", [ProfileSpec("constant"), ProfileSpec()])
+    def test_mms_with_a_profile_rejected(self, profile):
+        # a manufactured run starts from its case, so any profile beside it,
+        # the default one too, would be dropped without a word
+        with pytest.raises(ConfigError, match="sets both 'mms' and 'profile'"):
+            Scenario(mms="default", profile=profile)
+
+    def test_mms_run_starts_from_its_case(self):
+        grid = Grid(16)
+        start = Scenario(mms="default").initial_state(grid)
+        case = manufactured_case("default", MaterialParams())
+        assert start.t == 0.0
+        assert start.v.tobytes() == case.v(grid.centers, 0.0).tobytes()
+        assert start.u.tobytes() == case.u(grid.nodes, 0.0).tobytes()
+        assert start.theta.tobytes() == case.theta(grid.centers, 0.0).tobytes()
+
+    @pytest.mark.parametrize("n", [8, 49, 64, 1000])
+    @pytest.mark.parametrize("v, theta", [(1.0, 1.0), (0.3, 7.0), (1e150, 1e300)])
+    def test_constant_profile_samples_its_values(self, n, v, theta):
+        # the cosine formula at zero amplitude: exactly v, theta and +0
+        grid = Grid(n)
+        profile = ProfileSpec("constant", (("theta", theta), ("v", v)))
+        for x in (grid.centers, grid.nodes):
+            v0, theta0, u0 = profile.sample(x)
+            assert v0.tobytes() == np.full(x.shape, v).tobytes()
+            assert theta0.tobytes() == np.full(x.shape, theta).tobytes()
+            assert u0.tobytes() == np.zeros(x.shape).tobytes()
 
 
 class TestDiagnosticsReport:

@@ -176,7 +176,7 @@ class TestCompatibleInitialData:
         # what each family owes either kind of wall: u0 and theta0' vanish at
         # x = 0 and x = 1. Both families are even in theta0 about each wall,
         # so a symmetric difference there is zero up to rounding
-        u_amp = profile.values().get("u_amp", 0.0)
+        u_amp = profile.values()["u_amp"]
         # theta0 takes its extremes at the walls in both families
         theta_scale = max(abs(profile.sample(x)[1]) for x in (0.0, 1.0))
         h = 1e-3
@@ -798,21 +798,17 @@ class TestDerivedFields:
     @pytest.mark.parametrize("forced", [False, True], ids=["profile", "manufactured"])
     @pytest.mark.parametrize("bc", [SF, NS], ids=["stress_free", "no_slip"])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
-    def test_step_returns_the_fields_of_its_state(
-        self, alpha, bc, forced, cosine_profile
-    ):
+    def test_step_returns_the_fields_of_its_state(self, alpha, bc, forced):
         # each derived field step returns is, bit for bit, the law evaluated
         # on the state it returns, so a reader of the field sees what a
         # re-evaluation would give; two steps, so the second starts from a
         # stepped state's fields
         grid, dt = Grid(32), 1e-3
         params = MaterialParams(alpha=alpha)
-        case = manufactured_case("default", params) if forced else None
-        scenario = Scenario(
-            bc=bc, n_cells=32, params=params, profile=cosine_profile,
-            mms="default" if forced else None,
-        )
-        state = with_derived(driver.initial_state(scenario, grid, case), params, grid)
+        mms = "default" if forced else None
+        scenario = Scenario(bc=bc, n_cells=32, params=params, mms=mms)
+        case = manufactured_case(mms, params) if forced else None
+        state = with_derived(scenario.initial_state(grid), params, grid)
         for _ in range(2):
             t = state.t + dt
             sources = (
@@ -864,7 +860,7 @@ class TestReusedBuffers:
         assert not np.shares_memory(one, two)
         np.testing.assert_array_equal(one, [1.0, 2.0, 3.0, 4.0])
 
-    def test_each_step_matches_a_fresh_thread(self, cosine_profile):
+    def test_each_step_matches_a_fresh_thread(self):
         # steps at one size alternate walls and sources, and follow a
         # rejected temperature solve, so a branch that leaves an entry of a
         # buffer unwritten (the no-slip wall rows, say) reads what the last
@@ -874,9 +870,9 @@ class TestReusedBuffers:
         case = manufactured_case("default", params)
 
         def take(bc, forced):
-            scenario = Scenario(bc=bc, n_cells=16, profile=cosine_profile)
-            start = driver.initial_state(scenario, grid, case if forced else None)
-            start = with_derived(start, params, grid)
+            mms = "default" if forced else None
+            scenario = Scenario(bc=bc, n_cells=16, params=params, mms=mms)
+            start = with_derived(scenario.initial_state(grid), params, grid)
             sources = (
                 [rows[0] for rows in mms_sources(case, grid, [dt])] if forced else None
             )
