@@ -62,11 +62,10 @@ class MaterialParams:
 
 
 def volume_power(v: np.ndarray, alpha: float) -> np.ndarray:
-    """The volume power v**-alpha of the viscosity; ones when alpha = 0."""
-    if alpha == 0.0:
-        return np.ones_like(v)
-    # exp/log form keeps fractional alpha well-defined for all v > 0
-    return np.exp(-alpha * np.log(v))
+    """The volume power v**-alpha of the viscosity, in one pass and within
+    an ulp of the exact value; exactly ones when alpha = 0 and 1/v when
+    alpha = 1."""
+    return v**-alpha
 
 
 def volume_terms(
@@ -85,8 +84,10 @@ def viscosity(v: np.ndarray, params: MaterialParams) -> np.ndarray:
 
 
 def conductivity(theta: np.ndarray, params: MaterialParams) -> np.ndarray:
-    """Conductivity kappa_tilde*theta**beta."""
-    return params.kappa_tilde * np.exp(params.beta * np.log(theta))
+    """Conductivity kappa_tilde*theta**beta, the power in one pass and
+    within an ulp of the exact value; the power is exactly theta when
+    beta = 1 and theta*theta when beta = 2."""
+    return params.kappa_tilde * theta**params.beta
 
 
 def pressure(v: np.ndarray, theta: np.ndarray, params: MaterialParams) -> np.ndarray:

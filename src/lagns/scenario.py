@@ -7,8 +7,8 @@ its manufactured case at t = 0 when mms is set, else its profile's
 compatible data (Scenario.initial_state). Configs are flat JSON objects
 with one level of nesting for the material and profile blocks. Unknown
 keys anywhere, and keys given twice, are rejected so typos cannot silently
-fall back to defaults. Every CSV goes through write_csv, whose numbers
-carry 17 significant digits, enough to round-trip float64 bit-exactly.
+fall back to defaults. Every CSV number carries 17 significant digits,
+enough to round-trip float64 bit-exactly.
 """
 
 from __future__ import annotations
@@ -169,6 +169,11 @@ def compatible_initial_data(
     return state
 
 
+# the most cells whose n_cells + 1 node values fit one float64 array, whose
+# size in bytes numpy caps at the largest np.intp
+_MAX_CELLS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize - 1
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One deterministic run: material, boundaries, initial data, stepping.
@@ -197,6 +202,11 @@ class Scenario:
             raise ConfigError(f"n_cells must be an integer, got {n!r}")
         if n < 8:
             raise ConfigError(f"n_cells must be >= 8, got {n}")
+        if n > _MAX_CELLS:
+            raise ConfigError(
+                f"n_cells must be <= {_MAX_CELLS}, the most cells whose "
+                f"nodes fit one float64 array, got {n}"
+            )
         # the float checks are written so that NaN fails them
         if not 0.0 < self.t_end < math.inf:
             raise ConfigError(f"t_end must be finite and positive, got {self.t_end}")
@@ -431,25 +441,25 @@ def parse_timeseries(path: str | Path) -> tuple[DiagnosticsRow, ...]:
 _SNAPSHOT_BLOCK = 1024
 
 
-def _float_rows(*columns: np.ndarray) -> Iterator[tuple[float, ...]]:
+def _float_lines(*columns: np.ndarray) -> Iterator[str]:
+    """The rows of the columns as CSV text, one block of rows at a time,
+    each row through one %-template: "%.17g" and format(x, ".17g") share
+    the float formatter, so the bytes are write_csv's."""
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
     for start in range(0, len(columns[0]), _SNAPSHOT_BLOCK):
         end = start + _SNAPSHOT_BLOCK
-        yield from zip(*(column[start:end].tolist() for column in columns))
+        block = zip(*(column[start:end].tolist() for column in columns))
+        yield "".join([template % row for row in block])
 
 
 def emit_snapshot(state: State, grid: Grid, destination: str | Path) -> None:
     """Write the final fields in two header-tagged sections (cells, nodes)."""
-
-    def rows() -> Iterator[tuple[str | float, ...]]:
+    with open(destination, "w") as out:
         # each section's coordinates are made only while it is written
-        yield ("# cells",)
-        yield ("x", "v", "theta")
-        yield from _float_rows(grid.centers, state.v, state.theta)
-        yield ("# nodes",)
-        yield ("x", "u")
-        yield from _float_rows(grid.nodes, state.u)
-
-    write_csv(destination, rows())
+        out.write("# cells\nx,v,theta\n")
+        out.writelines(_float_lines(grid.centers, state.v, state.theta))
+        out.write("# nodes\nx,u\n")
+        out.writelines(_float_lines(grid.nodes, state.u))
 
 
 def parse_snapshot(

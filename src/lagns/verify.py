@@ -173,7 +173,8 @@ def relative_volume_exponent(
     """ln D = (v**-alpha - v0**-alpha)/alpha from the volume powers of a
     state (one per row, or one) and of the initial state: the logarithm of
     the volume term of the viscosity relative to the initial state, as a
-    new array; 0.0 when alpha = 0, where D is 1."""
+    new array; 0.0 when alpha = 0, where D is 1. Given -alpha in place of
+    alpha, it returns -ln D bit for bit: the quotient only changes sign."""
     if alpha == 0.0:
         return 0.0
     exponent = v_power - v0_power
@@ -234,12 +235,15 @@ def update_accumulator(
 ) -> RepresentationAccumulator:
     """Advance the time integral over the steps of a block by the trapezoid
     rule, with ln d1 of every step from one cumulative velocity integral."""
-    # theta/(d1*D) as theta*exp(-(ln d1 + ln D)): one exp per value
+    # theta/(d1*D) as theta*exp(-(ln d1 + ln D)): one exp per value. The
+    # exponent is built negated (ln D over -alpha, ln d1 at weight
+    # -1/mu_eff), to the same bits: rounding to nearest is symmetric
     integrand = relative_volume_exponent(
-        block.derived.v_power, acc.v0_power, acc.params.alpha
+        block.derived.v_power, acc.v0_power, -acc.params.alpha
     )
-    integrand += acc.velocity_exponent(block.u, grid)
-    np.negative(integrand, out=integrand)
+    integrand += velocity_integral_exponent(
+        block.u, acc.u0_nodes, grid, -1.0 / acc.mu_eff
+    )
     np.exp(integrand, out=integrand)
     integrand *= block.theta
     # each step's trapezoid pairs its integrand with the one before it
@@ -353,15 +357,17 @@ def _fold_states(
     Returns, for each row, the largest temperature and the u_xx sum of
     squares of the state before it (the tracker's newest state for row 0).
     Every value is the one-state formula (the gradient norm
-    dx * sum(((f[i+1] - f[i]) / dx)**2) as d @ d / dx,
-    dx * sum(u_x**2) for the strain rate) written with the same operand
-    order, so the results are bit-identical; min and max of several
-    arguments compare them in turn, as a fold of one state at a time would.
+    dx * sum(((f[i+1] - f[i]) / dx)**2) as d @ d / dx, dx * (g @ g) for
+    the strain rate g, and the u_xx sum of squares as d @ d / dx**2 with
+    d = g[i+1] - g[i] the differences of the strain rate) written with the
+    same operand order, so the results are bit-identical; min and max of
+    several arguments compare them in turn, as a fold of one state at a
+    time would.
     The least v and theta and the largest theta of a row are its state's
     extrema, which the gates that admitted the state found by reducing the
     same arrays.
     """
-    v, u, theta = block.v, block.u, block.theta
+    v, theta = block.v, block.theta
     g = block.derived.u_x
     dv = v[:, 1:] - v[:, :-1]
     dtheta = theta[:, 1:] - theta[:, :-1]
@@ -374,18 +380,15 @@ def _fold_states(
     tracker.sup_grad_theta_sq = max(
         tracker.sup_grad_theta_sq, *(np.vecdot(dtheta, dtheta) / dx).tolist()
     )
-    tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, *(dx * (g * g).sum(axis=1)).tolist())
+    tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, *(dx * np.vecdot(g, g)).tolist())
     tracker.sup_stress_scale = max(
         tracker.sup_stress_scale, *_stress_scale(v, block.derived).tolist()
     )
 
-    uxx = 2.0 * u[:, 1:-1]
-    np.subtract(u[:, 2:], uxx, out=uxx)
-    uxx += u[:, :-2]
-    uxx /= dx**2
+    uxx = g[:, 1:] - g[:, :-1]  # dx * u_xx
     max_theta = [tracker.last_max_theta, *(e.theta_max for e in extrema)]
-    uxx_sq = [tracker.last_uxx_sq, *np.vecdot(uxx, uxx).tolist()]
-    tracker.last_u = u[-1]
+    uxx_sq = [tracker.last_uxx_sq, *(np.vecdot(uxx, uxx) / dx**2).tolist()]
+    tracker.last_u = block.u[-1]
     tracker.last_max_theta, tracker.last_uxx_sq = max_theta.pop(), uxx_sq.pop()
     return max_theta, uxx_sq
 

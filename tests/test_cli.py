@@ -28,22 +28,22 @@ GOLDEN = {
         "f2fe4fb15cb129d4424e6abdcb8bd7809ab991d21062a7e91c4fb75c9bfa241d",
     ),
     "default": (
-        "6dfd5c248bae420189a91be42867d15d10cf7412548c202c6e2cd9e304201011",
-        "b7282d813b2e58654a3ae7705c6685269a97986252355e0686d4079e8aefeca2",
+        "3d3b266d885a439dd352fc9d0cb19c1517d471fa8295a4b81a04aa4657415047",
+        "0c8f9e7a6c3436903854737350d607a4f66c5e1ec871d13b719162166b4eec2f",
     ),
     "mms_deep": (
-        "6bf55e21714deb703f71a6b037e4c8e3edc04d1f7360571d0a5f2a25c414f21a",
-        "c86c84c0af64f5df9102aedd6938ed0e97710cc90a976d4165317b22d01e9ee7",
+        "2ded89ab92848bfdde35b1913abba3b21364e695a19dd353b0585ae3af6c1e97",
+        "e6f92d1baffecea6db454c9260424af74445d165d9f123938877d9c917e776d3",
     ),
     "mms_default": (
-        "ce02591a8ab662043ba0e210a13eac9c422fb48d4b10620fb0d557fc13e9ecd5",
-        "44dbaf7c2e746dfb560e97b7317f588fba8522614de8f84e5db4856e750938e8",
+        "bf0d4e4c210d712c62a3c8ff38661b4b40963bdf7e26d59a348c7648bdd2c961",
+        "12fd78dc64c59973cdb3bf6e0ea0a83f3523592341edacfe31f89d6a17dea1f4",
     ),
     # a gas at rest: every non-constant column is rounding noise, so this
     # digest moves with any reordered arithmetic, and
     # test_noslip_steady_stays_at_rest checks the physics
     "noslip_steady": (
-        "1f8a65c3256920c92228d702d847836fb6a0646c82fb289d5845b40cf6b134bc",
+        "ba8322ad8116966f1b575e4ea4122eab7c4365a45039271bb93aa609b64e3304",
         "be566e6ac8bbb785bce5f119be73609ba405374b30f02ea58101f5cb2a20b838",
     ),
 }
@@ -57,22 +57,22 @@ CONVERGENCE_DIGEST = "5636e3109338970ee7b685129435218e75354daf9f419f3c043b943fb2
 # sha256 of (timeseries.csv, snapshot.csv) of configs/default.json at
 # N = 64 with dt_max = 2/N^2, written as `lagns run` writes them
 CAPPED_RUN_DIGESTS = (
-    "2b8602881fe0479279106feb326741cf83dbd44d48cbe6e2e53649f741de05ee",
-    "70d15d98ccb99195679c8220223c6b7c6e4e3d3d7b335334316addec1ade8a64",
+    "7f03f91857403fae50dfd5608435e672ba58acac89711c2c1c53300f9328928e",
+    "ee91845181224409ea2f3773e32f1950d692c18d184674efe651eb34b90cc8f0",
 )
 # and sha256 of the float64 bytes of the final v, u and theta of each level
 # of `lagns convergence --config configs/mms_default.json --levels 3`
 # (dt = dx^2), by n_cells
 CAPPED_LEVEL_DIGESTS = {
-    16: "13d17dc616db3dd2b7ddfe04b7e379c961a1ea929ba4456991b453506c6c7b64",
-    32: "3e019e413f62b21f37d4185f10dc91a021d0e1592088c4f405b81f1b4d678bdb",
-    64: "3c09b24ed67cdc44528f71b657f7c98796b1cf2a79c1e1b55a943777df3bbfa8",
+    16: "73891fe8bcf630759e3dc25614ad763e578dd2d3d31004f041a4ea3bc9d8181c",
+    32: "3844c8737a4fbe0ae3040d759cb1f806f6b032c9cf9147d39b9e70490480d204",
+    64: "d098f455108c5a6484c43d05d89a6319b94731fb2d5d69977ee6578d67ae0663",
 }
 # a forced stress-free run, the one kind that imposes a manufactured wall
 # stress at every step: sha256 of (timeseries.csv, snapshot.csv) of the
 # "default" case at N = 16 with dt_max = 1/256 to t = 0.05
 FORCED_STRESS_FREE_DIGESTS = (
-    "bc3e0e8dc469bb256cb47be0f2d2d5f24db12e9b92652bb6beb558a77b48188b",
+    "39e36e58591102e457627110cf320da8d5ae1087ac7c0dcf1e60575260d10a7b",
     "e3ca0bfc2daefbb84477747e5169967591c22cf2761afbcfe5a68d700618b8af",
 )
 
@@ -294,6 +294,16 @@ def test_huge_integer_exits_two(command, digits, message, tmp_path, capsys):
     path.write_text('{"t_end": 1' + "0" * (digits - 1) + "}")
     assert COMMANDS[command](str(path), str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_n_cells_beyond_an_array_exits_two(command, tmp_path, capsys):
+    # an integer n_cells of 401 digits is no float, but no grid either: it
+    # is a config error, not a ValueError traceback from np.arange
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n_cells": 1' + "0" * 400 + "}")
+    assert COMMANDS[command](str(path), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("error: n_cells must be <= ")
 
 
 @pytest.mark.parametrize("command", COMMANDS)

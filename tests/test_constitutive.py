@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lagns import (
     MaterialParams,
@@ -11,8 +14,38 @@ from lagns import (
     stress,
     viscosity,
 )
+from lagns.constitutive import volume_power
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
+# arguments whose powers up to the 8th stay finite and normal
+admissible = hnp.arrays(
+    np.float64, st.integers(1, 40), elements=st.floats(min_value=1e-30, max_value=1e30)
+)
+
+
+class TestPowers:
+    """volume_power and conductivity take x**c in one pass: exact at the
+    exponents every shipped config uses, within an ulp elsewhere."""
+
+    @given(v=admissible)
+    def test_exact_exponents(self, v):
+        # v**c at c = 0, 1, -1, 2 is volume_power(v, -c)
+        assert volume_power(v, 0.0).tobytes() == np.ones_like(v).tobytes()
+        assert volume_power(v, -1.0).tobytes() == v.tobytes()
+        assert volume_power(v, 1.0).tobytes() == (1.0 / v).tobytes()
+        assert volume_power(v, -2.0).tobytes() == (v * v).tobytes()
+        for beta, want in ((1.0, v), (2.0, v * v)):
+            got = conductivity(v, MaterialParams(beta=beta))
+            assert got.tobytes() == want.tobytes()
+
+    @given(v=admissible, c=st.floats(min_value=-8.0, max_value=8.0))
+    def test_within_an_ulp_of_math_pow(self, v, c):
+        want = np.array([math.pow(x, c) for x in v])
+        powers = [volume_power(v, -c)]
+        if c > 0.0:  # an admissible conductivity exponent
+            powers.append(conductivity(v, MaterialParams(beta=c)))
+        for got in powers:
+            assert np.all(np.abs(got - want) <= np.spacing(want))
 
 
 class TestMaterialParams:
@@ -51,7 +84,7 @@ class TestViscosity:
     def test_exceeds_scale(self, v, alpha):
         mu = viscosity(np.array([v]), MaterialParams(alpha=alpha))[0]
         assert mu > 1.0
-        assert mu >= np.exp(-alpha * np.log(v))
+        assert mu >= v**-alpha
 
     @given(v=positive)
     def test_alpha_zero_is_constant(self, v):

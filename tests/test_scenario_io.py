@@ -31,7 +31,7 @@ from lagns import (
     run,
     with_derived,
 )
-from lagns.scenario import _U_AMP_MAX
+from lagns.scenario import _MAX_CELLS, _U_AMP_MAX
 
 
 def make_row(t, **overrides):
@@ -131,6 +131,17 @@ class TestParseConfig:
     def test_n_cells_too_small_rejected(self):
         with pytest.raises(ConfigError, match=">= 8"):
             parse_config('{"n_cells": 4}')
+
+    def test_n_cells_beyond_an_array_rejected(self):
+        # the bound is tight: one node more than n_cells + 1 at the bound
+        # is more than a float64 array can hold (numpy refuses it before
+        # allocating anything)
+        assert parse_config(f'{{"n_cells": {_MAX_CELLS}}}').n_cells == _MAX_CELLS
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty(_MAX_CELLS + 2)
+        for n_cells in (_MAX_CELLS + 1, 10**400):
+            with pytest.raises(ConfigError, match=f"n_cells must be <= {_MAX_CELLS}"):
+                parse_config(f'{{"n_cells": {n_cells}}}')
 
     def test_vacuum_amplitude_rejected(self):
         with pytest.raises(ConfigError, match="vacuum"):

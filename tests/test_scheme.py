@@ -406,13 +406,14 @@ class TestMomentumStep:
             assert got[0] == got[-1] == 0.0
 
     def test_indefinite_system_names_momentum(self):
-        # mu(v)/v is about 5e269 at v = 1e-30 with alpha = 8: the LDL^T
-        # factorisation squares off-diagonals near 1e265 and overflows
+        # mu(v)/v is 1e180 at v = 1e-20 with alpha = 8, the same in every
+        # cell: the mass terms 1 and 1/2 fall below half an ulp of the
+        # bands, which are then exactly c = 64e-6*mu/v times the singular
+        # Laplacian of stress-free walls, and the LDL^T factorisation meets
+        # a last pivot c - c = 0 without rounding anything
         scenario = parse_config(json.dumps({
             "material": {"alpha": 8.0},
-            "profile": {
-                "name": "cosine", "amplitudes": {"v_base": 1e-30, "v_amp": 1e-31}
-            },
+            "profile": {"name": "constant", "amplitudes": {"v": 1e-20}},
             "n_cells": 8, "t_end": 1e-3, "output_every": 1e-3, "dt_min": 1e-6,
         }))
         grid = Grid(scenario.n_cells)

@@ -38,7 +38,7 @@ from lagns import (
     with_derived,
 )
 from lagns.constitutive import volume_power
-from lagns.grid import cell_integral, cumulative_u_integral, du_dx_cells, node_weights
+from lagns.grid import cumulative_u_integral, du_dx_cells, node_weights
 from lagns.scenario import ProfileSpec
 from lagns.verify import BoundTracker, velocity_band_check, velocity_integral_factor
 
@@ -317,10 +317,16 @@ class TestBoundTracker:
         assert stress_magnitude_scale(uniform_state, params, grid) == pytest.approx(1.0)
 
 
+def uxx_sq(state, grid):
+    """sum(u_xx**2) over interior nodes, with dx * u_xx the differences of
+    the strain rate: the oracle of the tracker's second differences."""
+    d = np.diff(du_dx_cells(state.u, grid))
+    return float(d @ d) / grid.dx**2
+
+
 def reference_make_tracker(state, grid, params):
     """make_tracker written with the grid helpers, as the oracle of the seed."""
     g = du_dx_cells(state.u, grid)
-    uxx = (state.u[2:] - 2.0 * state.u[1:-1] + state.u[:-2]) / grid.dx**2
     return BoundTracker(
         params=params,
         weights=node_weights(grid),
@@ -329,11 +335,11 @@ def reference_make_tracker(state, grid, params):
         min_theta=float(np.min(state.theta)),
         sup_grad_v_sq=grad_l2_sq(state.v, grid),
         sup_grad_theta_sq=grad_l2_sq(state.theta, grid),
-        sup_u_x_sq=cell_integral(g * g, grid),
+        sup_u_x_sq=grid.dx * float(g @ g),
         sup_stress_scale=stress_magnitude_scale(state, params, grid),
         last_u=state.u,
         last_max_theta=float(np.max(state.theta)),
-        last_uxx_sq=float(uxx @ uxx),
+        last_uxx_sq=uxx_sq(state, grid),
     )
 
 
@@ -348,13 +354,12 @@ def reference_update_bounds(tracker, state_prev, state, dt, grid):
     tracker.sup_grad_theta_sq = max(
         tracker.sup_grad_theta_sq, grad_l2_sq(state.theta, grid)
     )
-    tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, cell_integral(g * g, grid))
+    tracker.sup_u_x_sq = max(tracker.sup_u_x_sq, dx * float(g @ g))
     tracker.sup_stress_scale = max(
         tracker.sup_stress_scale, stress_magnitude_scale(state, params, grid)
     )
     tracker.int_max_theta += dt * float(np.max(state_prev.theta))
-    uxx = (state_prev.u[2:] - 2.0 * state_prev.u[1:-1] + state_prev.u[:-2]) / dx**2
-    tracker.int_uxx_sq += dt * dx * float(uxx @ uxx)
+    tracker.int_uxx_sq += dt * dx * uxx_sq(state_prev, grid)
     du_dt = (state.u - state_prev.u) / dt
     tracker.int_ut_sq += dt * float(node_weights(grid) @ (du_dt * du_dt))
 
