@@ -1,8 +1,9 @@
 """Command-line surface: run, verify, convergence, sweep.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error
-or an output that cannot be written, 3 solver abort, 141 (128 + SIGPIPE)
-when stdout's reader goes away.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error,
+an output that cannot be written, or a grid whose arrays do not fit in
+memory (one stderr line that names n_cells, not a traceback), 3 solver
+abort, 141 (128 + SIGPIPE) when stdout's reader goes away.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
+def _fail_memory(n_cells: int, exc: MemoryError) -> int:
+    """The usage error of a run whose arrays do not fit in memory."""
+    return _fail_usage(f"n_cells = {n_cells}: out of memory ({exc})")
+
+
 def cmd_run(config_path: str, out_dir: str) -> int:
     """Run one scenario; write timeseries.csv and snapshot.csv to out_dir.
 
@@ -56,7 +62,10 @@ def cmd_run(config_path: str, out_dir: str) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         return _fail_usage(str(exc))
-    result = run(scenario)
+    try:
+        result = run(scenario)
+    except MemoryError as exc:
+        return _fail_memory(scenario.n_cells, exc)
     try:
         emit_timeseries(result.report, out / "timeseries.csv")
         emit_snapshot(result.state, result.grid, out / "snapshot.csv")
@@ -87,7 +96,10 @@ def cmd_verify(config_path: str) -> int:
             "verify needs a physical scenario; manufactured sources break the "
             "conservation identities by design"
         )
-    result = run(scenario)
+    try:
+        result = run(scenario)
+    except MemoryError as exc:
+        return _fail_memory(scenario.n_cells, exc)
     if result.report.status == "aborted":
         print(
             f"aborted: {result.report.abort_reason} at t = {result.state.t:.6g}",
@@ -137,7 +149,10 @@ def cmd_convergence(config_path: str, levels: int) -> int:
     # max-norm error of each field, one entry per level
     errors: dict[str, list[float]] = {"v": [], "u": [], "theta": []}
     for study in studies:
-        grid, state, report = advance(study)
+        try:
+            grid, state, report = advance(study)
+        except MemoryError as exc:
+            return _fail_memory(study.n_cells, exc)
         if report.status == "aborted":
             print(
                 f"aborted at level n_cells = {study.n_cells}: {report.abort_reason}",
@@ -219,7 +234,10 @@ def cmd_sweep(config_path: str, alphas: str, betas: str, out_dir: str) -> int:
     summary = [("alpha", "beta", "status", "min_v", "min_theta", "repr_residual")]
     aborted = 0
     for (a, b), member in zip(pairs, scenarios):
-        result = run(member)
+        try:
+            result = run(member)
+        except MemoryError as exc:
+            return _fail_memory(member.n_cells, exc)
         try:
             emit_timeseries(
                 result.report, out / f"run_alpha{_file_tag(a)}_beta{_file_tag(b)}.csv"

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import scalar_operand
+
 __all__ = [
     "MaterialParams",
     "volume_power",
@@ -27,6 +29,8 @@ __all__ = [
     "sound_speed",
 ]
 
+_ONE = scalar_operand(1.0)
+
 
 @dataclass(frozen=True)
 class MaterialParams:
@@ -34,7 +38,9 @@ class MaterialParams:
 
     Admissible regime: alpha >= 0 (volume exponent in the viscosity) and
     beta > 0 (temperature exponent in the conductivity). All four scale
-    constants must be positive.
+    constants must be positive. R_0d, c_v_0d, mu_tilde_0d and
+    kappa_tilde_0d are the scale constants as grid.scalar_operand values,
+    made once per instance, for the laws and the step to pass to ufuncs.
     """
 
     R: float = 1.0
@@ -54,6 +60,8 @@ class MaterialParams:
                 f"exponents alpha = {self.alpha}, beta = {self.beta} violate the "
                 "admissible regime (alpha >= 0 and beta > 0)"
             )
+        for name in ("R", "c_v", "mu_tilde", "kappa_tilde"):
+            object.__setattr__(self, f"{name}_0d", scalar_operand(getattr(self, name)))
 
     @property
     def gamma(self) -> float:
@@ -75,7 +83,7 @@ def volume_terms(
     built from it, so a caller that needs both evaluates the power once.
     The viscosity is exactly 2*mu_tilde when alpha = 0."""
     power = volume_power(v, params.alpha)
-    return power, params.mu_tilde * (1.0 + power)
+    return power, params.mu_tilde_0d * (_ONE + power)
 
 
 def viscosity(v: np.ndarray, params: MaterialParams) -> np.ndarray:
@@ -87,12 +95,12 @@ def conductivity(theta: np.ndarray, params: MaterialParams) -> np.ndarray:
     """Conductivity kappa_tilde*theta**beta, the power in one pass and
     within an ulp of the exact value; the power is exactly theta when
     beta = 1 and theta*theta when beta = 2."""
-    return params.kappa_tilde * theta**params.beta
+    return params.kappa_tilde_0d * theta**params.beta
 
 
 def pressure(v: np.ndarray, theta: np.ndarray, params: MaterialParams) -> np.ndarray:
     """Ideal-gas pressure R*theta/v."""
-    return params.R * theta / v
+    return params.R_0d * theta / v
 
 
 def stress(

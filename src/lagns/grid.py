@@ -22,6 +22,7 @@ __all__ = [
     "State",
     "DerivedFields",
     "Extrema",
+    "scalar_operand",
     "positive_extrema",
     "state_extrema",
     "node_weights",
@@ -33,15 +34,28 @@ __all__ = [
 ]
 
 
+def scalar_operand(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array, the form in which a per-run
+    scalar enters a ufunc: numpy 2 converts a Python float operand anew on
+    every call, while a 0-d array is used as it is, to the same bits. It is
+    read-only because every state of a run shares it."""
+    operand = np.array(value, dtype=np.float64)
+    operand.flags.writeable = False
+    return operand
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform staggered grid with n_cells cells and n_cells + 1 nodes."""
+    """Uniform staggered grid with n_cells cells and n_cells + 1 nodes.
+
+    dx_0d is dx as a scalar_operand, made once per grid."""
 
     n_cells: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 2:
             raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
+        object.__setattr__(self, "dx_0d", scalar_operand(self.dx))
 
     @property
     def dx(self) -> float:
@@ -90,9 +104,10 @@ def positive_extrema(
     raise error(message). A NaN anywhere fails. This is the one positivity
     rule of a state: State.validate applies it to initial data and the
     gates of scheme.step to every stepped state, which keep the extremes."""
-    # the ufuncs' reduce is what f.min() and f.max() call; calling it
-    # directly skips their Python wrapper, four times per step
-    low, high = float(np.minimum.reduce(f)), float(np.maximum.reduce(f))
+    # f[f.argmin()] is the value f.min() returns, or a NaN when f holds
+    # one, for a third of the cost at N = 257: numpy 2 sets up every
+    # ufunc.reduce through its generic machinery; four calls per step
+    low, high = float(f[f.argmin()]), float(f[f.argmax()])
     if not (0.0 < low and high < math.inf):
         raise error(message)
     return low, high
@@ -168,7 +183,7 @@ def du_dx_cells(u: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell-centered strain rate (u[i+1] - u[i]) / dx."""
     if u.shape != (grid.n_nodes,):
         raise ValueError(f"u has shape {u.shape}, expected ({grid.n_nodes},)")
-    return (u[1:] - u[:-1]) / grid.dx
+    return (u[1:] - u[:-1]) / grid.dx_0d
 
 
 def total_energy(state: State, grid: Grid, c_v: float) -> float:

@@ -169,9 +169,11 @@ def compatible_initial_data(
     return state
 
 
-# the most cells whose n_cells + 1 node values fit one float64 array, whose
-# size in bytes numpy caps at the largest np.intp
-_MAX_CELLS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize - 1
+# the most cells whose n_cells + 1 nodes np.arange makes: it computes the
+# length of its result in float64, which holds every integer up to 2**53
+# and not all beyond (asked for 2**53 + 1 values it makes 2**53, and from
+# 2**60 - 64 on it refuses the length as too big for an array)
+_MAX_CELLS = 2 ** (np.finfo(np.float64).nmant + 1) - 1
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ class Scenario:
         if n > _MAX_CELLS:
             raise ConfigError(
                 f"n_cells must be <= {_MAX_CELLS}, the most cells whose "
-                f"nodes fit one float64 array, got {n}"
+                f"nodes np.arange counts exactly, got {n}"
             )
         # the float checks are written so that NaN fails them
         if not 0.0 < self.t_end < math.inf:

@@ -307,6 +307,21 @@ def test_n_cells_beyond_an_array_exits_two(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
+def test_grid_beyond_memory_exits_two(command, tmp_path, capsys):
+    # an accepted n_cells whose arrays do not fit in memory is one line on
+    # stderr that names it, not a MemoryError traceback; 2**50 cells fail
+    # at the first allocation (8 PiB), so no memory is touched
+    payload = {"n_cells": 2**50, "dt_min": 1e-40}
+    if command == "convergence":
+        payload["mms"] = "default"
+    path = write_config(tmp_path, payload)
+    assert COMMANDS[command](path, str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: n_cells = {2**50}: out of memory")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_duplicate_key_exits_two(command, tmp_path, capsys):
     # the decoder would run with the last t_end and record no row
     path = tmp_path / "cfg.json"

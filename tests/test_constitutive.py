@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lagns import (
+    Grid,
     MaterialParams,
     conductivity,
+    du_dx_cells,
     pressure,
     sound_speed,
     stress,
     viscosity,
 )
-from lagns.constitutive import volume_power
+from lagns import constitutive, scheme
+from lagns.constitutive import volume_power, volume_terms
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 # arguments whose powers up to the 8th stay finite and normal
@@ -177,3 +180,71 @@ class TestSoundSpeed:
         p = MaterialParams()
         tiny = sound_speed(np.array([1e-30]), p)[0]
         assert tiny == pytest.approx(0.0, abs=1e-14)
+
+
+materials = st.builds(
+    MaterialParams,
+    R=positive,
+    c_v=positive,
+    mu_tilde=positive,
+    kappa_tilde=positive,
+    alpha=st.floats(min_value=0.0, max_value=8.0),
+    beta=st.floats(min_value=0.0, max_value=8.0, exclude_min=True),
+)
+
+
+@st.composite
+def fields(draw):
+    """v, theta and a strain rate on n cells, and a velocity on n + 1
+    nodes."""
+    n = draw(st.integers(2, 40))
+    values = st.floats(min_value=1e-6, max_value=1e6)
+    v, theta = (draw(hnp.arrays(np.float64, n, elements=values)) for _ in range(2))
+    signed = st.floats(min_value=-1e6, max_value=1e6)
+    g = draw(hnp.arrays(np.float64, n, elements=signed))
+    u = draw(hnp.arrays(np.float64, n + 1, elements=signed))
+    return v, theta, g, u
+
+
+class TestScalarOperands:
+    """The laws and du_dx_cells pass their per-run scalars to ufuncs as
+    read-only 0-d float64 arrays; the bits are those of the Python-float
+    formulas written out here."""
+
+    @given(params=materials, arrays=fields())
+    def test_bits_of_the_float_formulas(self, params, arrays):
+        v, theta, g, u = arrays
+        power = v**-params.alpha
+        mu = params.mu_tilde * (1.0 + power)
+        p = params.R * theta / v
+        cases = [
+            (pressure(v, theta, params), p),
+            (volume_terms(v, params)[0], power),
+            (volume_terms(v, params)[1], mu),
+            (conductivity(theta, params), params.kappa_tilde * theta**params.beta),
+            (stress(v, theta, g, params), mu * g / v - p),
+            (du_dx_cells(u, Grid(len(v))), (u[1:] - u[:-1]) / (1.0 / len(v))),
+        ]
+        for got, want in cases:
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    @given(params=materials, n=st.integers(2, 10**6))
+    def test_operands_are_read_only_float64(self, params, n):
+        grid = Grid(n)
+        operands = [
+            (params.R_0d, params.R),
+            (params.c_v_0d, params.c_v),
+            (params.mu_tilde_0d, params.mu_tilde),
+            (params.kappa_tilde_0d, params.kappa_tilde),
+            (grid.dx_0d, grid.dx),
+            (constitutive._ONE, 1.0),
+            (scheme._ONE, 1.0),
+        ]
+        for operand, value in operands:
+            assert operand.shape == () and operand.dtype == np.float64
+            assert operand.item() == value
+            with pytest.raises(ValueError, match="read-only"):
+                np.add(operand, 1.0, out=operand)
+            with pytest.raises(ValueError, match="read-only"):
+                operand[()] = 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lagns import (
     Grid,
@@ -12,7 +13,7 @@ from lagns import (
     node_weights,
     total_energy,
 )
-from lagns.grid import wall_values
+from lagns.grid import positive_extrema, wall_values
 from test_verify import grad_l2_sq
 
 
@@ -35,6 +36,28 @@ class TestGrid:
         w = node_weights(g)
         assert w[0] == w[-1] == g.dx / 2
         assert w.sum() == pytest.approx(1.0)
+
+
+class TestPositiveExtrema:
+    """The one positivity rule of a state. It reduces by arg-reductions
+    (f[f.argmin()]), which must keep the values and the NaN rule of
+    np.min and np.max."""
+
+    @pytest.mark.parametrize("where", [0, 7, -1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
+    def test_rejects_a_bad_value_anywhere(self, value, where):
+        f = np.linspace(0.5, 2.0, 15)
+        f[where] = value
+        with pytest.raises(ZeroDivisionError, match="^bad f$"):
+            positive_extrema(f, "bad f", ZeroDivisionError)
+
+    @given(f=hnp.arrays(
+        np.float64, st.integers(1, 300),
+        elements=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    ))
+    def test_returns_the_plain_reductions(self, f):
+        got = positive_extrema(f, "bad f")
+        assert repr(got) == repr((float(np.min(f)), float(np.max(f))))
 
 
 class TestStateValidation:

@@ -133,13 +133,14 @@ class TestParseConfig:
             parse_config('{"n_cells": 4}')
 
     def test_n_cells_beyond_an_array_rejected(self):
-        # the bound is tight: one node more than n_cells + 1 at the bound
-        # is more than a float64 array can hold (numpy refuses it before
-        # allocating anything)
+        # the bound is tight: np.arange makes the n_cells + 1 nodes at the
+        # bound, and asked for one node more it makes as many. Both fail
+        # only at allocation (64 PiB), so no memory is touched
         assert parse_config(f'{{"n_cells": {_MAX_CELLS}}}').n_cells == _MAX_CELLS
-        with pytest.raises(ValueError, match="array is too big"):
-            np.empty(_MAX_CELLS + 2)
-        for n_cells in (_MAX_CELLS + 1, 10**400):
+        for nodes in (_MAX_CELLS + 1, _MAX_CELLS + 2):
+            with pytest.raises(MemoryError, match=rf"shape \({_MAX_CELLS + 1},\)"):
+                np.arange(nodes)
+        for n_cells in (_MAX_CELLS + 1, 2**60 - 2, 10**400):
             with pytest.raises(ConfigError, match=f"n_cells must be <= {_MAX_CELLS}"):
                 parse_config(f'{{"n_cells": {n_cells}}}')
 

@@ -262,6 +262,20 @@ class TestDtControl:
         got = dt_control(measured, grid, params, cfl, dt_min, dt_max)
         assert repr(got) == repr(want)
 
+    @settings(deadline=None, max_examples=200)
+    @given(draw=acoustic_draws())
+    def test_cell_pass_gives_the_bits_of_the_reduction(self, draw):
+        # the pass over the cells takes the least v/c by an arg-reduction;
+        # a state without extrema always takes it
+        state, grid, params, cfl, dt_min, dt_max = draw
+        c = np.sqrt(params.gamma * params.R * state.theta)
+        want = cfl * grid.dx * float(np.min(state.v / c))
+        if dt_max is not None:
+            want = min(want, dt_max)
+        want = max(want, dt_min)
+        got = dt_control(state, grid, params, cfl, dt_min, dt_max)
+        assert repr(got) == repr(want)
+
     def test_exact_formula(self):
         grid = Grid(100)
         state = State(0.0, np.ones(100), np.zeros(101), np.ones(100))
