@@ -38,10 +38,14 @@ mms_sources call that starts at the step's time. When the cap binds (dt ==
 dt_max), that call also covers the times the following capped steps form,
 t + dt_max while dt_max <= target - t, the same floats the loop will make;
 CFL-limited steps, halved retries and the truncated step before a row
-evaluate their one time. A call holds at most max(1, BLOCK_VALUES //
-(2N + 1)) times, the limit on one row-stacked temporary of the block fold:
-124, 63, 31 and 15 times at N = 16, 32, 64 and 128. A row is used only at
-its exact time, so the results never depend on the prediction.
+evaluate their one time. A call evaluates s_v and s_theta at the N cell
+centers and s_u at the N + 1 nodes, so its widest temporary holds a value
+per node and time, and a call holds at most max(1, BLOCK_VALUES // (N + 1))
+times, the limit on one row-stacked temporary of the block fold: 240, 124,
+63 and 31 times at N = 16, 32, 64 and 128. A row is used only at its exact
+time, so the results never depend on the prediction. A run that imposes
+no wall stress (any but a forced stress-free one) passes zero without
+evaluating it.
 
 The instruments read each state's derived fields, and dt_control, the
 bound tracker and the output rows read its extrema, the min and max of v
@@ -104,8 +108,10 @@ COMPAT_FACTOR = 10.0
 # the checks of verification_table that read the recorded output rows
 ROW_CHECKS = ("volume representation", "energy conservation", "boundary compatibility")
 # values in one row-stacked temporary of the instruments' block fold, and in
-# the rows of one mms_sources call (32 KiB)
+# one temporary of an mms_sources call (32 KiB)
 BLOCK_VALUES = 4096
+# the wall stress of a run that imposes none
+_FREE_WALLS = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -136,13 +142,19 @@ def _reached(t: float, target: float) -> bool:
     return t >= target - 1e-12 * target
 
 
+def _forces_walls(case: MmsCase | None, bc: BoundaryKind) -> bool:
+    """Whether a run imposes a manufactured wall stress: a forced run on
+    stress-free walls."""
+    return case is not None and bc is BoundaryKind.STRESS_FREE
+
+
 def _imposed_wall_stress(
     case: MmsCase | None, bc: BoundaryKind, t: float
 ) -> tuple[float, float]:
     """Wall stress imposed at time t: the manufactured value on stress-free
     walls of a forced run, zero otherwise."""
-    if case is None or bc is not BoundaryKind.STRESS_FREE:
-        return 0.0, 0.0
+    if not _forces_walls(case, bc):
+        return _FREE_WALLS
     values = case.wall_stress(t)
     return float(values[0]), float(values[1])
 
@@ -155,7 +167,7 @@ class _SourceQueue:
         self.case = case
         self.grid = grid
         self.dt_max = dt_max
-        self.size = max(1, BLOCK_VALUES // (grid.n_cells + grid.n_nodes))
+        self.size = max(1, BLOCK_VALUES // grid.n_nodes)
         self.rows: deque[tuple[float, tuple[np.ndarray, ...]]] = deque()
 
     def at(self, t: float, dt: float, target: float) -> tuple[np.ndarray, ...]:
@@ -232,10 +244,12 @@ class _Stepper:
         self.halvings = 0
 
     def __iter__(self) -> Iterator[tuple[State, float, bool, tuple[float, float]]]:
-        scenario, grid, case = self.scenario, self.grid, self.case
-        params = scenario.params
-        bc = scenario.bc
-        queue = _SourceQueue(case, grid, scenario.dt_max) if case is not None else None
+        grid, case, scenario = self.grid, self.case, self.scenario
+        params, bc, t_end = scenario.params, scenario.bc, scenario.t_end
+        cfl, dt_min, dt_max = scenario.cfl, scenario.dt_min, scenario.dt_max
+        output_every = scenario.output_every
+        queue = _SourceQueue(case, grid, dt_max) if case is not None else None
+        wall_stress = self.wall_stress if _forces_walls(case, bc) else None
         # the loop alone holds the states it steps from, so the initial state
         # is freed as the later ones are (a state is 7 arrays of N values)
         state, self.state = self.state, None
@@ -244,11 +258,9 @@ class _Stepper:
         abort_reason: str | None = None
         out_index = 1
 
-        while not _reached(state.t, scenario.t_end):
-            dt = dt_control(
-                state, grid, params, scenario.cfl, scenario.dt_min, scenario.dt_max
-            )
-            target = min(scenario.t_end, out_index * scenario.output_every)
+        while not _reached(state.t, t_end):
+            dt = dt_control(state, grid, params, cfl, dt_min, dt_max)
+            target = min(t_end, out_index * output_every)
             dt = min(dt, target - state.t)
 
             while True:
@@ -256,7 +268,11 @@ class _Stepper:
                     sources = (
                         queue.at(state.t, dt, target) if queue is not None else None
                     )
-                    stress_bc = self.wall_stress(state.t + dt)
+                    stress_bc = (
+                        wall_stress(state.t + dt)
+                        if wall_stress is not None
+                        else _FREE_WALLS
+                    )
                     new_state = step(
                         state, dt, params, bc, grid, sources, stress_bc, previous
                     )
@@ -264,14 +280,14 @@ class _Stepper:
                 except StepRejected as exc:
                     halvings += 1
                     dt *= 0.5
-                    if not dt >= scenario.dt_min:  # a NaN dt aborts too
+                    if not dt >= dt_min:  # a NaN dt aborts too
                         abort_reason = str(exc)
                         break
             if abort_reason is not None:
                 break
 
             previous, state = state, new_state
-            row_due = _reached(state.t, out_index * scenario.output_every)
+            row_due = _reached(state.t, out_index * output_every)
             yield state, dt, row_due, stress_bc
             if row_due:
                 out_index += 1

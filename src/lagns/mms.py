@@ -15,11 +15,18 @@ an exact solution whose sources are zero; "deep" is a = 9/10, whose theta*
 reaches down to 0.1, where kappa = kappa_tilde theta**beta degenerates.
 
 jet_sources turns fields given as jets (value, first and second
-x-derivative, t-derivative) into the sources by the chain rule. For the
-family, each part of a jet is an x-only factor, cos(pi x) or sin(pi x),
-times a coefficient made from three t-scalars. mms_sources evaluates the
-factors at a grid's centers and nodes on each call; MmsCase.wall_stress,
-called once per step attempt of a forced stress-free run, at the two walls.
+x-derivative, t-derivative) into the sources by the chain rule, in two
+halves: s_v and s_theta (_cell_sources), which need no mu' or sigma_x, and
+s_u and sigma (_node_sources), which need no kappa, kappa', q or q_x. For
+the family, each part of a jet is an x-only factor, cos(pi x) or sin(pi x),
+times a coefficient made from three t-scalars (_jet_part). A step reads
+s_v and s_theta at the N cell centers and s_u at the N + 1 nodes, so
+mms_sources evaluates the cell half at the centers and the node half at
+the nodes, each from only the parts of the jets it reads, with the factors
+evaluated on each call. MmsCase.v and MmsCase.u form only their value
+part, and MmsCase.wall_stress, called once per step attempt of a forced
+stress-free run, only v* and u*_x at the two walls. Every path runs the
+same formulas, so a value has the same bits whichever computed it.
 
 One mms_sources call covers many times, one row per time: the coefficients
 are computed with math one time at a time and stacked into columns, and the
@@ -64,22 +71,60 @@ def jet_sources(params: MaterialParams, v, u, theta):
 
         sigma_x = (mu' v_x u_x + mu u_xx - R theta_x - sigma v_x) / v
         q_x     = (kappa' theta_x**2 + kappa theta_xx - q v_x) / v.
+
+    s_v and s_theta come from _cell_sources and s_u and sigma from
+    _node_sources, each with only the terms it needs.
     """
-    v, v_x, v_xx, v_t = v
-    u, u_x, u_xx, u_t = u
+    v, v_x, _, v_t = v
+    _, u_x, u_xx, u_t = u
     theta, theta_x, theta_xx, theta_t = theta
-    power, mu = volume_terms(v, params)
-    mu_prime = -params.alpha * params.mu_tilde * power / v
+    s_v, s_theta = _cell_sources(
+        params, v, v_x, v_t, u_x, theta, theta_x, theta_xx, theta_t
+    )
+    s_u, sigma = _node_sources(params, v, v_x, u_x, u_xx, u_t, theta, theta_x)
+    return s_v, s_u, s_theta, sigma
+
+
+def _cell_sources(params, v, v_x, v_t, u_x, theta, theta_x, theta_xx, theta_t):
+    """(s_v, s_theta) of jet_sources, from the parts of the jets they read:
+    no mu' or sigma_x."""
     kappa = conductivity(theta, params)
     kappa_prime = params.beta * kappa / theta
-    sigma = mu * u_x / v - pressure(v, theta, params)
-    sigma_x = (mu_prime * v_x * u_x + mu * u_xx - params.R * theta_x - sigma * v_x) / v
+    sigma = stress(v, theta, u_x, params)
     q = kappa * theta_x / v
     q_x = (kappa_prime * theta_x**2 + kappa * theta_xx - q * v_x) / v
-    s_v = v_t - u_x
-    s_u = u_t - sigma_x
-    s_theta = params.c_v * theta_t - sigma * u_x - q_x
-    return s_v, s_u, s_theta, sigma
+    return v_t - u_x, params.c_v * theta_t - sigma * u_x - q_x
+
+
+def _node_sources(params, v, v_x, u_x, u_xx, u_t, theta, theta_x):
+    """(s_u, sigma) of jet_sources, from the parts of the jets they read: no
+    kappa, kappa', q or q_x. sigma has the bits of constitutive.stress."""
+    power, mu = volume_terms(v, params)
+    mu_prime = -params.alpha * params.mu_tilde * power / v
+    sigma = mu * u_x / v - pressure(v, theta, params)
+    sigma_x = (mu_prime * v_x * u_x + mu * u_xx - params.R * theta_x - sigma * v_x) / v
+    return u_t - sigma_x, sigma
+
+
+# part k of the family's jets, (v, v_x, v_xx, v_t) of v* (theta*'s) and then
+# (u, u_x, u_xx, u_t) of u*, is coefficient k of MmsCase._coefficients times
+# sin(pi x) when k is in _ON_SIN and cos(pi x) otherwise; v* itself adds 1
+_ON_SIN = frozenset((1, 4, 6, 7))
+
+
+def _factors(x):
+    """The x-only factors cos(pi x) and sin(pi x) of the jets at x."""
+    pi_x = np.pi * x
+    return np.cos(pi_x), np.sin(pi_x)
+
+
+def _jet_part(c, k, cos, sin):
+    """Part k of the family's jets from the coefficients c (floats, or
+    columns with a row per time that multiply the factor rows) and the
+    factors; a factor the part does not read may be None."""
+    if k == 0:
+        return 1.0 + c[0] * cos
+    return c[k] * (sin if k in _ON_SIN else cos)
 
 
 @dataclass(frozen=True)
@@ -91,28 +136,30 @@ class MmsCase:
     params: MaterialParams
 
     def v(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self._jets(x, self._coefficients(t))[0][0]
+        return _jet_part(self._coefficients(t), 0, np.cos(np.pi * x), None)
 
     def u(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self._jets(x, self._coefficients(t))[1][0]
+        return _jet_part(self._coefficients(t), 4, None, np.sin(np.pi * x))
 
     def theta(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.v(x, t)
 
     def sources(self, x: np.ndarray, t: float):
         """(s_v, s_u, s_theta, sigma) at any points x."""
-        v, u = self._jets(x, self._coefficients(t))
-        return jet_sources(self.params, v, u, v)
+        c, (cos, sin) = self._coefficients(t), _factors(x)
+        parts = [_jet_part(c, k, cos, sin) for k in range(8)]
+        return jet_sources(self.params, parts[:4], parts[4:], parts[:4])
 
     def wall_stress(self, t: float) -> np.ndarray:
         """The stress at x = 0 and x = 1."""
-        v, u = self._jets(np.array([0.0, 1.0]), self._coefficients(t))
-        return stress(v[0], v[0], u[1], self.params)
+        c, cos = self._coefficients(t), np.cos(np.pi * np.array([0.0, 1.0]))
+        v = _jet_part(c, 0, cos, None)
+        return stress(v, v, _jet_part(c, 5, cos, None), self.params)
 
     def _coefficients(self, t: float) -> tuple[float, ...]:
         """The coefficients at t of the factors in the jets of v* and of
-        u*, in the order _jets reads them, from the t-scalars decay, swing
-        and the u_t factor."""
+        u*, in the order of their parts (see _jet_part), from the t-scalars
+        decay, swing and the u_t factor."""
         decay = self.amplitude * math.exp(-t)
         swing = self.amplitude * math.sin(math.pi * t)
         return (
@@ -124,19 +171,6 @@ class MmsCase:
             math.pi * swing,
             -math.pi**2 * swing,
             math.pi * self.amplitude * math.cos(math.pi * t),
-        )
-
-    @staticmethod
-    def _jets(x, coefficients):
-        """The jets of v* (which are theta*'s) and of u* at the points x,
-        through their x-only factors cos(pi x) and sin(pi x). The
-        coefficients are floats, or columns with a row per time that
-        multiply the factor rows."""
-        cos, sin = np.cos(np.pi * x), np.sin(np.pi * x)
-        c = coefficients
-        return (
-            (1.0 + c[0] * cos, c[1] * sin, c[2] * cos, c[3] * cos),
-            (c[4] * sin, c[5] * cos, c[6] * sin, c[7] * sin),
         )
 
 
@@ -157,11 +191,16 @@ def mms_sources(
     """Sources at each of the times: (cells, nodes, cells) for (v, u,
     theta), one row per time.
 
-    One evaluation covers every time, and the cell centers followed by the
-    nodes. Each row has the bits of a call at its time alone.
+    One evaluation covers every time: s_v and s_theta at the cell centers,
+    s_u at the nodes, each from only the parts of the jets it reads. Each
+    row has the bits of a call at its time alone.
     """
-    columns = np.array([case._coefficients(t) for t in times]).T[..., None]
-    v, u = case._jets(np.concatenate((grid.centers, grid.nodes)), columns)
-    s_v, s_u, s_theta, _ = jet_sources(case.params, v, u, v)
-    n = grid.n_cells
-    return s_v[:, :n], s_u[:, n:], s_theta[:, :n]
+    c = np.array([case._coefficients(t) for t in times]).T[..., None]
+    # theta*'s jet is v*'s
+    cos, sin = _factors(grid.centers)
+    v, v_x, v_xx, v_t, u_x = (_jet_part(c, k, cos, sin) for k in (0, 1, 2, 3, 5))
+    s_v, s_theta = _cell_sources(case.params, v, v_x, v_t, u_x, v, v_x, v_xx, v_t)
+    cos, sin = _factors(grid.nodes)
+    v, v_x, u_x, u_xx, u_t = (_jet_part(c, k, cos, sin) for k in (0, 1, 5, 6, 7))
+    s_u, _ = _node_sources(case.params, v, v_x, u_x, u_xx, u_t, v, v_x)
+    return s_v, s_u, s_theta

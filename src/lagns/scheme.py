@@ -121,9 +121,12 @@ class _System:
     """The reused buffers of one system size n, and ptsv's arguments bound
     to them: diag (n), off (n - 1) and x, the right-hand side that ptsv
     overwrites with the solution. The arguments keep the buffers alive.
-    scale is a 0-d buffer into which a step writes each dt-dependent scalar
-    just before a ufunc reads it: as an operand it costs about 0.15 us less
-    than a Python float (see grid.scalar_operand), to the same bits."""
+    diag_inner and x_inner view the rows 1 to n - 2 of diag and x, and
+    diag_head and diag_tail all of diag but its last and its first entry,
+    made once so that a step does not slice them again. scale is a 0-d
+    buffer into which a step writes each dt-dependent scalar just before a
+    ufunc reads it: as an operand it costs about 0.15 us less than a Python
+    float (see grid.scalar_operand), to the same bits."""
 
     def __init__(self, n: int):
         self.diag = np.empty(n)
@@ -132,6 +135,8 @@ class _System:
         bands = np.empty(max(n - 1, 1))
         self.off = bands[: n - 1]
         self.x = np.empty(n)
+        self.diag_inner, self.x_inner = self.diag[1:-1], self.x[1:-1]
+        self.diag_head, self.diag_tail = self.diag[:-1], self.diag[1:]
         self.info = ctypes.c_int64(0)
         self.scale = np.empty(())
         size = ctypes.c_int64(n)
@@ -285,30 +290,33 @@ def momentum_step(
     system = _SYSTEMS.get(grid.n_nodes)
     diag, off, rhs, scale = system.diag, system.off, system.x, system.scale
 
+    # out is passed positionally, which numpy parses faster than a keyword
     scale[()] = -r
-    np.multiply(scale, a, out=off)
-    diag_in, rhs_in = diag[1:-1], rhs[1:-1]
-    np.add(a[:-1], a[1:], out=diag_in)
+    np.multiply(scale, a, off)
+    diag_in, rhs_in = system.diag_inner, system.x_inner
+    np.add(a[:-1], a[1:], diag_in)
     scale[()] = r
     diag_in *= scale
     diag_in += _ONE
-    np.subtract(p[1:], p[:-1], out=rhs_in)
+    np.subtract(p[1:], p[:-1], rhs_in)
     scale[()] = dt / dx
     rhs_in *= scale
-    np.subtract(state.u[1:-1], rhs_in, out=rhs_in)
+    np.subtract(state.u[1:-1], rhs_in, rhs_in)
     if source is not None:
         rhs_in += dt * source[1:-1]
 
     if bc is BoundaryKind.STRESS_FREE:
         # each wall row is the half-mass control volume's balance divided by
-        # 2, which is exact and makes the matrix symmetric
-        diag[0] = 0.5 + r * a[0]
-        rhs[0] = 0.5 * state.u[0] - (dt / dx) * (p[0] + stress_bc[0])
-        diag[-1] = 0.5 + r * a[-1]
-        rhs[-1] = 0.5 * state.u[-1] + (dt / dx) * (stress_bc[1] + p[-1])
+        # 2, which is exact and makes the matrix symmetric; its arithmetic
+        # is on Python floats (item), cheaper than numpy scalars, same bits
+        u = state.u
+        diag[0] = 0.5 + r * a.item(0)
+        rhs[0] = 0.5 * u.item(0) - (dt / dx) * (p.item(0) + stress_bc[0])
+        diag[-1] = 0.5 + r * a.item(-1)
+        rhs[-1] = 0.5 * u.item(-1) + (dt / dx) * (stress_bc[1] + p.item(-1))
         if source is not None:
-            rhs[0] += (0.5 * dt) * source[0]
-            rhs[-1] += (0.5 * dt) * source[-1]
+            rhs[0] = rhs.item(0) + (0.5 * dt) * source.item(0)
+            rhs[-1] = rhs.item(-1) + (0.5 * dt) * source.item(-1)
     else:
         # the wall rows are the identity and do not couple to the rows next
         # to them, so the walls come back as exactly 0
@@ -394,18 +402,19 @@ def temperature_step(
     system = _SYSTEMS.get(grid.n_cells)
     diag, off, rhs, scale = system.diag, system.off, system.x, system.scale
     # minus s times the interface conductivity: the off-diagonal of A
-    np.add(kv[:-1], kv[1:], out=off)
+    np.add(kv[:-1], kv[1:], off)
     scale[()] = -0.5 * s
     off *= scale
     # rhs holds c_v v' until the diagonal is built
-    np.multiply(params.c_v_0d, new_v, out=rhs)
+    np.multiply(params.c_v_0d, new_v, rhs)
     scale[()] = dt * params.R
-    np.multiply(scale, u_x, out=diag)
+    np.multiply(scale, u_x, diag)
     diag /= rhs
     diag += _ONE
-    diag[:-1] -= off
-    diag[1:] -= off
-    np.multiply(mu, u_x, out=rhs)
+    head, tail = system.diag_head, system.diag_tail
+    head -= off
+    tail -= off
+    np.multiply(mu, u_x, rhs)
     rhs *= u_x
     rhs /= new_v
     scale[()] = dt / params.c_v

@@ -380,12 +380,16 @@ class TestSourceQueue:
     def counted(monkeypatch):
         """Count the mms_sources calls, the rows they evaluate and the step
         attempts of the runs that follow."""
-        counts = {"calls": 0, "rows": 0, "attempts": 0}
+        counts = {"calls": 0, "rows": 0, "attempts": 0, "widest": 0}
         sources, advance = driver.mms_sources, driver.step
 
         def counted_sources(case, grid, times):
             counts["calls"] += 1
             counts["rows"] += np.size(times)
+            # the values of the call's widest temporary, a row of N + 1
+            # nodes per time
+            widest = np.size(times) * grid.n_nodes
+            counts["widest"] = max(counts["widest"], widest)
             return sources(case, grid, times)
 
         def counted_step(*args, **kwargs):
@@ -429,8 +433,8 @@ class TestSourceQueue:
 
     def test_capped_levels_share_their_calls(self, monkeypatch):
         # the levels of a convergence study step at the cap dt_max = dx^2, so
-        # one call covers up to BLOCK_VALUES // (2N + 1) steps: 124, 63, 31
-        # and 15 at N = 16, 32, 64 and 128
+        # one call covers up to BLOCK_VALUES // (N + 1) steps: 240, 124, 63
+        # and 31 at N = 16, 32, 64 and 128
         counts = self.counted(monkeypatch)
         calls = []
         for n in (16, 32, 64, 128):
@@ -440,7 +444,24 @@ class TestSourceQueue:
             # every evaluated row is used, by exactly one step
             assert counts["rows"] == counts["attempts"] == n * n // 4
             calls.append(counts["calls"])
-        assert calls == [1, 5, 34, 274]
+        assert calls == [1, 3, 17, 133]
+
+    @pytest.mark.parametrize("scenario, fills", [
+        # the level at N = 16 has 64 steps, fewer than a call can hold
+        *(pytest.param(mms_scenario(n), n > 16, id=f"default_n{n}_dx2")
+          for n in (16, 32, 64, 128)),
+        pytest.param(DEEP_DX4, False, id="deep_n32_dx4"),
+    ])
+    def test_calls_stay_within_block_values(self, monkeypatch, scenario, fills):
+        # every temporary of a call spans N or N + 1 values per time, so the
+        # rows of a call times N + 1 are at most BLOCK_VALUES; a level with
+        # more capped steps than that fills a call to the cap
+        counts = self.counted(monkeypatch)
+        run(scenario)
+        assert 0 < counts["widest"] <= driver.BLOCK_VALUES
+        n_nodes = scenario.n_cells + 1
+        if fills:
+            assert counts["widest"] == driver.BLOCK_VALUES // n_nodes * n_nodes
 
     @pytest.mark.parametrize("name, halvings", [
         ("mms_default.json", 0), ("mms_deep.json", 52),

@@ -875,6 +875,61 @@ class TestReusedBuffers:
         assert not np.shares_memory(one, two)
         np.testing.assert_array_equal(one, [1.0, 2.0, 3.0, 4.0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 257])
+    def test_cached_views_are_the_slices_they_replace(self, n):
+        # each view a _System keeps is its own diag's or x's entries, exactly
+        # those of the slice a step took before
+        system = scheme._System(n)
+        views = {
+            "diag_inner": (system.diag, slice(1, -1)),
+            "x_inner": (system.x, slice(1, -1)),
+            "diag_head": (system.diag, slice(None, -1)),
+            "diag_tail": (system.diag, slice(1, None)),
+        }
+        for name, (base, entries) in views.items():
+            view, want = getattr(system, name), base[entries]
+            assert view.base is base, name
+            assert view.__array_interface__ == want.__array_interface__, name
+            if want.size:
+                assert np.shares_memory(view, base), name
+            # writing through the view writes those entries of its buffer
+            base[:] = 0.0
+            view[:] = 1.0
+            assert np.flatnonzero(base).tolist() == list(range(n))[entries], name
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["profile", "manufactured"])
+    @pytest.mark.parametrize("bc", [SF, NS], ids=["stress_free", "no_slip"])
+    def test_steps_return_no_buffer(self, bc, forced):
+        # no array of a returned state may be a buffer or a view of one: the
+        # next solve at its size would overwrite it
+        grid, dt = Grid(16), 1e-3
+        params = MaterialParams()
+        mms = "default" if forced else None
+        scenario = Scenario(bc=bc, n_cells=16, params=params, mms=mms)
+        case = manufactured_case("default", params) if forced else None
+        state = with_derived(scenario.initial_state(grid), params, grid)
+        returned = []
+        for _ in range(2):
+            t = state.t + dt
+            sources = (
+                [rows[0] for rows in mms_sources(case, grid, [t])] if forced else None
+            )
+            stress_bc = driver._imposed_wall_stress(case, bc, t)
+            state = step(state, dt, params, bc, grid, sources, stress_bc)
+            derived = [getattr(state.derived, f.name) for f in fields(state.derived)]
+            returned += [state.v, state.u, state.theta, *derived]
+        names = (
+            "diag", "off", "x", "scale", "diag_inner", "x_inner", "diag_head",
+            "diag_tail",
+        )
+        buffers = [
+            getattr(scheme._SYSTEMS.get(n), name)
+            for n in (grid.n_cells, grid.n_nodes) for name in names
+        ]
+        for array in returned:
+            for buffer in buffers:
+                assert not np.shares_memory(array, buffer)
+
     def test_each_step_matches_a_fresh_thread(self):
         # steps at one size alternate walls and sources, and follow a
         # rejected temperature solve, so a branch that leaves an entry of a
