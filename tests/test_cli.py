@@ -75,6 +75,36 @@ FORCED_STRESS_FREE_DIGESTS = (
     "39e36e58591102e457627110cf320da8d5ae1087ac7c0dcf1e60575260d10a7b",
     "e3ca0bfc2daefbb84477747e5169967591c22cf2761afbcfe5a68d700618b8af",
 )
+# the exit code and sha256 of the stdout of `lagns verify`, by run: a run is
+# a shipped config (or none) updated with top-level keys. Besides the
+# physical configs, three runs reach rules no shipped config does: a run
+# that records no output row, one whose final state is later than its last
+# row, and a hot gas that fails the representation row
+VERIFY_PINS = {
+    "default": ("default", {}, 0,
+                "d86ca3ba49443c469dc37d800b76a24681b95c0a8ebb43f202a02d9e14775890"),
+    "alpha0": ("alpha0", {}, 0,
+               "799f88b23de27f0b6abe532d2935132b9aa6d44276554c0dfef7acb99271f8a1"),
+    "noslip_steady": ("noslip_steady", {}, 1,
+                      "81d0fe1d93d91ed400cfb579ba9ca38593ef5d74c1006a7fa4f868c18bfddfd5"),
+    "no_output_row": (
+        None, {"n_cells": 16, "t_end": 0.05, "output_every": 0.1}, 1,
+        "a206e19d473f495bd155b1a9012b2674368cd1396c75750869b7a3451c57a38f",
+    ),
+    "final_after_last_row": (
+        "noslip_steady", {"t_end": 0.0079, "output_every": 0.004}, 1,
+        "4533d188d3d1012453299171953eabf7c52d7f681b9c6b1f25f6ee1a4b5a97db",
+    ),
+    "hot_gas": (
+        None,
+        {
+            "n_cells": 8, "t_end": 0.01, "output_every": 0.005,
+            "profile": {"amplitudes": {"theta_base": 1e6, "theta_amp": 0.1}},
+        },
+        1,
+        "59f90ddd78f2f4a64350cf9b5d96de3cbe9cc56b1451873fdaedf5d7d4b722c8",
+    ),
+}
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -378,6 +408,15 @@ class TestCmdVerify:
         out = capsys.readouterr().out
         assert "6/6 checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_PINS))
+    def test_stdout_and_exit_code_pinned(self, name, tmp_path, capsys):
+        base, overrides, code, digest = VERIFY_PINS[name]
+        payload = json.loads((CONFIGS / f"{base}.json").read_text()) if base else {}
+        payload.update(overrides)
+        assert cli.cmd_verify(write_config(tmp_path, payload)) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
     @pytest.mark.parametrize("material", [
         {"mu_tilde": 2.0},
