@@ -15,7 +15,7 @@ from .constitutive import (
     stress,
     viscosity,
 )
-from .driver import advance, run, verification_table
+from .driver import advance, run
 from .grid import (
     DerivedFields,
     Grid,
@@ -54,6 +54,7 @@ from .scheme import (
     with_derived,
 )
 from .verify import (
+    CheckResult,
     StateBlock,
     boundary_stress_residual,
     compatibility_residual,
@@ -65,6 +66,7 @@ from .verify import (
     update_accumulator,
     update_bounds,
     velocity_integral_exponent,
+    verification_table,
 )
 
 __version__ = "0.1.0"

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import advance, run, verification_table
+from .driver import advance, run
 from .mms import manufactured_case
-from .verify import representation_residual
+from .verify import representation_residual, verification_table
 from .scenario import (
     ConfigError,
     emit_snapshot,

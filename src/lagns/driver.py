@@ -11,7 +11,8 @@ accepted step with the wall stress it imposed, and two consumers read it:
 - run feeds every accepted step to the representation accumulator and
   the bound tracker, and records a diagnostics row at every multiple of
   output_every, whose wall defect is measured against that step's imposed
-  stress (the initial state's against the stress imposed at t = 0);
+  stress (the initial state's against the stress imposed at t = 0).
+  lagns.verify.verification_table, re-exported here, judges its result;
 - advance keeps only the last state, for callers such as a convergence
   study that read nothing else. Its steps, and so its final state, status
   and halvings, are bit-identical to run's.
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -68,15 +69,10 @@ import numpy as np
 from .grid import Grid, State, total_energy
 from .mms import MmsCase, manufactured_case, mms_sources
 from .scenario import DiagnosticsReport, DiagnosticsRow, Scenario
-from .scheme import (
-    BoundaryKind,
-    StepRejected,
-    dt_control,
-    step,
-    with_derived,
-)
+from .scheme import BoundaryKind, StepRejected, dt_control, step, with_derived
 from .verify import (
     BoundTracker,
+    CheckResult,
     RepresentationAccumulator,
     StateBlock,
     boundary_stress_residual,
@@ -87,6 +83,7 @@ from .verify import (
     representation_residual,
     update_accumulator,
     update_bounds,
+    verification_table,
     # bench/spans.py traces lagns.driver.velocity_band_check; no run calls it
     velocity_band_check,  # noqa: F401
 )
@@ -99,14 +96,6 @@ __all__ = [
     "verification_table",
 ]
 
-# verification thresholds; calibrated ~20x above the measured defaults at
-# N = 128 and far below the O(1) signal of a genuinely broken identity
-REPR_TOL = 5e-3
-DRIFT_TOL = 5e-3
-BOUNDARY_FACTOR = 10.0
-COMPAT_FACTOR = 10.0
-# the checks of verification_table that read the recorded output rows
-ROW_CHECKS = ("volume representation", "energy conservation", "boundary compatibility")
 # values in one row-stacked temporary of the instruments' block fold, and in
 # one temporary of an mms_sources call (32 KiB)
 BLOCK_VALUES = 4096
@@ -125,13 +114,6 @@ class RunResult:
     accumulator: RepresentationAccumulator
     tracker: BoundTracker
     initial_residual: np.ndarray
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
 
 
 def _reached(t: float, target: float) -> bool:
@@ -372,115 +354,3 @@ def advance(scenario: Scenario) -> tuple[Grid, State, DiagnosticsReport]:
     for _ in stepper:
         pass
     return stepper.grid, stepper.final_state(), stepper.report(())
-
-
-def verification_table(result: RunResult) -> list[CheckResult]:
-    """Evaluate the full invariant suite on a finished physical run.
-
-    Thresholds are fixed, documented constants; each row is independent so
-    one failure never masks another. Worst values are taken with reductions
-    that keep a NaN, so a NaN fails the row it lands in. The checks that
-    read the output rows fail when the run recorded none (t_end <
-    output_every), since they then checked nothing. The representation and
-    energy checks also judge the final state when it is later than the last
-    row, so the stretch after the last multiple of output_every is checked
-    too.
-    """
-    grid = result.grid
-    tracker = result.tracker
-    rows = result.report.rows
-    dx = grid.dx
-    residuals = [row.repr_residual for row in rows]
-    drifts = [row.energy_drift for row in rows]
-    final = result.state
-    if not rows or final.t > rows[-1].t:
-        residuals.append(representation_residual(final, result.accumulator, grid))
-        drifts.append(
-            energy_drift(tracker, total_energy(final, grid, tracker.params.c_v))
-        )
-    scale = max(tracker.sup_stress_scale, 1.0)
-    checks: list[CheckResult] = []
-
-    compat_tol = COMPAT_FACTOR * dx**2 * scale
-    worst_compat = float(np.max(result.initial_residual))
-    checks.append(
-        CheckResult(
-            "initial compatibility",
-            worst_compat <= compat_tol,
-            f"max t=0 boundary defect {worst_compat:.3e} (tol {compat_tol:.3e})",
-        )
-    )
-
-    worst_repr = float(np.max(residuals))
-    checks.append(
-        CheckResult(
-            "volume representation",
-            worst_repr <= REPR_TOL,
-            f"max residual {worst_repr:.3e} (tol {REPR_TOL:.1e})",
-        )
-    )
-
-    worst_drift = float(np.max(drifts))
-    checks.append(
-        CheckResult(
-            "energy conservation",
-            worst_drift <= DRIFT_TOL,
-            f"max relative drift {worst_drift:.3e} (tol {DRIFT_TOL:.1e})",
-        )
-    )
-
-    positive = (
-        tracker.min_v > 0.0
-        and tracker.min_theta > 0.0
-        and result.report.status == "completed"
-    )
-    checks.append(
-        CheckResult(
-            "positivity floors",
-            positive,
-            f"min v {tracker.min_v:.6g}, min theta {tracker.min_theta:.6g}, "
-            f"halvings {result.report.halvings}",
-        )
-    )
-
-    # each row's worse wall, judged against the tolerance of its own step
-    defects = np.array(
-        [(row.boundary_resid_left, row.boundary_resid_right) for row in rows]
-    ).reshape(-1, 2).max(axis=1)
-    dts = np.array([row.dt_current for row in rows])
-    boundary_ok = bool(np.all(defects <= BOUNDARY_FACTOR * (dx**2 + dts) * scale))
-    worst_boundary = float(defects.max(initial=0.0))
-    checks.append(
-        CheckResult(
-            "boundary compatibility",
-            boundary_ok,
-            f"max wall defect {worst_boundary:.3e} "
-            f"(tol {BOUNDARY_FACTOR:.0f}*(dx^2 + dt)*{scale:.3g})",
-        )
-    )
-
-    functionals = (
-        tracker.sup_grad_v_sq,
-        tracker.sup_grad_theta_sq,
-        tracker.sup_u_x_sq,
-        tracker.int_max_theta,
-        tracker.int_uxx_sq,
-        tracker.int_ut_sq,
-    )
-    checks.append(
-        CheckResult(
-            "bounded functionals",
-            all(np.isfinite(functionals)),
-            "sup/integral functionals all finite: "
-            + ", ".join(f"{value:.4g}" for value in functionals),
-        )
-    )
-
-    if not rows:
-        checks = [
-            replace(check, passed=False, detail="no output row was recorded")
-            if check.name in ROW_CHECKS
-            else check
-            for check in checks
-        ]
-    return checks

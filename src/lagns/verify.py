@@ -51,12 +51,18 @@ stress| on stress-free walls, |u| on no-slip ones), and
 compatibility_residual adds the insulated walls' temperature gradients. A
 run judges its initial state by the latter and each output row by the
 former, both against the wall stress imposed at that time.
+
+The checks that judge a finished run live here too, with their
+tolerances: CHECKS is their one ordered table, and verification_table
+reports each as a CheckResult.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -80,6 +86,9 @@ from .grid import (
 )
 from .scheme import BoundaryKind
 
+if TYPE_CHECKING:
+    from .driver import RunResult
+
 __all__ = [
     "relative_volume_exponent",
     "velocity_integral_exponent",
@@ -96,6 +105,10 @@ __all__ = [
     "energy_drift",
     "boundary_stress_residual",
     "compatibility_residual",
+    "CheckResult",
+    "Check",
+    "CHECKS",
+    "verification_table",
 ]
 
 
@@ -488,3 +501,118 @@ def compatibility_residual(
     grad_left = (-2.0 * theta[0] + 3.0 * theta[1] - theta[2]) / dx
     grad_right = (2.0 * theta[-1] - 3.0 * theta[-2] + theta[-3]) / dx
     return np.array([left, right, abs(grad_left), abs(grad_right)])
+
+
+# verification thresholds; calibrated ~20x above the measured defaults at
+# N = 128 and far below the O(1) signal of a genuinely broken identity
+REPR_TOL = 5e-3
+DRIFT_TOL = 5e-3
+BOUNDARY_FACTOR = 10.0
+COMPAT_FACTOR = 10.0
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
+
+
+class Check(NamedTuple):
+    """One row of verification_table: its name, whether it reads the output
+    rows, and its judge of a finished run, returning (passed, detail)."""
+
+    name: str
+    reads_rows: bool
+    judge: Callable[[RunResult], tuple[bool, str]]
+
+
+def _worst(result: RunResult, column: str, final: float) -> float:
+    """The largest value of an output-row column, and of final, the final
+    state's value, if that state is later than the last row; np.max keeps
+    a NaN."""
+    rows = result.report.rows
+    values = [getattr(row, column) for row in rows]
+    if result.state.t > rows[-1].t:
+        values.append(final)
+    return float(np.max(values))
+
+
+def _initial_compatibility(result: RunResult) -> tuple[bool, str]:
+    tol = COMPAT_FACTOR * result.grid.dx**2 * max(result.tracker.sup_stress_scale, 1.0)
+    worst = float(np.max(result.initial_residual))
+    return worst <= tol, f"max t=0 boundary defect {worst:.3e} (tol {tol:.3e})"
+
+
+def _volume_representation(result: RunResult) -> tuple[bool, str]:
+    final = representation_residual(result.state, result.accumulator, result.grid)
+    worst = _worst(result, "repr_residual", final)
+    return worst <= REPR_TOL, f"max residual {worst:.3e} (tol {REPR_TOL:.1e})"
+
+
+def _energy_conservation(result: RunResult) -> tuple[bool, str]:
+    tracker = result.tracker
+    energy = total_energy(result.state, result.grid, tracker.params.c_v)
+    worst = _worst(result, "energy_drift", energy_drift(tracker, energy))
+    return worst <= DRIFT_TOL, f"max relative drift {worst:.3e} (tol {DRIFT_TOL:.1e})"
+
+
+def _positivity_floors(result: RunResult) -> tuple[bool, str]:
+    tracker, report = result.tracker, result.report
+    positive = tracker.min_v > 0.0 and tracker.min_theta > 0.0
+    return positive and report.status == "completed", (
+        f"min v {tracker.min_v:.6g}, min theta {tracker.min_theta:.6g}, "
+        f"halvings {report.halvings}"
+    )
+
+
+def _boundary_compatibility(result: RunResult) -> tuple[bool, str]:
+    rows, dx = result.report.rows, result.grid.dx
+    scale = max(result.tracker.sup_stress_scale, 1.0)
+    # each row's worse wall, judged against the tolerance of its own step
+    defects = np.array(
+        [(row.boundary_resid_left, row.boundary_resid_right) for row in rows]
+    ).max(axis=1)
+    dts = np.array([row.dt_current for row in rows])
+    passed = bool(np.all(defects <= BOUNDARY_FACTOR * (dx**2 + dts) * scale))
+    return passed, (
+        f"max wall defect {float(defects.max()):.3e} "
+        f"(tol {BOUNDARY_FACTOR:.0f}*(dx^2 + dt)*{scale:.3g})"
+    )
+
+
+def _bounded_functionals(result: RunResult) -> tuple[bool, str]:
+    tracker = result.tracker
+    functionals = (
+        tracker.sup_grad_v_sq, tracker.sup_grad_theta_sq, tracker.sup_u_x_sq,
+        tracker.int_max_theta, tracker.int_uxx_sq, tracker.int_ut_sq,
+    )
+    return all(np.isfinite(functionals)), (
+        "sup/integral functionals all finite: "
+        + ", ".join(f"{value:.4g}" for value in functionals)
+    )
+
+
+# the checks of verification_table, in the order they are reported
+CHECKS = (
+    Check("initial compatibility", False, _initial_compatibility),
+    Check("volume representation", True, _volume_representation),
+    Check("energy conservation", True, _energy_conservation),
+    Check("positivity floors", False, _positivity_floors),
+    Check("boundary compatibility", True, _boundary_compatibility),
+    Check("bounded functionals", False, _bounded_functionals),
+)
+
+
+def verification_table(result: RunResult) -> list[CheckResult]:
+    """Judge a finished physical run by each check of CHECKS, in order.
+    One failure never masks another, and a NaN fails the check it lands
+    in. A check that reads the output rows fails when the run recorded none
+    (t_end < output_every), since it then checked nothing."""
+    recorded = bool(result.report.rows)
+    return [
+        CheckResult(check.name, *check.judge(result))
+        if recorded or not check.reads_rows
+        else CheckResult(check.name, False, "no output row was recorded")
+        for check in CHECKS
+    ]

@@ -562,7 +562,7 @@ class TestRepresentationForAnyMaterial:
             result = run(scenario)
         assert result.report.status == "completed"
         (row,) = result.report.rows
-        assert row.repr_residual <= driver.REPR_TOL
+        assert row.repr_residual <= verify.REPR_TOL
 
     def test_small_alpha_stays_finite(self):
         # exp(v**-alpha/alpha) alone overflows for alpha below about 1/709
