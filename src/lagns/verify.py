@@ -529,8 +529,8 @@ class Check(NamedTuple):
 
 def _worst(result: RunResult, column: str, final: float) -> float:
     """The largest value of an output-row column, and of final, the final
-    state's value, if that state is later than the last row; np.max keeps
-    a NaN."""
+    state's value, if that state is later than the last row (so the stretch
+    after the last multiple of output_every is judged too); np.max keeps a NaN."""
     rows = result.report.rows
     values = [getattr(row, column) for row in rows]
     if result.state.t > rows[-1].t:
