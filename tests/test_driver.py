@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -370,6 +371,9 @@ DEEP_DX4 = Scenario(
     params=MaterialParams(beta=8.0), bc=BoundaryKind.NO_SLIP, n_cells=32,
     t_end=0.25, output_every=0.25, mms="deep", dt_max=0.25 / 32,
 )
+# sha256 of the float64 bytes of DEEP_DX4's final v, u and theta: the one
+# pinned run whose capped stretches are cut by halved retries
+DEEP_DX4_DIGEST = "72b973a215a7a2d12de39deea063f470d19e4b609a92df457227a820692a4655"
 
 
 class TestSourceQueue:
@@ -430,6 +434,13 @@ class TestSourceQueue:
 
         monkeypatch.setattr(driver, "mms_sources", one_call_per_time)
         assert run_bits(run(scenario)) == batched
+
+    def test_deep_dx4_final_state_is_pinned(self):
+        _, state, report = advance(DEEP_DX4)
+        assert report.status == "completed"
+        assert report.halvings == 20
+        fields = b"".join(a.tobytes() for a in (state.v, state.u, state.theta))
+        assert hashlib.sha256(fields).hexdigest() == DEEP_DX4_DIGEST
 
     def test_capped_levels_share_their_calls(self, monkeypatch):
         # the levels of a convergence study step at the cap dt_max = dx^2, so
