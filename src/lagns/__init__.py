@@ -47,6 +47,7 @@ from .scheme import (
     StepRejected,
     continuity_step,
     dt_control,
+    forcing,
     momentum_step,
     step,
     temperature_step,

@@ -23,30 +23,35 @@ when it is full, when an output row is due (a row reads the tracker and
 the time integral), and when the run completes or aborts, so the
 instruments are in step with the state at every row and at the end.
 
-A block holds max(1, BLOCK_VALUES // n_nodes) steps. The per-call overhead a
-block saves is the same whatever N is, but the fold's temporaries hold a row
-per step and so grow with N. Capped at BLOCK_VALUES values they stay at
-32 KiB, well below the 128 KiB from which glibc maps and unmaps every
-allocation, which would make a large block slower than its single steps.
-From N = 2048 on a block is one step. The block keeps references to its
-states. When it is folded, the rows of a one-step block are views of its
-state's arrays, and a longer block stacks copies of its states' fields.
+A stretch is max(1, BLOCK_VALUES // n_nodes) steps (_stretch): a block
+holds the states of one, and one mms_sources call evaluates the sources of
+at most one. The per-call overhead a stretch saves is the same whatever N
+is, but its temporaries hold a row per step, of at most N + 1 values, and
+so grow with N. Capped at BLOCK_VALUES values they stay at 32 KiB, well
+below the 128 KiB from which glibc maps and unmaps every allocation, which
+would make a long stretch slower than its single steps: 240, 124, 63 and
+31 steps at N = 16, 32, 64 and 128, and one step from N = 2048 on. The
+block keeps references to its states. When it is folded, the rows of a
+one-step block are views of its state's arrays, and a longer block stacks
+copies of its states' fields.
 
-A manufactured run evaluates its sources ahead, in a queue of (time,
-sources) rows. A step takes the head row only when its time state.t + dt is
-bit-equal to the row's; otherwise the queue is refilled with one
-mms_sources call that starts at the step's time. When the cap binds (dt ==
-dt_max), that call also covers the times the following capped steps form,
-t + dt_max while dt_max <= target - t, the same floats the loop will make;
-CFL-limited steps, halved retries and the truncated step before a row
-evaluate their one time. A call evaluates s_v and s_theta at the N cell
-centers and s_u at the N + 1 nodes, so its widest temporary holds a value
-per node and time, and a call holds at most max(1, BLOCK_VALUES // (N + 1))
-times, the limit on one row-stacked temporary of the block fold: 240, 124,
-63 and 31 times at N = 16, 32, 64 and 128. A row is used only at its exact
-time, so the results never depend on the prediction. A run that imposes
-no wall stress (any but a forced stress-free one) passes zero without
-evaluating it.
+A manufactured run evaluates its sources ahead, in a queue of rows, each
+the forcing (scheme.forcing) of one step: its time, its dt and the scaled
+sources the step adds. A step takes the head row only when both its time
+state.t + dt and its dt are bit-equal to the row's; otherwise the queue is
+refilled from one mms_sources call that starts at the step's time, whose
+rows are scaled into forcing at that step's dt in one forcing call. When
+the cap binds (dt == dt_max), that call also covers the times the
+following capped steps form, t + dt_max while dt_max <= target - t, the
+same floats the loop will make; CFL-limited steps, halved retries and the
+truncated step before a row evaluate their one time at their own dt. A
+call evaluates s_v and s_theta at the N cell centers and s_u at the N + 1
+nodes, so its widest temporary holds a value per node and time. A row is
+used only at its exact time and dt, so the results never depend on the
+prediction: two steps of different dt can land on one time, and a
+forcing made at the other's dt would not be this step's. A run that
+imposes no wall stress (any but a forced stress-free one) passes zero
+without evaluating it.
 
 The instruments read each state's derived fields, and dt_control, the
 bound tracker and the output rows read its extrema, the min and max of v
@@ -69,7 +74,14 @@ import numpy as np
 from .grid import Grid, State, total_energy
 from .mms import MmsCase, manufactured_case, mms_sources
 from .scenario import DiagnosticsReport, DiagnosticsRow, Scenario
-from .scheme import BoundaryKind, StepRejected, dt_control, step, with_derived
+from .scheme import (
+    BoundaryKind,
+    StepRejected,
+    dt_control,
+    forcing,
+    step,
+    with_derived,
+)
 from .verify import (
     BoundTracker,
     CheckResult,
@@ -97,7 +109,7 @@ __all__ = [
 ]
 
 # values in one row-stacked temporary of the instruments' block fold, and in
-# one temporary of an mms_sources call (32 KiB)
+# one temporary of an mms_sources call (32 KiB); see _stretch
 BLOCK_VALUES = 4096
 # the wall stress of a run that imposes none
 _FREE_WALLS = (0.0, 0.0)
@@ -141,33 +153,42 @@ def _imposed_wall_stress(
     return float(values[0]), float(values[1])
 
 
+def _stretch(grid: Grid) -> int:
+    """The steps in one stretch on grid: those a block holds, and the times
+    one mms_sources call evaluates at most; see the module docstring."""
+    return max(1, BLOCK_VALUES // grid.n_nodes)
+
+
 class _SourceQueue:
-    """Manufactured sources evaluated ahead, as (time, sources) rows; see
-    the module docstring."""
+    """Manufactured forcing made ahead, as (time, forcing) rows that all
+    hold for one dt, the queue's dt: a refill makes every row at the dt of
+    the step that asked for it. See the module docstring."""
 
     def __init__(self, case: MmsCase, grid: Grid, dt_max: float | None) -> None:
         self.case = case
         self.grid = grid
         self.dt_max = dt_max
-        self.size = max(1, BLOCK_VALUES // grid.n_nodes)
+        self.size = _stretch(grid)
+        self.dt: float | None = None
         self.rows: deque[tuple[float, tuple[np.ndarray, ...]]] = deque()
 
     def at(self, t: float, dt: float, target: float) -> tuple[np.ndarray, ...]:
-        """The sources of the step of size dt from t toward target."""
+        """The forcing of the step of size dt from t toward target."""
         time = t + dt
-        if not self.rows or self.rows[0][0] != time:
+        if not self.rows or self.rows[0][0] != time or self.dt != dt:
             times = [time]
             if dt == self.dt_max:
                 while len(times) < self.size and self.dt_max <= target - times[-1]:
                     times.append(times[-1] + self.dt_max)
-            rows = zip(*mms_sources(self.case, self.grid, times))
-            self.rows = deque(zip(times, rows))
+            sources = mms_sources(self.case, self.grid, times)
+            rows = zip(*forcing(sources, dt, self.case.params))
+            self.dt, self.rows = dt, deque(zip(times, rows))
         return self.rows.popleft()[1]
 
 
 class _Block:
     """Accepted states that the instruments have not folded yet, with the
-    steps that made them; full at max(1, BLOCK_VALUES // n_nodes) states.
+    steps that made them; full at a stretch of states (_stretch).
     States are never changed once made, so the block keeps the states
     themselves, and the StateBlock it folds views or stacks their arrays
     (StateBlock.of).
@@ -175,7 +196,7 @@ class _Block:
 
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
-        self.size = max(1, BLOCK_VALUES // grid.n_nodes)
+        self.size = _stretch(grid)
         self.states: list[State] = []
         self.dts: list[float] = []
 
@@ -247,7 +268,7 @@ class _Stepper:
 
             while True:
                 try:
-                    sources = (
+                    step_forcing = (
                         queue.at(state.t, dt, target) if queue is not None else None
                     )
                     stress_bc = (
@@ -256,7 +277,8 @@ class _Stepper:
                         else _FREE_WALLS
                     )
                     new_state = step(
-                        state, dt, params, bc, grid, sources, stress_bc, previous
+                        state, dt, params, bc, grid, step_forcing, stress_bc,
+                        previous,
                     )
                     break
                 except StepRejected as exc:

@@ -34,6 +34,16 @@ the driver can retry with a halved dt; the rejection names the field or
 the system that refused it. The step-size limits cfl, dt_min and dt_max
 arrive as plain floats; Scenario is where they are range-checked.
 
+A manufactured step reads its sources as a ready-made forcing, made by
+forcing: dt * s_v, dt * s_u with (0.5 * dt) * s_u at the two walls, and
+(dt / c_v) * s_theta. Each sub-step only adds its entry. Each entry is the
+product a sub-step scaling its source itself would form, with the same
+operands: a float64 source entry times dt, 0.5 * dt or dt / c_v, each
+rounded once as a Python float. An elementwise product does not depend on
+the shape of the array it is taken over, so the row of a forcing made for
+many steps in one call has the bits of one made for its step alone. A
+forcing holds only for the dt it was made at.
+
 Each state that step returns carries its derived fields (grid.DerivedFields),
 made once where the state is made: the strain rate u_x for continuity and
 temperature, the volume power v**-alpha and mu(v) for temperature (both
@@ -88,6 +98,7 @@ __all__ = [
     "StepRejected",
     "tridiagonal_solve",
     "dt_control",
+    "forcing",
     "momentum_step",
     "continuity_step",
     "temperature_step",
@@ -262,6 +273,30 @@ def dt_control(
     return max(dt, dt_min)
 
 
+def forcing(
+    sources: tuple[np.ndarray, np.ndarray, np.ndarray],
+    dt: float,
+    params: MaterialParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forcing of the sources (s_v, s_u, s_theta) on a step of size dt:
+    the one rule for how a source enters a step. It is
+
+        (dt * s_v,  dt * s_u,  (dt / c_v) * s_theta),
+
+    except that the two wall entries of the momentum forcing are
+    (0.5 * dt) * s_u, the share of the half-mass control volumes. The
+    sources may be one row each, or (times, N) arrays with a row per step,
+    which give a row of forcing per step. New arrays; the sources are not
+    written.
+    """
+    s_v, s_u, s_theta = sources
+    f_u = dt * s_u
+    half = 0.5 * dt
+    f_u[..., 0] = half * s_u[..., 0]
+    f_u[..., -1] = half * s_u[..., -1]
+    return dt * s_v, f_u, (dt / params.c_v) * s_theta
+
+
 def momentum_step(
     state: State,
     dt: float,
@@ -269,7 +304,7 @@ def momentum_step(
     bc: BoundaryKind,
     grid: Grid,
     stress_bc: tuple[float, float] = (0.0, 0.0),
-    source: np.ndarray | None = None,
+    forcing: np.ndarray | None = None,
 ) -> np.ndarray:
     """Backward-Euler velocity update with explicit pressure.
 
@@ -277,8 +312,9 @@ def momentum_step(
     sigma* = mu(v) u'_x / v - P(v, theta). Stress-free walls are half-mass
     control volumes fed by the imposed boundary stress (0 unless a
     manufactured value is supplied); no-slip walls are pinned to exactly 0.
-    mu(v) and P are read from state.derived, so a retry at a halved dt
-    evaluates neither again.
+    A forcing, the momentum entry of forcing(sources, dt, params), is
+    added to the right-hand side as it is. mu(v) and P are read from
+    state.derived, so a retry at a halved dt evaluates neither again.
     """
     dx = grid.dx
     a = state.derived.mu / state.v
@@ -302,8 +338,8 @@ def momentum_step(
     scale[()] = dt / dx
     rhs_in *= scale
     np.subtract(state.u[1:-1], rhs_in, rhs_in)
-    if source is not None:
-        rhs_in += dt * source[1:-1]
+    if forcing is not None:
+        rhs_in += forcing[1:-1]
 
     if bc is BoundaryKind.STRESS_FREE:
         # each wall row is the half-mass control volume's balance divided by
@@ -314,9 +350,9 @@ def momentum_step(
         rhs[0] = 0.5 * u.item(0) - (dt / dx) * (p.item(0) + stress_bc[0])
         diag[-1] = 0.5 + r * a.item(-1)
         rhs[-1] = 0.5 * u.item(-1) + (dt / dx) * (stress_bc[1] + p.item(-1))
-        if source is not None:
-            rhs[0] = rhs.item(0) + (0.5 * dt) * source.item(0)
-            rhs[-1] = rhs.item(-1) + (0.5 * dt) * source.item(-1)
+        if forcing is not None:
+            rhs[0] = rhs.item(0) + forcing.item(0)
+            rhs[-1] = rhs.item(-1) + forcing.item(-1)
     else:
         # the wall rows are the identity and do not couple to the rows next
         # to them, so the walls come back as exactly 0
@@ -331,14 +367,15 @@ def continuity_step(
     state: State,
     u_x: np.ndarray,
     dt: float,
-    source: np.ndarray | None = None,
+    forcing: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """Exact discrete volume update v' = v + dt * u'_x per cell, from the
-    end-of-step strain rate u_x = du_dx_cells(u'). Returns v' and its
-    (min, max), which the gate that admits it computes."""
+    end-of-step strain rate u_x = du_dx_cells(u'), plus a forcing (dt * s_v,
+    see forcing) if given. Returns v' and its (min, max), which the gate
+    that admits it computes."""
     new_v = state.v + dt * u_x
-    if source is not None:
-        new_v = new_v + dt * source
+    if forcing is not None:
+        new_v += forcing
     # this gate guards u' too: every node bounds a cell, so a u' that is not
     # finite makes some u'_x infinite or NaN, and with it that cell's v'
     return new_v, positive_extrema(
@@ -374,7 +411,7 @@ def temperature_step(
     dt: float,
     params: MaterialParams,
     grid: Grid,
-    source: np.ndarray | None = None,
+    forcing: np.ndarray | None = None,
     previous: State | None = None,
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """Backward-Euler temperature update with linearly implicit conductivity.
@@ -385,12 +422,13 @@ def temperature_step(
     from the end-of-step velocity, and the conductivity is evaluated at
     theta*, the temperatures of state and of previous (the accepted state
     before it) extrapolated to state.t + dt; see _extrapolated_temperature.
-    The step is then one solve of A(theta*) theta' = rhs. Zero conductive
-    flux at both walls falls out of omitting the end interfaces.
+    The step is then one solve of A(theta*) theta' = rhs, where a forcing
+    ((dt / c_v) * s_theta, see forcing) adds to rhs. Zero conductive flux
+    at both walls falls out of omitting the end interfaces.
 
     A matrix that is not positive definite, which needs
     1 + dt R u_x / (c_v v) <= 0 in some cell, rejects the step, and so does
-    a theta' that is not positive and finite everywhere. Without a source a
+    a theta' that is not positive and finite everywhere. Without a forcing a
     non-positive theta' cannot happen: a positive-definite A(theta*) is an
     M-matrix, and rhs >= state.theta > 0. Returns theta' and its
     (min, max), which that gate computes.
@@ -420,8 +458,8 @@ def temperature_step(
     scale[()] = dt / params.c_v
     rhs *= scale
     rhs += state.theta
-    if source is not None:
-        rhs += (dt / params.c_v) * source
+    if forcing is not None:
+        rhs += forcing
     new_theta = _solve(system, "temperature system")
     return new_theta, positive_extrema(
         new_theta, "non-positive or non-finite temperature", StepRejected
@@ -434,7 +472,7 @@ def step(
     params: MaterialParams,
     bc: BoundaryKind,
     grid: Grid,
-    sources: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    forcing: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     stress_bc: tuple[float, float] = (0.0, 0.0),
     previous: State | None = None,
 ) -> State:
@@ -442,8 +480,12 @@ def step(
 
     Momentum sees the old v and theta; continuity uses the end-of-step
     velocity so v' - v = dt * u'_x holds exactly; temperature sees both new
-    fields. Optional sources are (cells, nodes, cells) arrays already
-    evaluated at the target time. previous, the accepted state before
+    fields. An optional forcing is forcing(sources, dt, params) of the
+    (cells, nodes, cells) sources at the target time state.t + dt, made at
+    this step's dt; each sub-step only adds its entry, which is the product
+    it would form from its source, so the step has the same bits as one
+    that scales its sources itself (see the module docstring). previous,
+    the accepted state before
     state, gives the temperature at which the conductivity is evaluated
     (see temperature_step); the driver passes it from the second step on.
     Raises StepRejected if v' or theta' is not positive and finite.
@@ -454,13 +496,13 @@ def step(
     and P(v', theta'). It also carries the extrema of v' and theta' that
     the two gates found.
     """
-    s_v, s_u, s_theta = sources if sources is not None else (None, None, None)
-    new_u = momentum_step(state, dt, params, bc, grid, stress_bc, s_u)
+    f_v, f_u, f_theta = forcing if forcing is not None else (None, None, None)
+    new_u = momentum_step(state, dt, params, bc, grid, stress_bc, f_u)
     u_x = du_dx_cells(new_u, grid)
-    new_v, v_range = continuity_step(state, u_x, dt, s_v)
+    new_v, v_range = continuity_step(state, u_x, dt, f_v)
     v_power, mu = volume_terms(new_v, params)
     new_theta, theta_range = temperature_step(
-        state, u_x, new_v, mu, dt, params, grid, s_theta, previous
+        state, u_x, new_v, mu, dt, params, grid, f_theta, previous
     )
     derived = DerivedFields(u_x, v_power, mu, pressure(new_v, new_theta, params))
     extrema = Extrema(*v_range, *theta_range)

@@ -20,10 +20,12 @@ from lagns import (
     advance,
     boundary_stress_residual,
     compatible_initial_data,
+    forcing,
     load_config,
     make_accumulator,
     make_tracker,
     manufactured_case,
+    mms_sources,
     parse_config,
     representation_residual,
     run,
@@ -377,8 +379,8 @@ DEEP_DX4_DIGEST = "72b973a215a7a2d12de39deea063f470d19e4b609a92df457227a820692a4
 
 
 class TestSourceQueue:
-    """The run evaluates the sources of predicted step times ahead, many
-    times per mms_sources call; a row is used only at its exact time."""
+    """The run makes the forcing of predicted steps ahead, many times per
+    mms_sources call; a row is used only at its exact time and dt."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -434,6 +436,35 @@ class TestSourceQueue:
 
         monkeypatch.setattr(driver, "mms_sources", one_call_per_time)
         assert run_bits(run(scenario)) == batched
+
+    def test_rows_are_keyed_by_time_and_dt(self, monkeypatch):
+        # from t = 1 + 2**-40, a capped step of dt_max = 2**-40 and a step of
+        # dt' = dt_max (1 - 2**-20) land on one float; the row made ahead for
+        # the capped step is dt_max times the sources there, not dt' times
+        params = MaterialParams()
+        case, grid = manufactured_case("default", params), Grid(16)
+        dt_max = 2.0**-40
+        t, dt = 1.0 + dt_max, dt_max * (1.0 - 2.0**-20)
+        assert dt != dt_max and t + dt == t + dt_max
+
+        def made(time, dt):
+            rows = forcing(mms_sources(case, grid, [time]), dt, params)
+            return [bits(row[0]) for row in rows]
+
+        counts = self.counted(monkeypatch)
+        queue = driver._SourceQueue(case, grid, dt_max)
+        assert list(map(bits, queue.at(1.0, dt_max, 2.0))) == made(t, dt_max)
+        # the head row is at t + dt', made at dt_max: the step refills
+        assert queue.rows[0][0] == t + dt
+        assert list(map(bits, queue.at(t, dt, 2.0))) == made(t + dt, dt)
+        assert counts["calls"] == 2
+        # a capped stretch is still served from one call, row by row
+        time = t + dt
+        for _ in range(5):
+            got = queue.at(time, dt_max, 2.0)
+            time += dt_max
+            assert list(map(bits, got)) == made(time, dt_max)
+        assert counts["calls"] == 3
 
     def test_deep_dx4_final_state_is_pinned(self):
         _, state, report = advance(DEEP_DX4)

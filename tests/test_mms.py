@@ -489,9 +489,9 @@ class TestStressFreeForcing:
         imposed = []
         real_step = driver.step
 
-        def recording_step(state, dt, params, bc, grid, sources, stress_bc, *args):
+        def recording_step(state, dt, params, bc, grid, forcing, stress_bc, *args):
             imposed.append((state.t + dt, stress_bc))
-            return real_step(state, dt, params, bc, grid, sources, stress_bc, *args)
+            return real_step(state, dt, params, bc, grid, forcing, stress_bc, *args)
 
         monkeypatch.setattr(driver, "step", recording_step)
         scenario = Scenario(

@@ -27,6 +27,7 @@ from lagns import (
     continuity_step,
     du_dx_cells,
     dt_control,
+    forcing,
     manufactured_case,
     mms_sources,
     momentum_step,
@@ -348,8 +349,8 @@ class TestDtControl:
     ):
         # a step whose new v, u or theta has one non-finite entry is
         # rejected, so the state dt_control sees next stays finite. v and
-        # theta get it from their sources; u' gets it at one node from
-        # momentum_step, since the solve would spread a source's over all
+        # theta get it from their forcing; u' gets it at one node from
+        # momentum_step, since the solve would spread a forcing's over all
         sources = (np.zeros(grid.n_cells), np.zeros(grid.n_nodes), np.zeros(grid.n_cells))
         if field == "u":
             advance = scheme.momentum_step
@@ -365,7 +366,7 @@ class TestDtControl:
         gate = "temperature" if field == "theta" else "volume"
         state = with_derived(uniform_state, params, grid)
         with pytest.raises(StepRejected, match=f"non-finite {gate}"):
-            step(state, 1e-3, params, SF, grid, sources)
+            step(state, 1e-3, params, SF, grid, forcing(sources, 1e-3, params))
 
 
 class TestMomentumStep:
@@ -390,6 +391,8 @@ class TestMomentumStep:
         state = compatible_initial_data(cosine_profile, params, bc, grid)
         dt, stress_bc = 5e-3, (0.3, -0.2)
         source = np.linspace(-1.0, 1.0, grid.n_nodes)
+        cells = np.zeros(grid.n_cells)
+        _, f_u, _ = forcing((cells, source, cells), dt, params)
         dx, n = grid.dx, grid.n_nodes
         a = viscosity(state.v, params) / state.v
         p = pressure(state.v, state.theta, params)
@@ -412,7 +415,7 @@ class TestMomentumStep:
             rhs[0] = rhs[-1] = 0.0
         expected = solve_banded((1, 1), ab, rhs)
         got = momentum_step(
-            with_derived(state, params, grid), dt, params, bc, grid, stress_bc, source
+            with_derived(state, params, grid), dt, params, bc, grid, stress_bc, f_u
         )
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= 1e-13 * scale
@@ -545,16 +548,16 @@ class TestTemperatureStep:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_source_rejected(self, grid, params, uniform_state, bad):
-        # the source makes one entry of the right-hand side non-finite, and
+        # the forcing makes one entry of the right-hand side non-finite, and
         # the solve carries it into theta'
-        source = np.zeros(grid.n_cells)
-        source[grid.n_cells // 2] = bad
+        f_theta = np.zeros(grid.n_cells)
+        f_theta[grid.n_cells // 2] = bad
         with pytest.raises(
             StepRejected, match="non-positive or non-finite temperature"
         ):
             temperature(
                 uniform_state, uniform_state.u, uniform_state.v, 1e-3, params,
-                grid, source=source,
+                grid, forcing=f_theta,
             )
 
     def test_start_exact_on_linear_data(self):
@@ -830,7 +833,8 @@ class TestDerivedFields:
                 [rows[0] for rows in mms_sources(case, grid, [t])] if forced else None
             )
             stress_bc = driver._imposed_wall_stress(case, bc, t)
-            state = step(state, dt, params, bc, grid, sources, stress_bc)
+            step_forcing = forcing(sources, dt, params) if forced else None
+            state = step(state, dt, params, bc, grid, step_forcing, stress_bc)
             d = state.derived
             assert self._same_bits(d.u_x, du_dx_cells(state.u, grid))
             assert self._same_bits(d.mu, viscosity(state.v, params))
@@ -915,7 +919,8 @@ class TestReusedBuffers:
                 [rows[0] for rows in mms_sources(case, grid, [t])] if forced else None
             )
             stress_bc = driver._imposed_wall_stress(case, bc, t)
-            state = step(state, dt, params, bc, grid, sources, stress_bc)
+            step_forcing = forcing(sources, dt, params) if forced else None
+            state = step(state, dt, params, bc, grid, step_forcing, stress_bc)
             derived = [getattr(state.derived, f.name) for f in fields(state.derived)]
             returned += [state.v, state.u, state.theta, *derived]
         names = (
@@ -947,7 +952,8 @@ class TestReusedBuffers:
                 [rows[0] for rows in mms_sources(case, grid, [dt])] if forced else None
             )
             stress_bc = driver._imposed_wall_stress(case if forced else None, bc, dt)
-            return step(start, dt, params, bc, grid, sources, stress_bc)
+            step_forcing = forcing(sources, dt, params) if forced else None
+            return step(start, dt, params, bc, grid, step_forcing, stress_bc)
 
         def check(order):
             for bc, forced in order:
