@@ -1,17 +1,17 @@
 """Run loop: advance a scenario from t = 0 to t_end.
 
-One stepping loop (_Stepper) advances every run. It picks each dt with
-dt_control, snaps it down so that steps land on every multiple of
+One stepping loop (_Stepper) advances every run. It floors dt_control's
+limit at dt_min, snaps it down so that steps land on every multiple of
 output_every, feeds a manufactured run its sources and imposed wall stress,
 and retries a step that scheme.step rejects with halved dt. The one way a
 run aborts is halving dt below dt_min, which stops it with whatever was
 gathered, a reported finding rather than an error. The loop yields each
-accepted step with the wall stress it imposed, and two consumers read it:
+accepted step, and two consumers read it:
 
 - run feeds every accepted step to the representation accumulator and
   the bound tracker, and records a diagnostics row at every multiple of
-  output_every, whose wall defect is measured against that step's imposed
-  stress (the initial state's against the stress imposed at t = 0).
+  output_every, whose wall defect is measured against the stress imposed
+  at its time (the initial state's against the stress imposed at t = 0).
   lagns.verify.verification_table, re-exported here, judges its result;
 - advance keeps only the last state, for callers such as a convergence
   study that read nothing else. Its steps, and so its final state, status
@@ -67,7 +67,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -134,23 +133,6 @@ def _reached(t: float, target: float) -> bool:
     so t counts within a relative 1e-12 below it: the tolerance scales
     with the run's own times, however small they are."""
     return t >= target - 1e-12 * target
-
-
-def _forces_walls(case: MmsCase | None, bc: BoundaryKind) -> bool:
-    """Whether a run imposes a manufactured wall stress: a forced run on
-    stress-free walls."""
-    return case is not None and bc is BoundaryKind.STRESS_FREE
-
-
-def _imposed_wall_stress(
-    case: MmsCase | None, bc: BoundaryKind, t: float
-) -> tuple[float, float]:
-    """Wall stress imposed at time t: the manufactured value on stress-free
-    walls of a forced run, zero otherwise."""
-    if not _forces_walls(case, bc):
-        return _FREE_WALLS
-    values = case.wall_stress(t)
-    return float(values[0]), float(values[1])
 
 
 def _stretch(grid: Grid) -> int:
@@ -223,12 +205,10 @@ class _Stepper:
 
     state is the initial state until the iteration starts, None while it
     runs, and the last accepted state (the initial one if none was) once it
-    ends. wall_stress(t) is the wall stress imposed at time t. Iterating
-    yields each accepted step as (state, dt, row_due, stress_bc), where
-    row_due says that the step landed on the next output time and stress_bc
-    is the wall stress the step imposed, at state.t. Once the iteration
-    ends, abort_reason says why the run stopped short of t_end (None when
-    it did not) and halvings counts the halved retries.
+    ends. Iterating yields each accepted step as (state, dt, row_due), where
+    row_due says that the step landed on the next output time. Once the
+    iteration ends, abort_reason says why the run stopped short of t_end
+    (None when it did not) and halvings counts the halved retries.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -242,17 +222,28 @@ class _Stepper:
         self.state: State | None = with_derived(
             scenario.initial_state(self.grid), scenario.params, self.grid
         )
-        self.wall_stress = partial(_imposed_wall_stress, self.case, scenario.bc)
+        # only a forced run on stress-free walls imposes a wall stress
+        self.forces_walls = (
+            self.case is not None and scenario.bc is BoundaryKind.STRESS_FREE
+        )
         self.abort_reason: str | None = None
         self.halvings = 0
 
-    def __iter__(self) -> Iterator[tuple[State, float, bool, tuple[float, float]]]:
+    def wall_stress(self, t: float) -> tuple[float, float]:
+        """The wall stress imposed at time t: the manufactured value on the
+        stress-free walls of a forced run, zero otherwise."""
+        if not self.forces_walls:
+            return _FREE_WALLS
+        values = self.case.wall_stress(t)
+        return float(values[0]), float(values[1])
+
+    def __iter__(self) -> Iterator[tuple[State, float, bool]]:
         grid, case, scenario = self.grid, self.case, self.scenario
         params, bc, t_end = scenario.params, scenario.bc, scenario.t_end
         cfl, dt_min, dt_max = scenario.cfl, scenario.dt_min, scenario.dt_max
         output_every = scenario.output_every
         queue = _SourceQueue(case, grid, dt_max) if case is not None else None
-        wall_stress = self.wall_stress if _forces_walls(case, bc) else None
+        forces_walls = self.forces_walls
         # the loop alone holds the states it steps from, so the initial state
         # is freed as the later ones are (a state is 7 arrays of N values)
         state, self.state = self.state, None
@@ -262,7 +253,7 @@ class _Stepper:
         out_index = 1
 
         while not _reached(state.t, t_end):
-            dt = dt_control(state, grid, params, cfl, dt_min, dt_max)
+            dt = max(dt_control(state, grid, params, cfl, dt_max), dt_min)
             target = min(t_end, out_index * output_every)
             dt = min(dt, target - state.t)
 
@@ -272,9 +263,7 @@ class _Stepper:
                         queue.at(state.t, dt, target) if queue is not None else None
                     )
                     stress_bc = (
-                        wall_stress(state.t + dt)
-                        if wall_stress is not None
-                        else _FREE_WALLS
+                        self.wall_stress(state.t + dt) if forces_walls else _FREE_WALLS
                     )
                     new_state = step(
                         state, dt, params, bc, grid, step_forcing, stress_bc,
@@ -292,7 +281,7 @@ class _Stepper:
 
             previous, state = state, new_state
             row_due = _reached(state.t, out_index * output_every)
-            yield state, dt, row_due, stress_bc
+            yield state, dt, row_due
             if row_due:
                 out_index += 1
         self.state, self.abort_reason, self.halvings = state, abort_reason, halvings
@@ -316,22 +305,20 @@ def run(scenario: Scenario) -> RunResult:
     """Advance the scenario to t_end, collecting diagnostics on the way."""
     stepper = _Stepper(scenario)
     grid, state = stepper.grid, stepper.state
-    params = scenario.params
-    bc = scenario.bc
-    initial_residual = compatibility_residual(
-        state, params, bc, grid, stepper.wall_stress(0.0)
-    )
+    params, bc, wall_stress = scenario.params, scenario.bc, stepper.wall_stress
+    initial_residual = compatibility_residual(state, params, bc, grid, wall_stress(0.0))
 
     acc = make_accumulator(state, grid, params)
     tracker = make_tracker(state, grid, params)
     block = _Block(grid)
     rows: list[DiagnosticsRow] = []
 
-    for state, dt, row_due, stress_bc in stepper:
+    for state, dt, row_due in stepper:
         if block.push(state, dt) or row_due:
             block.flush(acc, tracker)
 
         if row_due:
+            stress_bc = wall_stress(state.t)  # the stress the step imposed
             resid = boundary_stress_residual(state, params, grid, bc, stress_bc)
             energy = total_energy(state, grid, params.c_v)
             rows.append(

@@ -31,8 +31,8 @@ copies its inputs into them.
 A step whose v or theta would not be positive and finite, or whose
 momentum or temperature matrix is not positive definite, is rejected so
 the driver can retry with a halved dt; the rejection names the field or
-the system that refused it. The step-size limits cfl, dt_min and dt_max
-arrive as plain floats; Scenario is where they are range-checked.
+the system that refused it. The step-size limits cfl and dt_max arrive
+as plain floats; Scenario is where they are range-checked.
 
 A manufactured step reads its sources as a ready-made forcing, made by
 forcing: dt * s_v, dt * s_u with (0.5 * dt) * s_u at the two walls, and
@@ -240,11 +240,11 @@ def dt_control(
     grid: Grid,
     params: MaterialParams,
     cfl: float,
-    dt_min: float,
     dt_max: float | None = None,
 ) -> float:
     """Acoustic step limit cfl * min_i(dx * v_i / c_i), capped at dt_max if
-    given, then floored at dt_min; state must be positive and finite.
+    given; state must be positive and finite. The run floors the limit at
+    dt_min (lagns.driver), so this is the limit the state itself allows.
 
     Diffusion is implicit, so only the sound-crossing scale restricts dt.
 
@@ -258,19 +258,17 @@ def dt_control(
     gamma R theta_max >= gamma R theta_i, v_min <= v_i, so each rounded
     step of B is at most the same step for cell i: B is at most the limit
     the cells give, float for float. When B >= dt_max the cap binds either
-    way, and the result is max(dt_max, dt_min), the bits the cells would
-    give, with no sound speed evaluated. Any other case takes the pass.
+    way, and the result is dt_max, the bits the cells would give, with no
+    sound speed evaluated. Any other case takes the pass.
     """
     extrema = state.extrema
     if dt_max is not None and extrema is not None:
         c_max = math.sqrt(params.gamma * params.R * extrema.theta_max)
         if cfl * grid.dx * (extrema.v_min / c_max) >= dt_max:
-            return max(dt_max, dt_min)
+            return dt_max
     ratio = state.v / sound_speed(state.theta, params)
     dt = cfl * grid.dx * float(ratio[ratio.argmin()])
-    if dt_max is not None:
-        dt = min(dt, dt_max)
-    return max(dt, dt_min)
+    return dt if dt_max is None else min(dt, dt_max)
 
 
 def forcing(

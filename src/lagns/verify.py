@@ -217,11 +217,18 @@ class RepresentationAccumulator:
     t: float
     e0: float
 
-    def velocity_exponent(self, u: np.ndarray, grid: Grid) -> np.ndarray:
-        """ln d1, the exponent of the velocity-integral factor of the node
-        velocities u (one state, or one state per row) against the frozen
-        u0."""
-        return velocity_integral_exponent(u, self.u0_nodes, grid, 1.0 / self.mu_eff)
+
+def _integrand_exponent(
+    acc: RepresentationAccumulator, v_power: np.ndarray, u: np.ndarray, grid: Grid
+) -> np.ndarray:
+    """-(ln d1 + ln D), the exponent of the integrand theta/(d1*D), of the
+    volume powers v**-alpha and node velocities u of a state (or one per
+    row), as a new array. Its terms are formed at -alpha and -1/mu_eff,
+    which only flips the sign of each rounded value, so its negation has
+    the bits of ln d1 + ln D."""
+    exponent = relative_volume_exponent(v_power, acc.v0_power, -acc.params.alpha)
+    exponent += velocity_integral_exponent(u, acc.u0_nodes, grid, -1.0 / acc.mu_eff)
+    return exponent
 
 
 def make_accumulator(
@@ -248,15 +255,8 @@ def update_accumulator(
 ) -> RepresentationAccumulator:
     """Advance the time integral over the steps of a block by the trapezoid
     rule, with ln d1 of every step from one cumulative velocity integral."""
-    # theta/(d1*D) as theta*exp(-(ln d1 + ln D)): one exp per value. The
-    # exponent is built negated (ln D over -alpha, ln d1 at weight
-    # -1/mu_eff), to the same bits: rounding to nearest is symmetric
-    integrand = relative_volume_exponent(
-        block.derived.v_power, acc.v0_power, -acc.params.alpha
-    )
-    integrand += velocity_integral_exponent(
-        block.u, acc.u0_nodes, grid, -1.0 / acc.mu_eff
-    )
+    # theta/(d1*D) as theta*exp(-(ln d1 + ln D)): one exp per value
+    integrand = _integrand_exponent(acc, block.derived.v_power, block.u, grid)
     np.exp(integrand, out=integrand)
     integrand *= block.theta
     # each step's trapezoid pairs its integrand with the one before it
@@ -287,12 +287,9 @@ def representation_residual(
         raise ValueError(
             f"accumulator at t = {acc.t} is out of sync with state at t = {state.t}"
         )
-    alpha = acc.params.alpha
-    exponent = acc.velocity_exponent(state.u, grid)
-    exponent += relative_volume_exponent(
-        volume_power(state.v, alpha), acc.v0_power, alpha
-    )
-    predicted = np.exp(exponent)
+    # d1*D, the exp of the negated exponent of the integrand
+    power = volume_power(state.v, acc.params.alpha)
+    predicted = np.exp(-_integrand_exponent(acc, power, state.u, grid))
     predicted *= acc.v0 + acc.params.R / acc.mu_eff * acc.time_integral
     return float(np.max(np.abs(state.v - predicted)) / np.max(state.v))
 
@@ -303,10 +300,11 @@ def velocity_band_check(
     """Energy band on the velocity-integral factors of states, one per row.
 
     The cumulative velocity change is bounded through the conserved energy,
-    so each row's factor exp(acc.velocity_exponent(u, grid)) must stay
-    inside [exp(-s/mu_eff), exp(s/mu_eff)] with s = sqrt(2*e0). Returns
-    each row's worst absolute margin to either edge: non-negative inside
-    the band, negative outside.
+    so each row's factor exp(velocity_exponent), the exp of its ln d1
+    (velocity_integral_exponent at the weight 1/mu_eff), must stay inside
+    [exp(-s/mu_eff), exp(s/mu_eff)] with s = sqrt(2*e0). Returns each
+    row's worst absolute margin to either edge: non-negative inside the
+    band, negative outside.
     """
     s = np.sqrt(2.0 * acc.e0)
     lo = np.exp(-s / acc.mu_eff)

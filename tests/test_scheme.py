@@ -221,8 +221,8 @@ def decades(n, low=-6.0, high=6.0):
 
 @st.composite
 def acoustic_draws(draw):
-    """A state (without extrema), a material, cfl, dt_min and dt_max; the
-    cap is None, any value, or within 2 ulps of the acoustic limit or of
+    """A state (without extrema), a material, cfl and dt_max; the cap is
+    None, any value, or within 2 ulps of the acoustic limit or of
     the extrema's lower bound on it."""
     n = draw(st.integers(2, 24))
     state = State(0.0, draw(decades(n)), np.zeros(n + 1), draw(decades(n)))
@@ -231,7 +231,6 @@ def acoustic_draws(draw):
     )
     grid = Grid(n)
     cfl = draw(st.floats(0.05, 2.0))
-    dt_min = draw(st.sampled_from([0.0, 1e-300, 1e-12, 1e-6]))
     limit = cfl * grid.dx * float((state.v / np.sqrt(
         params.gamma * params.R * state.theta
     )).min())
@@ -248,7 +247,7 @@ def acoustic_draws(draw):
         ulps = draw(st.integers(-2, 2))
         for _ in range(abs(ulps)):
             dt_max = math.nextafter(dt_max, math.inf if ulps > 0 else 0.0)
-    return state, grid, params, cfl, dt_min, dt_max
+    return state, grid, params, cfl, dt_max
 
 
 class TestDtControl:
@@ -257,10 +256,10 @@ class TestDtControl:
     def test_extrema_give_the_bits_of_the_cells(self, draw):
         # the cap test on the extrema returns what the pass over the cells
         # returns, float for float, caps a few ulps from the limit included
-        state, grid, params, cfl, dt_min, dt_max = draw
+        state, grid, params, cfl, dt_max = draw
         measured = with_derived(state, params, grid)
-        want = dt_control(state, grid, params, cfl, dt_min, dt_max)
-        got = dt_control(measured, grid, params, cfl, dt_min, dt_max)
+        want = dt_control(state, grid, params, cfl, dt_max)
+        got = dt_control(measured, grid, params, cfl, dt_max)
         assert repr(got) == repr(want)
 
     @settings(deadline=None, max_examples=200)
@@ -268,33 +267,32 @@ class TestDtControl:
     def test_cell_pass_gives_the_bits_of_the_reduction(self, draw):
         # the pass over the cells takes the least v/c by an arg-reduction;
         # a state without extrema always takes it
-        state, grid, params, cfl, dt_min, dt_max = draw
+        state, grid, params, cfl, dt_max = draw
         c = np.sqrt(params.gamma * params.R * state.theta)
         want = cfl * grid.dx * float(np.min(state.v / c))
         if dt_max is not None:
             want = min(want, dt_max)
-        want = max(want, dt_min)
-        got = dt_control(state, grid, params, cfl, dt_min, dt_max)
+        got = dt_control(state, grid, params, cfl, dt_max)
         assert repr(got) == repr(want)
 
     def test_exact_formula(self):
         grid = Grid(100)
         state = State(0.0, np.ones(100), np.zeros(101), np.ones(100))
-        dt = dt_control(state, grid, MaterialParams(), 0.5, 1e-10)
+        dt = dt_control(state, grid, MaterialParams(), 0.5)
         assert dt == pytest.approx(0.5 * 0.01 / np.sqrt(2.0))
 
     def test_doubling_cells_halves_dt(self, params):
         dts = []
         for n in (50, 100):
             state = State(0.0, np.ones(n), np.zeros(n + 1), np.ones(n))
-            dts.append(dt_control(state, Grid(n), params, 0.8, 1e-10))
+            dts.append(dt_control(state, Grid(n), params, 0.8))
         assert dts[0] == pytest.approx(2.0 * dts[1])
 
     def test_hotter_cell_lowers_dt(self, grid, params, uniform_state):
-        base = dt_control(uniform_state, grid, params, 0.8, 1e-10)
+        base = dt_control(uniform_state, grid, params, 0.8)
         hot = uniform_state.copy()
         hot.theta[10] = 4.0
-        assert dt_control(hot, grid, params, 0.8, 1e-10) < base
+        assert dt_control(hot, grid, params, 0.8) < base
 
     def test_copy_written_in_place_takes_the_cell_pass(self):
         # a capped run's state carries the extrema that let dt_control skip
@@ -310,20 +308,25 @@ class TestDtControl:
         hot = state.copy()
         hot.theta[10] = 1e6
         grid, params = stepper.grid, scenario.params
-        got = dt_control(
-            hot, grid, params, scenario.cfl, scenario.dt_min, scenario.dt_max
-        )
+        got = dt_control(hot, grid, params, scenario.cfl, scenario.dt_max)
         c = np.sqrt(params.gamma * params.R * hot.theta)
         assert got == scenario.cfl * grid.dx * float((hot.v / c).min())
         assert got == pytest.approx(1.04e-5, rel=1e-2)
 
     def test_dt_max_caps(self, grid, params, uniform_state):
-        dt = dt_control(uniform_state, grid, params, 0.8, 1e-10, 1e-6)
+        dt = dt_control(uniform_state, grid, params, 0.8, 1e-6)
         assert dt == 1e-6
 
-    def test_dt_min_floors(self, grid, params, uniform_state):
-        dt = dt_control(uniform_state, grid, params, 0.8, 1.0)
-        assert dt == 1.0
+    def test_dt_min_floors(self):
+        # dt_control returns the acoustic limit however small it is, and the
+        # run floors it at dt_min: a limit of 3.0e-3 takes steps of 1e-2
+        scenario = Scenario(
+            n_cells=100, t_end=0.05, output_every=0.05, cfl=0.5, dt_min=1e-2
+        )
+        stepper = driver._Stepper(scenario)
+        limit = dt_control(stepper.state, stepper.grid, scenario.params, scenario.cfl)
+        assert limit == pytest.approx(2.98e-3, rel=1e-2)
+        assert [dt for _, dt, _ in stepper] == [1e-2] * 5
 
     def test_nan_state_aborts(self, monkeypatch):
         # dt_control expects a finite state: a NaN u' is rejected by the step
@@ -730,7 +733,7 @@ class TestTemperatureStep:
         state = with_derived(state, params, grid)
         previous = None
         for _ in range(3):
-            dt = dt_control(state, grid, params, 0.5, 1e-12)
+            dt = dt_control(state, grid, params, 0.5)
             try:
                 new = step(state, dt, params, bc, grid, previous=previous)
             except StepRejected as exc:
@@ -825,14 +828,14 @@ class TestDerivedFields:
         params = MaterialParams(alpha=alpha)
         mms = "default" if forced else None
         scenario = Scenario(bc=bc, n_cells=32, params=params, mms=mms)
-        case = manufactured_case(mms, params) if forced else None
-        state = with_derived(scenario.initial_state(grid), params, grid)
+        stepper = driver._Stepper(scenario)
+        case, state = stepper.case, stepper.state
         for _ in range(2):
             t = state.t + dt
             sources = (
                 [rows[0] for rows in mms_sources(case, grid, [t])] if forced else None
             )
-            stress_bc = driver._imposed_wall_stress(case, bc, t)
+            stress_bc = stepper.wall_stress(t)
             step_forcing = forcing(sources, dt, params) if forced else None
             state = step(state, dt, params, bc, grid, step_forcing, stress_bc)
             d = state.derived
@@ -910,15 +913,15 @@ class TestReusedBuffers:
         params = MaterialParams()
         mms = "default" if forced else None
         scenario = Scenario(bc=bc, n_cells=16, params=params, mms=mms)
-        case = manufactured_case("default", params) if forced else None
-        state = with_derived(scenario.initial_state(grid), params, grid)
+        stepper = driver._Stepper(scenario)
+        case, state = stepper.case, stepper.state
         returned = []
         for _ in range(2):
             t = state.t + dt
             sources = (
                 [rows[0] for rows in mms_sources(case, grid, [t])] if forced else None
             )
-            stress_bc = driver._imposed_wall_stress(case, bc, t)
+            stress_bc = stepper.wall_stress(t)
             step_forcing = forcing(sources, dt, params) if forced else None
             state = step(state, dt, params, bc, grid, step_forcing, stress_bc)
             derived = [getattr(state.derived, f.name) for f in fields(state.derived)]
@@ -946,12 +949,14 @@ class TestReusedBuffers:
 
         def take(bc, forced):
             mms = "default" if forced else None
-            scenario = Scenario(bc=bc, n_cells=16, params=params, mms=mms)
-            start = with_derived(scenario.initial_state(grid), params, grid)
+            stepper = driver._Stepper(
+                Scenario(bc=bc, n_cells=16, params=params, mms=mms)
+            )
+            start = stepper.state
             sources = (
                 [rows[0] for rows in mms_sources(case, grid, [dt])] if forced else None
             )
-            stress_bc = driver._imposed_wall_stress(case if forced else None, bc, dt)
+            stress_bc = stepper.wall_stress(dt)
             step_forcing = forcing(sources, dt, params) if forced else None
             return step(start, dt, params, bc, grid, step_forcing, stress_bc)
 

@@ -40,7 +40,12 @@ from lagns import (
 from lagns.constitutive import volume_power
 from lagns.grid import cumulative_u_integral, du_dx_cells, node_weights
 from lagns.scenario import ProfileSpec
-from lagns.verify import BoundTracker, velocity_band_check, velocity_integral_factor
+from lagns.verify import (
+    BoundTracker,
+    velocity_band_check,
+    velocity_integral_exponent,
+    velocity_integral_factor,
+)
 
 SF = BoundaryKind.STRESS_FREE
 NS = BoundaryKind.NO_SLIP
@@ -74,6 +79,12 @@ def mu_eff(params):
     return params.mu_tilde if params.alpha > 0 else 2 * params.mu_tilde
 
 
+def ln_d1(acc, u, grid):
+    """ln d1, the exponent of the velocity-integral factor of the node
+    velocities u (one state per row) against the accumulator's frozen u0."""
+    return velocity_integral_exponent(u, acc.u0_nodes, grid, 1.0 / acc.mu_eff)
+
+
 def block_of(states, dts, params, grid):
     """The StateBlock of consecutive states after the one the instruments
     last saw, each given its derived fields; dts[i] is the step that made
@@ -86,7 +97,7 @@ def advance(acc, states, dts, grid):
     block; returns the block's per-step band margins."""
     block = block_of(states[1:], dts, acc.params, grid)
     update_accumulator(acc, block, grid)
-    return velocity_band_check(acc, acc.velocity_exponent(block.u, grid))
+    return velocity_band_check(acc, ln_d1(acc, block.u, grid))
 
 
 class TestRelativeVolumeFactor:
@@ -239,7 +250,7 @@ class TestVelocityBand:
             state = compatible_initial_data(profile, params, SF, grid)
             acc = make_accumulator(with_derived(state, params, grid), grid, params)
             u = state.u[None]
-            (margin,) = velocity_band_check(acc, acc.velocity_exponent(u, grid))
+            (margin,) = velocity_band_check(acc, ln_d1(acc, u, grid))
             assert margin >= 0.0
             # u = u0 makes the factor exactly one; margin is distance to the
             # nearer band edge
@@ -259,9 +270,7 @@ class TestVelocityBand:
         wild.u = np.full(grid.n_nodes, 50.0)
         # one margin per row, each judging its own row
         u = np.array([wild.u, later.u])
-        wild_margin, later_margin = velocity_band_check(
-            acc, acc.velocity_exponent(u, grid)
-        )
+        wild_margin, later_margin = velocity_band_check(acc, ln_d1(acc, u, grid))
         assert wild_margin < 0.0
         assert later_margin >= 0.0
 
@@ -269,7 +278,7 @@ class TestVelocityBand:
         acc = make_accumulator(with_derived(uniform_state, params, grid), grid, params)
         wild = uniform_state.copy()
         wild.u = np.full(grid.n_nodes, 50.0)
-        (margin,) = velocity_band_check(acc, acc.velocity_exponent(wild.u[None], grid))
+        (margin,) = velocity_band_check(acc, ln_d1(acc, wild.u[None], grid))
         assert margin < 0.0
 
     def test_nan_above_the_band_survives_the_fold(self, grid, params, uniform_state):
@@ -583,7 +592,7 @@ def left_rectangle_update(acc, block, grid):
     ln_d = verify.relative_volume_exponent(
         block.derived.v_power, acc.v0_power, acc.params.alpha
     )
-    integrand = block.theta * np.exp(-(acc.velocity_exponent(block.u, grid) + ln_d))
+    integrand = block.theta * np.exp(-(ln_d1(acc, block.u, grid) + ln_d))
     before = np.concatenate((acc.last_integrand[None], integrand[:-1]))
     for row, dt in zip(before, block.dt.tolist()):
         acc.time_integral += dt * row
