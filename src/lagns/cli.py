@@ -78,9 +78,12 @@ def cmd_run(config_path: str, out_dir: str) -> int:
             file=sys.stderr,
         )
         return EXIT_ABORT
+    report = result.report
+    # a run none of whose steps was floored prints no count
+    floored = f"{report.floored_steps} floored steps, " if report.floored_steps else ""
     print(
-        f"completed t = {result.state.t:.6g}: {len(result.report.rows)} output rows, "
-        f"{result.report.halvings} halvings, wrote {out / 'timeseries.csv'}"
+        f"completed t = {result.state.t:.6g}: {len(report.rows)} output rows, "
+        f"{report.halvings} halvings, {floored}wrote {out / 'timeseries.csv'}"
     )
     return EXIT_OK
 

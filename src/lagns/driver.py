@@ -208,7 +208,8 @@ class _Stepper:
     ends. Iterating yields each accepted step as (state, dt, row_due), where
     row_due says that the step landed on the next output time. Once the
     iteration ends, abort_reason says why the run stopped short of t_end
-    (None when it did not) and halvings counts the halved retries.
+    (None when it did not), halvings counts the halved retries and floored
+    the steps whose acoustic limit fell below dt_min.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -227,7 +228,7 @@ class _Stepper:
             self.case is not None and scenario.bc is BoundaryKind.STRESS_FREE
         )
         self.abort_reason: str | None = None
-        self.halvings = 0
+        self.halvings = self.floored = 0
 
     def wall_stress(self, t: float) -> tuple[float, float]:
         """The wall stress imposed at time t: the manufactured value on the
@@ -248,12 +249,15 @@ class _Stepper:
         # is freed as the later ones are (a state is 7 arrays of N values)
         state, self.state = self.state, None
         previous: State | None = None
-        halvings = 0
+        halvings = floored = 0
         abort_reason: str | None = None
         out_index = 1
 
         while not _reached(state.t, t_end):
-            dt = max(dt_control(state, grid, params, cfl, dt_max), dt_min)
+            dt = dt_control(state, grid, params, cfl, dt_max)
+            if dt < dt_min:
+                floored += 1
+                dt = dt_min
             target = min(t_end, out_index * output_every)
             dt = min(dt, target - state.t)
 
@@ -284,7 +288,8 @@ class _Stepper:
             yield state, dt, row_due
             if row_due:
                 out_index += 1
-        self.state, self.abort_reason, self.halvings = state, abort_reason, halvings
+        self.state, self.abort_reason = state, abort_reason
+        self.halvings, self.floored = halvings, floored
 
     def report(self, rows: tuple[DiagnosticsRow, ...]) -> DiagnosticsReport:
         """The report of the finished loop, with the given output rows."""
@@ -293,6 +298,7 @@ class _Stepper:
             status="completed" if self.abort_reason is None else "aborted",
             abort_reason=self.abort_reason,
             halvings=self.halvings,
+            floored_steps=self.floored,
         )
 
     def final_state(self) -> State:

@@ -282,12 +282,15 @@ TIMESERIES_COLUMNS: tuple[str, ...] = tuple(
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """All output rows of a run plus its terminal status."""
+    """All output rows of a run plus its terminal status, its halved
+    retries and its floored steps: those whose acoustic limit fell below
+    dt_min, which took dt_min instead."""
 
     rows: tuple[DiagnosticsRow, ...]
     status: str
     abort_reason: str | None = None
     halvings: int = 0
+    floored_steps: int = 0
 
     def __post_init__(self) -> None:
         if self.status not in ("completed", "aborted"):

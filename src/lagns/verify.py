@@ -187,7 +187,9 @@ def relative_volume_exponent(
     state (one per row, or one) and of the initial state: the logarithm of
     the volume term of the viscosity relative to the initial state, as a
     new array; 0.0 when alpha = 0, where D is 1. Given -alpha in place of
-    alpha, it returns -ln D bit for bit: the quotient only changes sign."""
+    alpha, it returns -ln D bit for bit: the quotient only changes sign.
+    It loses digits as alpha falls; below 1/8 the instruments form ln D
+    through expm1 instead (see _integrand_exponent)."""
     if alpha == 0.0:
         return 0.0
     exponent = v_power - v0_power
@@ -218,15 +220,47 @@ class RepresentationAccumulator:
     e0: float
 
 
+# below this alpha, ln D is formed through expm1; see _integrand_exponent
+_EXPM1_ALPHA = 0.125
+
+
 def _integrand_exponent(
-    acc: RepresentationAccumulator, v_power: np.ndarray, u: np.ndarray, grid: Grid
+    acc: RepresentationAccumulator,
+    v: np.ndarray,
+    v_power: np.ndarray,
+    u: np.ndarray,
+    grid: Grid,
 ) -> np.ndarray:
     """-(ln d1 + ln D), the exponent of the integrand theta/(d1*D), of the
-    volume powers v**-alpha and node velocities u of a state (or one per
-    row), as a new array. Its terms are formed at -alpha and -1/mu_eff,
-    which only flips the sign of each rounded value, so its negation has
-    the bits of ln d1 + ln D."""
-    exponent = relative_volume_exponent(v_power, acc.v0_power, -acc.params.alpha)
+    volumes v, their powers v**-alpha and the node velocities u of a state
+    (or one per row), as a new array. Its terms are formed at -alpha and
+    -1/mu_eff, which only flips the sign of each rounded value, so its
+    negation has the bits of ln d1 + ln D.
+
+    The plain ln D = (v**-alpha - v0**-alpha)/alpha (relative_volume_exponent)
+    loses digits as alpha falls: each power rounds by up to eps/2 * P, P
+    the larger power, and the quotient carries both errors, up to
+    eps * P/alpha (2.2e-2 at alpha = 1e-14, above the residual's 5e-3).
+    Below _EXPM1_ALPHA, ln D is formed as
+
+        v0**-alpha * expm1(-alpha * ln(v/v0)) / alpha,
+
+    where rounding v/v0 and its log moves ln D by about
+    eps/2 * P * (1 + |ln(v/v0)|) whatever alpha is, and the other four
+    operations by a few eps * |ln D|. That error is the smaller while
+    alpha < 1/(1 + |ln(v/v0)|): below 1/8 for every v within a factor e**7
+    (about 1100) of v0, and from 1/8 on the plain form's error is at most
+    8 eps * P, three bits.
+    """
+    alpha = acc.params.alpha
+    if 0.0 < alpha < _EXPM1_ALPHA:
+        exponent = np.log(v / acc.v0)
+        exponent *= -alpha
+        np.expm1(exponent, out=exponent)
+        exponent *= acc.v0_power
+        exponent /= -alpha
+    else:
+        exponent = relative_volume_exponent(v_power, acc.v0_power, -alpha)
     exponent += velocity_integral_exponent(u, acc.u0_nodes, grid, -1.0 / acc.mu_eff)
     return exponent
 
@@ -256,7 +290,7 @@ def update_accumulator(
     """Advance the time integral over the steps of a block by the trapezoid
     rule, with ln d1 of every step from one cumulative velocity integral."""
     # theta/(d1*D) as theta*exp(-(ln d1 + ln D)): one exp per value
-    integrand = _integrand_exponent(acc, block.derived.v_power, block.u, grid)
+    integrand = _integrand_exponent(acc, block.v, block.derived.v_power, block.u, grid)
     np.exp(integrand, out=integrand)
     integrand *= block.theta
     # each step's trapezoid pairs its integrand with the one before it
@@ -289,7 +323,7 @@ def representation_residual(
         )
     # d1*D, the exp of the negated exponent of the integrand
     power = volume_power(state.v, acc.params.alpha)
-    predicted = np.exp(-_integrand_exponent(acc, power, state.u, grid))
+    predicted = np.exp(-_integrand_exponent(acc, state.v, power, state.u, grid))
     predicted *= acc.v0 + acc.params.R / acc.mu_eff * acc.time_integral
     return float(np.max(np.abs(state.v - predicted)) / np.max(state.v))
 
@@ -300,8 +334,8 @@ def velocity_band_check(
     """Energy band on the velocity-integral factors of states, one per row.
 
     The cumulative velocity change is bounded through the conserved energy,
-    so each row's factor exp(velocity_exponent), the exp of its ln d1
-    (velocity_integral_exponent at the weight 1/mu_eff), must stay inside
+    so each row's factor d1 = exp(velocity_exponent), whose exponent is
+    velocity_integral_exponent at the weight 1/mu_eff, must stay inside
     [exp(-s/mu_eff), exp(s/mu_eff)] with s = sqrt(2*e0). Returns each
     row's worst absolute margin to either edge: non-negative inside the
     band, negative outside.

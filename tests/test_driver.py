@@ -49,6 +49,15 @@ ABORT_SCENARIO = Scenario(
     cfl=1.0,
 )
 
+# the same violence with u_amp 50 completes, but the acoustic limit of 999
+# of its 1000 steps falls below dt_min (by up to 13.6 times), so they take
+# dt_min; its first step, not floored, is halved 3 times
+FLOORED_SCENARIO = dataclasses.replace(
+    ABORT_SCENARIO,
+    profile=ProfileSpec(name="cosine", amplitudes=(("u_amp", 50.0),)),
+    output_every=0.5,
+)
+
 # a CFL-limited no-slip run in which two step attempts are rejected and
 # retried at a halved dt
 HALVING_SCENARIO = Scenario(
@@ -129,6 +138,12 @@ class TestRun:
         assert result.state.u[0] == 0.0 and result.state.u[-1] == 0.0
         for row in result.report.rows:
             assert row.boundary_resid_left == row.boundary_resid_right == 0.0
+
+    def test_floored_steps_are_counted(self):
+        report = run(FLOORED_SCENARIO).report
+        assert report.status == "completed"
+        assert (report.floored_steps, report.halvings) == (999, 3)
+        assert run(load_config(CONFIGS / "default.json")).report.floored_steps == 0
 
     def test_abort_keeps_partial_rows(self):
         result = run(ABORT_SCENARIO)
@@ -539,6 +554,7 @@ class TestAdvance:
         assert report.status == result.report.status == status
         assert report.abort_reason == result.report.abort_reason
         assert report.halvings == result.report.halvings
+        assert report.floored_steps == result.report.floored_steps
         assert report.rows == ()
 
     def test_initial_state_is_freed_as_the_run_moves_on(self, monkeypatch):

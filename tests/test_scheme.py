@@ -319,7 +319,7 @@ class TestDtControl:
 
     def test_dt_min_floors(self):
         # dt_control returns the acoustic limit however small it is, and the
-        # run floors it at dt_min: a limit of 3.0e-3 takes steps of 1e-2
+        # run floors it at dt_min: a limit of 2.98e-3 takes steps of 1e-2
         scenario = Scenario(
             n_cells=100, t_end=0.05, output_every=0.05, cfl=0.5, dt_min=1e-2
         )

@@ -4,6 +4,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -550,9 +551,11 @@ class TestRepresentationForAnyMaterial:
         # below 0.5, N = 64 under-resolves the run: at mu_tilde 0.1 the
         # residual is 7.2e-3, 1.8e-3 and 4.4e-4 at N = 32, 64 and 128
         mu_tilde=st.floats(0.5, 10.0),
-        # below about 1e-13, v**-alpha - v0**-alpha cancels to rounding
-        # and D loses its digits
-        alpha=st.just(0.0) | st.floats(1e-9, 8.0),
+        # down to 1e-300: below 1/8, ln D is formed through expm1, whose
+        # rounding does not grow as alpha falls
+        alpha=st.just(0.0)
+        | st.floats(1e-9, 8.0)
+        | st.floats(-300.0, -9.0).map(lambda e: 10.0**e),
         beta=st.floats(0.1, 4.0),
     )
     def test_short_cosine_run_keeps_residual_inside_tolerance(
@@ -584,6 +587,41 @@ class TestRepresentationForAnyMaterial:
             c for c in verification_table(result) if c.name == "volume representation"
         ]
         assert check.passed, check.detail
+
+    def test_tiny_alpha_passes(self):
+        # at alpha = 1e-14 the plain (v**-alpha - v0**-alpha)/alpha rounds to
+        # about 2e-2 of ln D, and the row read 1.227e-2 against 5e-3
+        scenario = load_config(CONFIGS / "default.json")
+        scenario = replace(scenario, params=replace(scenario.params, alpha=1e-14))
+        result = run(scenario)
+        (check,) = [
+            c for c in verification_table(result) if c.name == "volume representation"
+        ]
+        assert check.passed, check.detail
+        assert max(row.repr_residual for row in result.report.rows) < 2e-4
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-14, 1e-3, 0.1, 0.125, 1.0, 2.0])
+    def test_log_factor_within_a_few_ulps(self, alpha):
+        # ln D of the integrand's exponent against 50-digit arithmetic, in
+        # which the expm1 form does not cancel: within 4 eps of the larger
+        # power P, and within 8 eps * P/alpha for the plain form from 1/8 on
+        grid = Grid(64)
+        v0 = np.linspace(0.2, 5.0, grid.n_cells)
+        v = v0 * np.exp(np.linspace(-3.0, 3.0, grid.n_cells))[::-1]
+        u0 = np.zeros(grid.n_nodes)
+        params = MaterialParams(alpha=alpha)
+        state = with_derived(State(0.0, v0, u0, np.ones(grid.n_cells)), params, grid)
+        acc = make_accumulator(state, grid, params)
+        got = -verify._integrand_exponent(acc, v, volume_power(v, alpha), u0, grid)
+        mpmath.mp.dps = 50
+        a = mpmath.mpf(alpha)
+        want = np.array([
+            float(y ** -a * mpmath.expm1(-a * mpmath.log(x / y)) / a)
+            for x, y in zip(map(mpmath.mpf, v.tolist()), map(mpmath.mpf, v0.tolist()))
+        ])
+        scale = np.maximum(v**-alpha, v0**-alpha) * np.finfo(float).eps
+        bound = 4.0 if alpha < 0.125 else 8.0 / alpha
+        assert np.all(np.abs(got - want) <= bound * scale)
 
 
 def left_rectangle_update(acc, block, grid):
